@@ -80,6 +80,16 @@ class WeightedNormParams:
         return self.alpha > SERIES_CONVERGENCE_ALPHA
 
 
+def _cumulant_terms(t: float, cluster: ClusterSet, mat: np.ndarray, cache: EvolutionCache):
+    """Yield (weight, blocks, U_p mat U_p^dagger) for every partition p of
+    the cluster set, U_p being the product of per-block propagators."""
+    n = len(cluster.declusterize())
+    for p in cluster_partitions(cluster):
+        blocks = [block_labels(block) for block in p.blocks]
+        u = block_propagator(blocks, n, t, cache)
+        yield mobius_weight(p), blocks, u @ mat @ u.conj().T
+
+
 def cumulant_apply(
     t: float, cluster: ClusterSet, f: ManyBodyOperator, cache: EvolutionCache
 ) -> ManyBodyOperator:
@@ -93,10 +103,8 @@ def cumulant_apply(
     if f.n != len(labels):
         raise DomainError(f"operator has {f.n} particles, cluster set flattens to {len(labels)}")
     total = np.zeros_like(f.mat)
-    for p in cluster_partitions(cluster):
-        blocks = [block_labels(block) for block in p.blocks]
-        u = block_propagator(blocks, f.n, t, cache)
-        total += mobius_weight(p) * (u @ f.mat @ u.conj().T)
+    for weight, _, evolved in _cumulant_terms(t, cluster, f.mat, cache):
+        total += weight * evolved
     return f.with_mat(total)
 
 
@@ -182,16 +190,12 @@ def solve_series_time_derivative(
     d = cache.spec.d
     out = np.zeros((d**s, d**s), dtype=np.complex128)
     for n in range(0, F0.n_max - s + 1):
-        xc = ClusterSet.canonical(s, n)
         ntot = s + n
-        f0 = F0.component(ntot).mat
         term = np.zeros((d**ntot, d**ntot), dtype=np.complex128)
-        for p in cluster_partitions(xc):
-            blocks = [block_labels(block) for block in p.blocks]
-            u = block_propagator(blocks, ntot, t, cache)
-            evolved = u @ f0 @ u.conj().T
+        terms = _cumulant_terms(t, ClusterSet.canonical(s, n), F0.component(ntot).mat, cache)
+        for weight, blocks, evolved in terms:
             hp = block_hamiltonian(blocks, ntot, cache)
-            term += mobius_weight(p) * (-commutator_generator(evolved, hp, cache.spec.hbar))
+            term += weight * (-commutator_generator(evolved, hp, cache.spec.hbar))
         out += partial_trace_matrix(term, s, ntot, d) / math.factorial(n)
     return ManyBodyOperator(s, d, out, F0.stats)
 

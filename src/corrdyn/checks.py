@@ -47,6 +47,8 @@ from .hilbert import (
     OperatorSequence,
     Statistics,
     all_permutations,
+    permutation_average,
+    permutation_conjugate,
     permute_ket,
     random_hermitian,
     random_sequence,
@@ -60,43 +62,22 @@ def _rng(config: ScenarioConfig, tag: int) -> np.random.Generator:
     return np.random.default_rng([config.seed, tag])
 
 
-def _base_spec(config: ScenarioConfig, potentials: dict[int, np.ndarray] | None = None) -> InteractionSpec:
-    return InteractionSpec(
-        d=config.d,
-        one_body=config.one_body,
-        potentials=config.potentials if potentials is None else potentials,
-        hbar=config.hbar,
-        matrix_side_cap=config.matrix_cap,
-        enforce_potential_symmetry=config.strict_potentials,
-    )
-
-
 def _symmetrized_coupling(rng: np.random.Generator, k: int, d: int) -> np.ndarray:
     """Seeded Hermitian k-body matrix averaged over factor permutations."""
-    from .hilbert import _row_permutation_map
-
-    raw = random_hermitian(rng, d**k)
-    out = np.zeros_like(raw)
-    side = d**k
-    for perm in all_permutations(k):
-        rows = _row_permutation_map(perm.images, k, d)
-        pmat = np.zeros((side, side))
-        pmat[np.arange(side), rows] = 1.0
-        out += pmat @ raw @ pmat.T
-    return out / math.factorial(k)
+    return permutation_average(random_hermitian(rng, d**k), k, d)
 
 
 def _pair_spec(config: ScenarioConfig) -> tuple[InteractionSpec, str]:
     """Scenario couplings restricted to the two-body term (free if absent)."""
     if 2 in config.potentials:
-        return _base_spec(config, {2: config.potentials[2]}), "scenario phi2"
-    return _base_spec(config, {}), "free"
+        return config.interaction_spec({2: config.potentials[2]}), "scenario phi2"
+    return config.interaction_spec({}), "free"
 
 
 def _synth_two_body_spec(config: ScenarioConfig, rng: np.random.Generator) -> tuple[InteractionSpec, str]:
     if 2 in config.potentials:
-        return _base_spec(config, {2: config.potentials[2]}), "scenario phi2"
-    return _base_spec(config, {2: _symmetrized_coupling(rng, 2, config.d)}), "seeded phi2"
+        return config.interaction_spec({2: config.potentials[2]}), "scenario phi2"
+    return config.interaction_spec({2: _symmetrized_coupling(rng, 2, config.d)}), "seeded phi2"
 
 
 def _synth_mixed_spec(config: ScenarioConfig, rng: np.random.Generator) -> tuple[InteractionSpec, str]:
@@ -108,7 +89,7 @@ def _synth_mixed_spec(config: ScenarioConfig, rng: np.random.Generator) -> tuple
     if 3 not in pots:
         pots[3] = _symmetrized_coupling(rng, 3, config.d)
         note.append("seeded phi3")
-    return _base_spec(config, {2: pots[2], 3: pots[3]}), ",".join(note) or "scenario phi2+phi3"
+    return config.interaction_spec({2: pots[2], 3: pots[3]}), ",".join(note) or "scenario phi2+phi3"
 
 
 # --------------------------------------------------------------------------
@@ -182,7 +163,7 @@ def check_cumulant_zero_time(config: ScenarioConfig) -> list[CheckRecord]:
     """Orders >= 2 of the evolution-group cumulant cancel at t = 0."""
     tol = config.tolerance("cumulant_zero_time")
     rng = _rng(config, 3)
-    spec, note = _base_spec(config), "scenario couplings"
+    spec, note = config.interaction_spec(), "scenario couplings"
     cache = EvolutionCache(spec)
     worst = 0.0
     for s in (1, 2):
@@ -213,7 +194,7 @@ def check_cumulant_free(config: ScenarioConfig) -> list[CheckRecord]:
     cumulant of order >= 2 vanishes for all times."""
     tol = config.tolerance("cumulant_free")
     rng = _rng(config, 4)
-    free_spec = _base_spec(config, {})
+    free_spec = config.interaction_spec({})
     cache = EvolutionCache(free_spec)
     worst = 0.0
     for s in (1, 2):
@@ -297,7 +278,7 @@ def check_definition_consistency(config: ScenarioConfig) -> list[CheckRecord]:
     """
     tol = config.tolerance("definition_consistency")
     rng = _rng(config, 7)
-    spec = _base_spec(config)
+    spec = config.interaction_spec()
     records = []
     for n_max in (3, 4):
         d0 = random_sequence(rng, config.d, config.stats, n_max, traceless=True, f0=1.0)
@@ -374,7 +355,7 @@ def check_norm_bound(config: ScenarioConfig) -> list[CheckRecord]:
     partition-counting bound (each unitary term is an isometry)."""
     tol = config.tolerance("norm_bound")
     rng = _rng(config, 9)
-    spec, note = _base_spec(config), "scenario couplings"
+    spec, note = config.interaction_spec(), "scenario couplings"
     cache = EvolutionCache(spec)
     worst = 0.0
     worst_ratio = 0.0
@@ -408,8 +389,6 @@ def _symmetry_violation(op: ManyBodyOperator) -> float:
     """Max over group elements of the two-sided conjugation defect and
     (for quantum statistics) the one-sided sign-rule defect, relative to
     the operator norm."""
-    from .hilbert import _row_permutation_map
-
     if op.n <= 1:
         return 0.0
     scale = max(trace_norm(op), 1e-30)
@@ -419,8 +398,7 @@ def _symmetry_violation(op: ManyBodyOperator) -> float:
         sign = op.stats.permutation_sign(perm.parity)
         if op.stats is not Statistics.BOLTZMANN:
             worst = max(worst, trace_norm(permuted - sign * op) / scale)
-        rows = _row_permutation_map(perm.images, op.n, op.d)
-        conj = op.mat[np.ix_(rows, rows)]  # P f P^dagger in index form
+        conj = permutation_conjugate(perm, op.mat, op.d)
         worst = max(worst, trace_norm(conj - op.mat) / scale)
     return worst
 
@@ -430,7 +408,7 @@ def check_symmetry_preservation(config: ScenarioConfig) -> list[CheckRecord]:
     the transform pair, cluster correlations, evolution and marginals."""
     tol = config.tolerance("symmetry_preservation")
     rng = _rng(config, 10)
-    spec, note = _base_spec(config), "scenario couplings"
+    spec, note = config.interaction_spec(), "scenario couplings"
     cache = EvolutionCache(spec)
     n_max = 3
     d_seq = random_sequence(rng, config.d, config.stats, n_max, f0=1.0)
@@ -482,7 +460,8 @@ def run_checks(config: ScenarioConfig, parallel: bool = False) -> CheckReport:
         started = time.perf_counter()
         try:
             records = CHECKS[name](config)
-        except CorrdynError as exc:
+        except Exception as exc:
+            error = str(exc) if isinstance(exc, CorrdynError) else f"{type(exc).__name__}: {exc}"
             records = [
                 CheckRecord(
                     name=name,
@@ -490,7 +469,7 @@ def run_checks(config: ScenarioConfig, parallel: bool = False) -> CheckReport:
                     residual=float("nan"),
                     tolerance=config.tolerance(name),
                     passed=False,
-                    error=str(exc),
+                    error=error,
                 )
             ]
         elapsed_ms = (time.perf_counter() - started) * 1e3

@@ -18,11 +18,11 @@ import numpy as np
 
 from .bbgky import marginals_from_correlations, solve_bbgky_series
 from .checks import run_checks
-from .combinatorics import bell_number, set_partitions, nonempty_subsets
+from .combinatorics import bell_number, set_partitions
 from .config import ScenarioConfig, load_scenario
-from .correlations import CorrelationSequence, density_to_correlations
+from .correlations import CorrelationSequence, coupling_supports, density_to_correlations
 from .errors import ConfigError, CorrdynError
-from .hamiltonian import EvolutionCache, InteractionSpec
+from .hamiltonian import EvolutionCache
 from .hilbert import (
     ManyBodyOperator,
     OperatorSequence,
@@ -31,17 +31,6 @@ from .hilbert import (
     write_operator,
 )
 from .report import render_jsonl, render_table
-
-
-def _spec_of(config: ScenarioConfig) -> InteractionSpec:
-    return InteractionSpec(
-        d=config.d,
-        one_body=config.one_body,
-        potentials=config.potentials,
-        hbar=config.hbar,
-        matrix_side_cap=config.matrix_cap,
-        enforce_potential_symmetry=config.strict_potentials,
-    )
 
 
 def _initial_correlations(config: ScenarioConfig) -> CorrelationSequence:
@@ -94,7 +83,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         raise ConfigError(f"--s must lie in 1..{config.n_max}")
     g0 = _initial_correlations(config)
     f0 = marginals_from_correlations(g0)
-    cache = EvolutionCache(_spec_of(config))
+    cache = EvolutionCache(config.interaction_spec())
     out = sys.stdout if not args.out else Path(args.out).open("w")
     try:
         for t in config.times:
@@ -117,14 +106,7 @@ def cmd_info(args: argparse.Namespace) -> int:
     print()
     print("order  matrix side  partitions  hierarchy terms")
     for n in range(1, config.n_max + 1):
-        terms = 0
-        for p in set_partitions(range(1, n + 1)):
-            if p.size == 1:
-                continue
-            combos = 1
-            for block in p.blocks:
-                combos *= len(nonempty_subsets(block))
-            terms += combos
+        terms = len(coupling_supports(set_partitions(range(1, n + 1)), config.potentials))
         print(f"{n:5d}  {config.d**n:11d}  {bell_number(n):10d}  {terms:15d}")
     cap_ok = config.d**config.n_max <= config.matrix_cap
     print(f"\nmatrix cap {config.matrix_cap}: {'ok' if cap_ok else 'EXCEEDED'}")
@@ -152,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     evolve.add_argument("--out", default=None, metavar="FILE")
     evolve.set_defaults(func=cmd_evolve)
 
-    info = sub.add_parser("info", help="print dimensions and partition-term cost estimates")
+    info = sub.add_parser("info", help="print dimensions, partition counts and commutators per order")
     info.add_argument("scenario")
     info.set_defaults(func=cmd_info)
     return parser

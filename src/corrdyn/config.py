@@ -4,8 +4,7 @@ Matrices are written as indented continuation rows of whitespace-separated
 complex literals (``a+bj``), or referenced by ``file = path`` pointing to a
 file in the operator serialization format.  Sections:
 
-    [system]      d, stats, n_max, hbar, seed, matrix_cap,
-                  deterministic_reduction, strict_potentials
+    [system]      d, stats, n_max, hbar, seed, matrix_cap, strict_potentials
     [one_body]    rows = ... | file = ...
     [potential.K] rows = ... | file = ...     (one section per k-body term)
     [initial]     kind = chaos|random|file, plus kind-specific keys
@@ -23,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .hilbert import Statistics, read_operator
+from .hamiltonian import InteractionSpec
+from .hilbert import HERMITICITY_TOL, Statistics, hermiticity_defect, read_operator
 
 KNOWN_CHECKS = (
     "mobius_roundtrip",
@@ -73,7 +73,6 @@ class ScenarioConfig:
     checks: tuple[str, ...]
     tolerances: dict[str, float]
     seed: int
-    deterministic_reduction: bool
     matrix_cap: int
     strict_potentials: bool
     digest: str
@@ -81,6 +80,17 @@ class ScenarioConfig:
 
     def tolerance(self, check: str) -> float:
         return self.tolerances.get(check, DEFAULT_TOLERANCES[check])
+
+    def interaction_spec(self, potentials: dict[int, np.ndarray] | None = None) -> InteractionSpec:
+        """The scenario's dynamics, optionally with a replacement coupling set."""
+        return InteractionSpec(
+            d=self.d,
+            one_body=self.one_body,
+            potentials=self.potentials if potentials is None else potentials,
+            hbar=self.hbar,
+            matrix_side_cap=self.matrix_cap,
+            enforce_potential_symmetry=self.strict_potentials,
+        )
 
 
 def _parse_matrix(raw: str, side: int, where: str) -> np.ndarray:
@@ -118,9 +128,9 @@ def _load_matrix(section: configparser.SectionProxy, side: int, base: Path, wher
 
 
 def _require_hermitian(name: str, mat: np.ndarray) -> None:
-    dev = float(np.abs(mat - mat.conj().T).max())
-    if dev > 1e-12 * max(1.0, float(np.abs(mat).max())):
-        raise ConfigError(f"{name} is not Hermitian: max deviation {dev:.6e}")
+    defect = hermiticity_defect(mat)
+    if defect > HERMITICITY_TOL:
+        raise ConfigError(f"{name} is not Hermitian: max relative deviation {defect:.6e}")
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
@@ -146,7 +156,6 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         hbar = sys_sec.getfloat("hbar", 1.0)
         seed = sys_sec.getint("seed", 0)
         matrix_cap = sys_sec.getint("matrix_cap", 4096)
-        deterministic = sys_sec.getboolean("deterministic_reduction", True)
         strict_pots = sys_sec.getboolean("strict_potentials", True)
     except ValueError as exc:
         raise ConfigError(f"{path}: bad [system] value: {exc}") from exc
@@ -238,7 +247,6 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         checks=checks,
         tolerances=tolerances,
         seed=seed,
-        deterministic_reduction=deterministic,
         matrix_cap=matrix_cap,
         strict_potentials=strict_pots,
         digest=digest,

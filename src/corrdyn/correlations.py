@@ -12,13 +12,24 @@ Conventions fixed here once:
   product breaks the Bose identity at three particles, while the outer
   placement is exact for every statistics (verified numerically down to
   rounding).
+* The interaction sum is grouped by coupling support.  Each term of the
+  hierarchy picks a multi-block partition p and a nonempty label subset in
+  every block; the subsets join into the support Z of one k-body coupling.
+  Conversely Z fixes the per-block subsets as its intersections with the
+  blocks, so choosing subsets block by block is the same as choosing one Z
+  that meets every block.  Hence
+
+      sum_p sum_choices [prod_p, Phi_Z] = sum_Z [sum_{p: every block meets Z} prod_p, Phi_Z]
+
+  exactly (the commutator is linear), with one commutator per support and
+  each partition's block product built once.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -28,7 +39,6 @@ from .combinatorics import (
     block_labels,
     cluster_partitions,
     mobius_weight,
-    nonempty_subsets,
     set_partitions,
 )
 from .errors import DomainError, IntegrationError, TruncationError
@@ -182,58 +192,71 @@ def clusterize(g: OperatorSequence, s: int, n: int) -> ClusterCorrelation:
 # hierarchy right-hand sides
 # --------------------------------------------------------------------------
 
+CouplingSupport = tuple[tuple[int, ...], tuple[Partition, ...]]
+
+
+def coupling_supports(partitions: list[Partition], orders: Iterable[int]) -> list[CouplingSupport]:
+    """Coupling supports of the interaction sum, each with its partitions.
+
+    For every order k in ``orders`` and every k-subset Z of the labels the
+    partitions carry, lists the multi-block partitions whose every block
+    meets Z; supports that no partition reaches are dropped.  Pure label
+    bookkeeping: the number of supports is the number of commutators one
+    hierarchy right-hand side evaluates.
+    """
+    multi = [(p, [set(block_labels(b)) for b in p.blocks]) for p in partitions if p.size >= 2]
+    labels = sorted(set().union(*multi[0][1])) if multi else []
+    out = []
+    for k in sorted(orders):
+        for z in itertools.combinations(labels, k):
+            zset = set(z)
+            hits = tuple(p for p, blocks in multi if p.size <= k and all(b & zset for b in blocks))
+            if hits:
+                out.append((z, hits))
+    return out
+
+
+def _support_terms(
+    partitions: list[Partition], spec: InteractionSpec, n: int
+) -> list[tuple[np.ndarray, tuple[Partition, ...]]]:
+    """Coupling supports with Phi^(|Z|) embedded at Z in the n-particle space."""
+    return [
+        (embed_matrix(spec.potentials[len(z)], z, n, spec.d), parts)
+        for z, parts in coupling_supports(partitions, spec.potentials)
+    ]
+
+
 def _interaction_sum(
-    comps: dict[int, np.ndarray],
-    partitions: list[Partition],
-    n: int,
-    spec: InteractionSpec,
-    labels_of_block: Callable[[tuple], tuple[int, ...]],
-    block_value: Callable[[tuple], np.ndarray],
+    terms: list[tuple[np.ndarray, tuple[Partition, ...]]],
+    block_product: Callable[[Partition], np.ndarray],
+    hbar: float,
 ) -> np.ndarray:
-    """Sum over multi-block partitions and per-block nonempty label subsets of
-    the k-body commutator applied to the block product (no symmetrizer)."""
-    d = spec.d
-    acc = np.zeros((d**n, d**n), dtype=np.complex128)
-    for p in partitions:
-        if p.size == 1:
-            continue
-        prod = np.eye(d**n, dtype=np.complex128)
-        for block in p.blocks:
-            prod = prod @ block_value(block)
-        subset_pools = [nonempty_subsets(labels_of_block(b)) for b in p.blocks]
-        for choice in itertools.product(*subset_pools):
-            k = sum(len(z) for z in choice)
-            phi = spec.potentials.get(k)
-            if phi is None:
-                continue
-            joined = tuple(sorted(l for z in choice for l in z))
-            emb = embed_matrix(phi, joined, n, d)
-            acc -= commutator_generator(prod, emb, spec.hbar)
+    """-sum_Z [sum_p prod_p, Phi_Z] (no symmetrizer); each partition's block
+    product is built once however many supports it meets."""
+    products: dict[Partition, np.ndarray] = {}
+    acc = 0
+    for phi, parts in terms:
+        for p in parts:
+            if p not in products:
+                products[p] = block_product(p)
+        acc = acc - commutator_generator(sum(products[p] for p in parts), phi, hbar)
     return acc
 
 
 def von_neumann_rhs(g: OperatorSequence, n: int, spec: InteractionSpec) -> ManyBodyOperator:
     """Time derivative of the n-particle correlation component.
 
-    -N_n g_n plus the symmetrized sum over multi-block partitions and
-    per-block nonempty subsets of k-body commutators acting on products of
-    lower components.  Couplings without a matching Phi^(k) contribute zero.
-    For n = 1 this is just -N_1 g_1.
+    -N_n g_n plus the symmetrized sum over coupling supports Z of k-body
+    commutators acting on the summed products of lower components over the
+    multi-block partitions whose every block meets Z.  Couplings without a
+    matching Phi^(k) contribute zero.  For n = 1 this is just -N_1 g_1.
     """
     d = spec.d
     mats = _component_mats(g)
-    h = hamiltonian_matrix(n, spec)
-    out = -commutator_generator(mats[n], h, spec.hbar)
-    if n >= 2 and spec.potentials:
-        parts = set_partitions(range(1, n + 1))
-        acc = _interaction_sum(
-            mats,
-            parts,
-            n,
-            spec,
-            labels_of_block=lambda b: b,
-            block_value=lambda b: embed_matrix(mats[len(b)], tuple(sorted(b)), n, d),
-        )
+    out = -commutator_generator(mats[n], hamiltonian_matrix(n, spec), spec.hbar)
+    terms = _support_terms(set_partitions(range(1, n + 1)), spec, n)
+    if terms:
+        acc = _interaction_sum(terms, lambda p: _product_over_blocks(mats, p.blocks, n, d), spec.hbar)
         out += symmetrizer_matrix(g.stats, n, d) @ acc
     return ManyBodyOperator(n, d, out, g.stats)
 
@@ -245,35 +268,28 @@ def generalized_rhs(
 
     Block factors are the cluster correlations of each sub-collection of
     elements (each carrying its own group average, then embedded); the
-    atomic cluster is never split by the outer partitions, but per-block
-    label subsets range over the flattened labels.
+    atomic cluster is never split by the outer partitions, but coupling
+    supports range over the flattened labels.
     """
     labels = cluster.declusterize()
     ntot = len(labels)
     if tuple(sorted(labels)) != tuple(range(1, ntot + 1)):
         raise DomainError("cluster set must flatten to labels 1..s+n")
     d = spec.d
-    mats = _component_mats(g)
-    h = hamiltonian_matrix(ntot, spec)
 
-    def embedded_cluster_corr(elements: tuple) -> np.ndarray:
-        local_mat, elem_labels = cluster_correlation_matrix(g, elements)
-        return embed_matrix(local_mat, elem_labels, ntot, d)
+    def embedded_product(p: Partition) -> np.ndarray:
+        prod = np.eye(d**ntot, dtype=np.complex128)
+        for block in p.blocks:
+            local_mat, elem_labels = cluster_correlation_matrix(g, block)
+            prod = prod @ embed_matrix(local_mat, elem_labels, ntot, d)
+        return prod
 
     own, _ = cluster_correlation_matrix(g, tuple(el.labels for el in cluster.elements))
-    out = -commutator_generator(own, h, spec.hbar)
-    if len(cluster) >= 2 and spec.potentials:
-        parts = cluster_partitions(cluster)
-        acc = _interaction_sum(
-            mats,
-            parts,
-            ntot,
-            spec,
-            labels_of_block=block_labels,
-            block_value=embedded_cluster_corr,
-        )
+    out = -commutator_generator(own, hamiltonian_matrix(ntot, spec), spec.hbar)
+    terms = _support_terms(cluster_partitions(cluster), spec, ntot)
+    if terms:
         sym = symmetrizer_matrix(g.stats, ntot, d)
-        out += sym @ acc @ sym
+        out += sym @ _interaction_sum(terms, embedded_product, spec.hbar) @ sym
     return ManyBodyOperator(ntot, d, out, g.stats)
 
 
@@ -285,11 +301,11 @@ DEFAULT_STEPS_PER_UNIT = 1000
 
 
 class _HierarchyPlan:
-    """Precomputed partition structure for repeated right-hand sides.
+    """Precomputed structure for repeated right-hand sides.
 
     The hierarchy is lower triangular in the particle count, so one plan per
-    component n caches the Hamiltonian, the group average, and for every
-    (partition, subset choice) the embedded coupling matrix.
+    component n caches the Hamiltonian, the group average, and the coupling
+    supports with their embedded couplings.
     """
 
     def __init__(self, d: int, stats: Statistics, n_max: int, spec: InteractionSpec):
@@ -298,35 +314,20 @@ class _HierarchyPlan:
         self.n_max = n_max
         self.h = {n: hamiltonian_matrix(n, spec) for n in range(1, n_max + 1)}
         self.sym = {n: symmetrizer_matrix(stats, n, d) for n in range(1, n_max + 1)}
-        self.terms: dict[int, list[tuple[tuple[tuple[int, ...], ...], list[np.ndarray]]]] = {}
-        for n in range(2, n_max + 1):
-            rows = []
-            for p in set_partitions(range(1, n + 1)):
-                if p.size == 1:
-                    continue
-                embedded = []
-                for choice in itertools.product(*[nonempty_subsets(b) for b in p.blocks]):
-                    k = sum(len(z) for z in choice)
-                    phi = spec.potentials.get(k)
-                    if phi is None:
-                        continue
-                    joined = tuple(sorted(l for z in choice for l in z))
-                    embedded.append(embed_matrix(phi, joined, n, d))
-                if embedded:
-                    rows.append((p.blocks, embedded))
-            self.terms[n] = rows
+        self.terms = {
+            n: _support_terms(set_partitions(range(1, n + 1)), spec, n) for n in range(1, n_max + 1)
+        }
 
     def rhs(self, comps: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
         out = {}
         for n in range(1, self.n_max + 1):
             val = -commutator_generator(comps[n], self.h[n], self.spec.hbar)
-            rows = self.terms.get(n)
-            if rows:
-                acc = np.zeros_like(val)
-                for blocks, phis in rows:
-                    prod = _product_over_blocks(comps, blocks, n, self.d)
-                    for phi in phis:
-                        acc -= commutator_generator(prod, phi, self.spec.hbar)
+            if self.terms[n]:
+                acc = _interaction_sum(
+                    self.terms[n],
+                    lambda p: _product_over_blocks(comps, p.blocks, n, self.d),
+                    self.spec.hbar,
+                )
                 val += self.sym[n] @ acc
             out[n] = val
         return out

@@ -19,13 +19,13 @@ import numpy as np
 
 from .errors import DomainError, ResourceCapError
 from .hilbert import (
+    HERMITICITY_TOL,
     ManyBodyOperator,
     all_permutations,
     embed_matrix,
-    _row_permutation_map,
+    hermiticity_defect,
+    permutation_conjugate,
 )
-
-HERMITICITY_TOL = 1e-12
 
 
 def periodic_laplacian(d: int) -> np.ndarray:
@@ -39,19 +39,9 @@ def periodic_laplacian(d: int) -> np.ndarray:
 
 
 def _check_hermitian(name: str, mat: np.ndarray) -> None:
-    dev = float(np.abs(mat - mat.conj().T).max())
-    scale = max(1.0, float(np.abs(mat).max()))
-    if dev > HERMITICITY_TOL * scale:
-        raise DomainError(f"{name} is not Hermitian: max |M - M^dagger| = {dev:.3e}")
-
-
-def _factor_symmetry_deviation(phi: np.ndarray, k: int, d: int) -> float:
-    dev = 0.0
-    for perm in all_permutations(k):
-        rowmap = _row_permutation_map(perm.images, k, d)
-        conj = phi[np.ix_(rowmap, rowmap)]
-        dev = max(dev, float(np.abs(conj - phi).max()))
-    return dev
+    defect = hermiticity_defect(mat)
+    if defect > HERMITICITY_TOL:
+        raise DomainError(f"{name} is not Hermitian: relative max |M - M^dagger| = {defect:.3e}")
 
 
 @dataclass(frozen=True)
@@ -99,7 +89,10 @@ class InteractionSpec:
                 raise DomainError(f"potential k={k} shape {mat.shape} != ({side}, {side})")
             _check_hermitian(f"potential k={k}", mat)
             if self.enforce_potential_symmetry:
-                dev = _factor_symmetry_deviation(mat, k, self.d)
+                dev = max(
+                    float(np.abs(permutation_conjugate(perm, mat, self.d) - mat).max())
+                    for perm in all_permutations(k)
+                )
                 if dev > HERMITICITY_TOL * max(1.0, float(np.abs(mat).max())):
                     raise DomainError(
                         f"potential k={k} not factor-permutation symmetric: max dev {dev:.3e}"
@@ -227,10 +220,7 @@ def evolve_blocks(
     flat = sorted(l for b in blocks for l in b)
     if flat != list(range(1, f.n + 1)):
         raise DomainError(f"blocks {blocks} do not partition 1..{f.n}")
-    u = np.eye(f.side, dtype=np.complex128)
-    for block in blocks:
-        ub = cache.propagator(len(block), t)
-        u = u @ embed_matrix(ub, tuple(sorted(block)), f.n, f.d)
+    u = block_propagator(blocks, f.n, t, cache)
     return f.with_mat(u @ f.mat @ u.conj().T)
 
 

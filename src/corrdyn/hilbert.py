@@ -22,6 +22,9 @@ from .errors import DomainError, ResourceCapError
 #: Building the group-average symmetrizer walks all n! permutations.
 SYMMETRIZER_MAX_PARTICLES = 9
 
+#: Largest relative defect max|M - M^dagger| / max(1, max|M|) accepted as Hermitian.
+HERMITICITY_TOL = 1e-12
+
 
 class Statistics(enum.Enum):
     """Exchange statistics of the particles.
@@ -142,9 +145,8 @@ class ManyBodyOperator:
     def dagger(self) -> "ManyBodyOperator":
         return ManyBodyOperator(self.n, self.d, self.mat.conj().T, self.stats)
 
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        scale = max(1.0, float(np.abs(self.mat).max()))
-        return float(np.abs(self.mat - self.mat.conj().T).max()) <= tol * scale
+    def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
+        return hermiticity_defect(self.mat) <= tol
 
     def with_mat(self, mat: np.ndarray) -> "ManyBodyOperator":
         return ManyBodyOperator(self.n, self.d, mat, self.stats)
@@ -283,6 +285,27 @@ def symmetrizer_matrix(stats: Statistics, n: int, d: int) -> np.ndarray:
     return out
 
 
+def permutation_conjugate(p: Permutation, mat: np.ndarray, d: int) -> np.ndarray:
+    """Two-sided conjugation P_pi M P_pi^dagger in index form:
+    out[r, c] = M[r_pi, c_pi] with r -> r_pi the kernel row substitution."""
+    rows = _row_permutation_map(p.images, p.n, d)
+    return np.asarray(mat)[np.ix_(rows, rows)]
+
+
+def permutation_average(mat: np.ndarray, n: int, d: int) -> np.ndarray:
+    """(1/n!) sum_pi P_pi M P_pi^dagger over all factor permutations."""
+    out = np.zeros_like(mat)
+    for perm in all_permutations(n):
+        out += permutation_conjugate(perm, mat, d)
+    return out / math.factorial(n)
+
+
+def hermiticity_defect(mat: np.ndarray) -> float:
+    """max |M - M^dagger| relative to max(1, max |M|)."""
+    mat = np.asarray(mat)
+    return float(np.abs(mat - mat.conj().T).max()) / max(1.0, float(np.abs(mat).max()))
+
+
 # --------------------------------------------------------------------------
 # public operations
 # --------------------------------------------------------------------------
@@ -379,12 +402,7 @@ def random_state_component(
     if positive:
         raw = raw @ raw.conj().T
     if stats is Statistics.BOLTZMANN:
-        out = np.zeros_like(raw)
-        for perm in all_permutations(n):
-            pmat = np.zeros((side, side))
-            pmat[np.arange(side), _row_permutation_map(perm.images, n, d)] = 1.0
-            out += pmat @ raw @ pmat.T
-        out /= math.factorial(n)
+        out = permutation_average(raw, n, d)
     else:
         sym = symmetrizer_matrix(stats, n, d)
         out = sym @ raw @ sym

@@ -1,8 +1,8 @@
 """Check records and report rendering (fixed-width table and JSON lines).
 
 The machine format deliberately excludes wall-clock fields so that two runs
-with the same seed and deterministic reduction are byte-identical; timing
-lives in the table format only.  Floats are printed with 17 significant
+with the same seed are byte-identical; timing lives in the table format
+only.  Floats are printed with 17 significant
 digits, which round-trips doubles exactly.
 """
 

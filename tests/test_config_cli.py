@@ -5,10 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from corrdyn import checks
 from corrdyn.checks import run_checks
 from corrdyn.cli import main
 from corrdyn.config import load_scenario
-from corrdyn.errors import ConfigError
+from corrdyn.errors import ConfigError, DomainError
 from corrdyn.hilbert import Statistics, read_operator
 from corrdyn.report import CheckReport, parse_jsonl, render_jsonl, render_table
 
@@ -49,6 +50,13 @@ def test_minimal_config_parses(tmp_path):
     assert cfg.checks == ("norm_bound",)
     assert cfg.potentials == {}
     assert cfg.tolerance("norm_bound") == 1e-12
+
+
+def test_retired_system_key_still_loads(tmp_path):
+    # deterministic_reduction was never read; unknown [system] keys are ignored
+    text = MINIMAL.replace("seed = 3\n", "seed = 3\ndeterministic_reduction = true\n", 1)
+    cfg = load_scenario(write_cfg(tmp_path, text))
+    assert not hasattr(cfg, "deterministic_reduction")
 
 
 def test_missing_scenario_file():
@@ -188,6 +196,50 @@ def test_cli_info_runs(tmp_path, capsys):
     assert main(["info", str(path)]) == 0
     captured = capsys.readouterr().out
     assert "matrix side" in captured and "partitions" in captured
+
+
+PAIR_POTENTIAL = """
+[potential.2]
+rows =
+    0.305+0j -0.564+0.133j -0.564+0.133j 0.503-0.231j
+    -0.564-0.133j -0.211+0j -0.363+0j 0.514-0.59j
+    -0.564-0.133j -0.363+0j -0.211+0j 0.514-0.59j
+    0.503+0.231j 0.514+0.59j 0.514+0.59j -0.859+0j
+"""
+
+
+def info_terms(capsys, path) -> list[int]:
+    assert main(["info", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    header = lines.index("order  matrix side  partitions  hierarchy terms")
+    rows = [line.split() for line in lines[header + 1:] if line.strip()]
+    return [int(row[3]) for row in rows if row[0].isdigit()]
+
+
+def test_cli_info_counts_commutators_per_order(tmp_path, capsys):
+    # one commutator per pair support: C(n, 2) at order n
+    base = MINIMAL.replace("n_max = 2", "n_max = 4")
+    assert info_terms(capsys, write_cfg(tmp_path, base + PAIR_POTENTIAL, "pair.cfg")) == [0, 1, 3, 6]
+    assert info_terms(capsys, write_cfg(tmp_path, base, "free.cfg")) == [0, 0, 0, 0]
+
+
+def test_run_checks_captures_numpy_errors(tmp_path, monkeypatch):
+    def singular(config):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    def domain(config):
+        raise DomainError("bad input")
+
+    monkeypatch.setitem(checks.CHECKS, "mobius_roundtrip", singular)
+    monkeypatch.setitem(checks.CHECKS, "cumulant_zero_time", domain)
+    text = MINIMAL.replace(
+        "checks = norm_bound", "checks = mobius_roundtrip cumulant_zero_time norm_bound"
+    )
+    report = run_checks(load_scenario(write_cfg(tmp_path, text)))
+    errored, domain_rec, after = report.records
+    assert not errored.passed and errored.error == "LinAlgError: SVD did not converge"
+    assert not domain_rec.passed and domain_rec.error == "bad input"
+    assert after.name == "norm_bound" and after.passed and after.error is None
 
 
 def test_cli_reports_config_errors(tmp_path, capsys):

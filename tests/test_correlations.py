@@ -19,6 +19,7 @@ from corrdyn.hilbert import (
     ManyBodyOperator,
     OperatorSequence,
     Statistics,
+    permutation_average,
     random_hermitian,
     random_sequence,
     random_state_component,
@@ -38,6 +39,13 @@ def pair_spec(seed=21, d=2):
     swap[[0, 1, 2, 3], [0, 2, 1, 3]] = 1.0
     phi = (phi + swap @ phi @ swap.T) / 2
     return InteractionSpec(d=d, one_body=random_hermitian(rng, d), potentials={2: phi})
+
+
+def mixed_spec(seed=22, d=2):
+    # two- plus three-body couplings: three-block partitions reach the sum
+    rng = np.random.default_rng(seed)
+    pots = {k: permutation_average(random_hermitian(rng, d**k), k, d) for k in (2, 3)}
+    return InteractionSpec(d=d, one_body=random_hermitian(rng, d), potentials=pots)
 
 
 def max_component_gap(a, b, n_max):
@@ -238,21 +246,23 @@ def test_rhs_two_particle_term_enumeration(stats):
 
 @pytest.mark.parametrize("stats", ALL_STATS)
 def test_hierarchy_residual_richardson(stats):
-    # the transformed unitary evolution solves the hierarchy
-    spec = pair_spec()
-    rng = np.random.default_rng(64)
-    d0 = random_sequence(rng, 2, stats, 3, f0=1.0)
+    # the transformed unitary evolution solves the hierarchy, for pair
+    # coupling and for mixed two- plus three-body coupling
+    for spec, n_max in ((pair_spec(), 3), (mixed_spec(), 4)):
+        rng = np.random.default_rng(64)
+        d0 = random_sequence(rng, 2, stats, n_max, f0=1.0)
 
-    def g_at(t):
-        return density_to_correlations(oracles.direct_density_evolution(d0, t, spec))
+        def g_at(t):
+            return density_to_correlations(oracles.direct_density_evolution(d0, t, spec))
 
-    t, h = 0.3, 1e-4
-    g_t = g_at(t)
-    for n in (1, 2, 3):
-        coarse = (g_at(t + h).component(n).mat - g_at(t - h).component(n).mat) / (2 * h)
-        fine = (g_at(t + h / 2).component(n).mat - g_at(t - h / 2).component(n).mat) / h
-        deriv = (4 * fine - coarse) / 3
-        assert trace_norm(deriv - von_neumann_rhs(g_t, n, spec).mat) < 1e-8
+        t, h = 0.3, 1e-4
+        g_t = g_at(t)
+        g_p, g_m, g_p2, g_m2 = g_at(t + h), g_at(t - h), g_at(t + h / 2), g_at(t - h / 2)
+        for n in range(1, n_max + 1):
+            coarse = (g_p.component(n).mat - g_m.component(n).mat) / (2 * h)
+            fine = (g_p2.component(n).mat - g_m2.component(n).mat) / h
+            deriv = (4 * fine - coarse) / 3
+            assert trace_norm(deriv - von_neumann_rhs(g_t, n, spec).mat) < 1e-8
 
 
 def test_generalized_rhs_core_only_is_pure_drift():
@@ -283,23 +293,28 @@ def test_generalized_rhs_singletons_match_flat_hierarchy(stats):
 @pytest.mark.parametrize("stats", ALL_STATS)
 def test_generalized_hierarchy_residual_richardson(stats):
     # the cluster transform of the true trajectory solves the generalized
-    # hierarchy, cluster-structured cases included
-    spec = pair_spec()
-    rng = np.random.default_rng(73)
-    d0 = random_sequence(rng, 2, stats, 3, f0=1.0)
+    # hierarchy, cluster-structured cases included, for pair coupling and
+    # for mixed two- plus three-body coupling
+    lanes = (
+        (pair_spec(), 3, ((2, 0), (2, 1), (3, 0))),
+        (mixed_spec(), 4, ((2, 1), (1, 2), (2, 2))),
+    )
+    for spec, n_max, clusters in lanes:
+        rng = np.random.default_rng(73)
+        d0 = random_sequence(rng, 2, stats, n_max, f0=1.0)
 
-    def cc_at(t, s, n):
-        g = density_to_correlations(oracles.direct_density_evolution(d0, t, spec))
-        return clusterize(g, s, n).op.mat
+        def g_at(t):
+            return density_to_correlations(oracles.direct_density_evolution(d0, t, spec))
 
-    t, h = 0.3, 1e-4
-    g_t = density_to_correlations(oracles.direct_density_evolution(d0, t, spec))
-    for (s, n) in ((2, 0), (2, 1), (3, 0)):
-        coarse = (cc_at(t + h, s, n) - cc_at(t - h, s, n)) / (2 * h)
-        fine = (cc_at(t + h / 2, s, n) - cc_at(t - h / 2, s, n)) / h
-        deriv = (4 * fine - coarse) / 3
-        rhs = generalized_rhs(g_t, ClusterSet.canonical(s, n), spec).mat
-        assert trace_norm(deriv - rhs) < 1e-8
+        t, h = 0.3, 1e-4
+        g_t = g_at(t)
+        g_p, g_m, g_p2, g_m2 = g_at(t + h), g_at(t - h), g_at(t + h / 2), g_at(t - h / 2)
+        for (s, n) in clusters:
+            coarse = (clusterize(g_p, s, n).op.mat - clusterize(g_m, s, n).op.mat) / (2 * h)
+            fine = (clusterize(g_p2, s, n).op.mat - clusterize(g_m2, s, n).op.mat) / h
+            deriv = (4 * fine - coarse) / 3
+            rhs = generalized_rhs(g_t, ClusterSet.canonical(s, n), spec).mat
+            assert trace_norm(deriv - rhs) < 1e-8
 
 
 def test_generalized_rhs_free_coupling():

@@ -13,6 +13,7 @@ from corrdyn.hilbert import (
     all_permutations,
     embed_operator,
     partial_trace,
+    permutation_conjugate,
     permute_ket,
     random_hermitian,
     random_state_component,
@@ -203,6 +204,16 @@ def test_state_component_two_sided_invariance(stats):
         rows = _row_permutation_map(perm.images, 3, 2)
         conj = f.mat[np.ix_(rows, rows)]
         assert np.allclose(conj, f.mat, atol=1e-13)
+
+
+@pytest.mark.parametrize("d,k", [(2, 2), (2, 3), (3, 3), (4, 2)])
+def test_permutation_conjugate_matches_dense_products(d, k):
+    # index form against P M P^T with 0/1 matrices; both only move entries,
+    # so they agree exactly
+    raw = random_hermitian(np.random.default_rng(14), d**k)
+    for perm in all_permutations(k):
+        pmat = loop_permute_rows(np.eye(d**k), perm.images, k, d)
+        assert np.array_equal(permutation_conjugate(perm, raw, d), pmat @ raw @ pmat.T)
 
 
 def test_symmetrizer_is_projection_matrix():
