@@ -31,6 +31,7 @@ from .hilbert import (
     Statistics,
     embed_matrix,
     partial_trace_matrix,
+    place_product,
     symmetrizer_matrix,
     trace_norm,
 )
@@ -214,9 +215,7 @@ def chaos_cluster_solution(
     d = g1_0.d
     ntot = s + n
     cache.spec.check_side(ntot)
-    prod = np.ones((1, 1), dtype=np.complex128)
-    for _ in range(ntot):
-        prod = np.kron(prod, g1_0.mat)
+    prod = place_product([(g1_0.mat, (i,)) for i in range(1, ntot + 1)], ntot, d)
     sym = symmetrizer_matrix(g1_0.stats, ntot, d)
     xc = ClusterSet.canonical(s, n)
     seed = ManyBodyOperator(ntot, d, sym @ prod, g1_0.stats)

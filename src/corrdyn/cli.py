@@ -81,9 +81,12 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     s = args.s
     if not 1 <= s <= config.n_max:
         raise ConfigError(f"--s must lie in 1..{config.n_max}")
+    spec = config.interaction_spec()
+    # the series needs H_{n_max}: refuse an oversized run before any d^n_max allocation
+    spec.check_side(config.n_max)
     g0 = _initial_correlations(config)
     f0 = marginals_from_correlations(g0)
-    cache = EvolutionCache(config.interaction_spec())
+    cache = EvolutionCache(spec)
     out = sys.stdout if not args.out else Path(args.out).open("w")
     try:
         for t in config.times:

@@ -8,7 +8,7 @@ file in the operator serialization format.  Sections:
     [one_body]    rows = ... | file = ...
     [potential.K] rows = ... | file = ...     (one section per k-body term)
     [initial]     kind = chaos|random|file, plus kind-specific keys
-    [run]         times, integrator_steps_per_unit, checks
+    [run]         times, checks
     [tolerances]  one override per check name
 """
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -69,14 +69,12 @@ class ScenarioConfig:
     potentials: dict[int, np.ndarray]
     initial: InitialData
     times: tuple[float, ...]
-    integrator_steps_per_unit: int
     checks: tuple[str, ...]
     tolerances: dict[str, float]
     seed: int
     matrix_cap: int
     strict_potentials: bool
     digest: str
-    base_dir: Path = field(default=Path("."))
 
     def tolerance(self, check: str) -> float:
         return self.tolerances.get(check, DEFAULT_TOLERANCES[check])
@@ -196,7 +194,10 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         _require_hermitian("initial g1", g1)
         initial = InitialData(kind="chaos", g1=g1, seed=seed)
     elif kind == "random":
-        init_seed = int(init_sec.get("seed", seed))
+        try:
+            init_seed = int(init_sec.get("seed", seed))
+        except ValueError as exc:
+            raise ConfigError(f"{path}: bad [initial] seed {init_sec.get('seed')!r}") from exc
         positive = str(init_sec.get("positive", "true")).lower() in ("1", "true", "yes", "on")
         initial = InitialData(kind="random", seed=init_seed, positive=positive)
     elif kind == "file":
@@ -218,9 +219,6 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         raise ConfigError(f"{path}: bad times list {times_raw!r}") from exc
     if not all(np.isfinite(times)):
         raise ConfigError(f"{path}: times must be finite")
-    steps_per_unit = int(run_sec.get("integrator_steps_per_unit") or 1000)
-    if steps_per_unit < 1:
-        raise ConfigError(f"{path}: integrator_steps_per_unit must be >= 1")
     checks = tuple((run_sec.get("checks") or "").split())
     for name in checks:
         if name not in KNOWN_CHECKS:
@@ -231,7 +229,10 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         for key, value in parser["tolerances"].items():
             if key not in KNOWN_CHECKS:
                 raise ConfigError(f"{path}: tolerance for unknown check {key!r}")
-            tolerances[key] = float(value)
+            try:
+                tolerances[key] = float(value)
+            except ValueError as exc:
+                raise ConfigError(f"{path}: bad tolerance for {key}: {value!r}") from exc
 
     digest = hashlib.sha256(text.encode()).hexdigest()[:16]
     return ScenarioConfig(
@@ -243,12 +244,10 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         potentials=potentials,
         initial=initial,
         times=times,
-        integrator_steps_per_unit=steps_per_unit,
         checks=checks,
         tolerances=tolerances,
         seed=seed,
         matrix_cap=matrix_cap,
         strict_potentials=strict_pots,
         digest=digest,
-        base_dir=base,
     )

@@ -4,14 +4,15 @@ equations of motion with a fixed-step RK4 integrator.
 
 Conventions fixed here once:
 
-* Products over disjoint blocks are embedded factors multiplied in canonical
-  block order (supports are disjoint, so the order cannot matter).
-* The statistics group average is applied once, outermost, per partition
-  term.  In the interaction sum of the hierarchy the average is applied
-  outside the commutators; applying it between the commutator and the
-  product breaks the Bose identity at three particles, while the outer
-  placement is exact for every statistics (verified numerically down to
-  rounding).
+* A product over disjoint blocks is one tensor placement
+  (``hilbert.place_product``): each block's factor goes on the block's sorted
+  labels, with no d^n x d^n matrix products.
+* The statistics group average is applied once per order, outside the
+  partition sum, to the summed terms.  In the interaction sum of the
+  hierarchy the average is applied outside the commutators; applying it
+  between the commutator and the product breaks the Bose identity at three
+  particles, while the outer placement is exact for every statistics
+  (verified numerically down to rounding).
 * The interaction sum is grouped by coupling support.  Each term of the
   hierarchy picks a multi-block partition p and a nonempty label subset in
   every block; the subsets join into the support Z of one k-body coupling.
@@ -48,6 +49,7 @@ from .hilbert import (
     OperatorSequence,
     Statistics,
     embed_matrix,
+    place_product,
     symmetrizer_matrix,
 )
 
@@ -85,18 +87,21 @@ def _component_mats(seq: OperatorSequence) -> dict[int, np.ndarray]:
 def _product_over_blocks(
     comps: dict[int, np.ndarray], blocks: tuple[tuple[int, ...], ...], n: int, d: int
 ) -> np.ndarray:
-    out = np.eye(d**n, dtype=np.complex128)
-    for block in blocks:
-        labels = tuple(sorted(block))
-        out = out @ embed_matrix(comps[len(labels)], labels, n, d)
-    return out
+    return place_product([(comps[len(block)], tuple(sorted(block))) for block in blocks], n, d)
+
+
+def _reconstruction(comps: dict[int, np.ndarray], n: int, d: int) -> np.ndarray:
+    """Unsymmetrized density reconstruction on labels 1..n: the sum over all
+    partitions of 1..n of the block products of components."""
+    return sum(_product_over_blocks(comps, p.blocks, n, d) for p in set_partitions(range(1, n + 1)))
 
 
 def density_to_correlations(D: OperatorSequence) -> CorrelationSequence:
     """Signed partition sum turning density components into correlations.
 
-    g_n = D_n + sum over partitions with >= 2 blocks of the partition weight
-    times the symmetrized product of density components on the blocks.  The
+    g_n = D_n + S_n applied to the sum over partitions with >= 2 blocks of
+    the partition weight times the product of density components on the
+    blocks, S_n being the statistics group average.  The
     inverse is ``correlations_to_density``; the pair is an exact bijection
     on statistics-symmetric sequences.
     """
@@ -104,13 +109,11 @@ def density_to_correlations(D: OperatorSequence) -> CorrelationSequence:
     mats = _component_mats(D)
     out = {}
     for n in range(1, D.n_max + 1):
-        total = mats[n].copy()
-        sym = symmetrizer_matrix(stats, n, d)
+        total = np.zeros((d**n, d**n), dtype=np.complex128)
         for p in set_partitions(range(1, n + 1)):
-            if p.size == 1:
-                continue
-            total += mobius_weight(p) * (sym @ _product_over_blocks(mats, p.blocks, n, d))
-        out[n] = ManyBodyOperator(n, d, total, stats)
+            if p.size > 1:
+                total += mobius_weight(p) * _product_over_blocks(mats, p.blocks, n, d)
+        out[n] = ManyBodyOperator(n, d, mats[n] + symmetrizer_matrix(stats, n, d) @ total, stats)
     return CorrelationSequence(d=d, stats=stats, n_max=D.n_max, f0=0j, components=out)
 
 
@@ -123,25 +126,11 @@ def correlations_to_density(g: OperatorSequence) -> OperatorSequence:
     """
     d, stats = g.d, g.stats
     mats = _component_mats(g)
-    out = {}
-    for n in range(1, g.n_max + 1):
-        sym = symmetrizer_matrix(stats, n, d)
-        total = np.zeros((d**n, d**n), dtype=np.complex128)
-        for p in set_partitions(range(1, n + 1)):
-            total += sym @ _product_over_blocks(mats, p.blocks, n, d)
-        out[n] = ManyBodyOperator(n, d, total, stats)
+    out = {
+        n: ManyBodyOperator(n, d, symmetrizer_matrix(stats, n, d) @ _reconstruction(mats, n, d), stats)
+        for n in range(1, g.n_max + 1)
+    }
     return OperatorSequence(d=d, stats=stats, n_max=g.n_max, f0=1.0 + 0j, components=out)
-
-
-def _bare_partition_sum(
-    comps: dict[int, np.ndarray], labels: tuple[int, ...], n: int, d: int
-) -> np.ndarray:
-    """Unsymmetrized density reconstruction on a label subset, embedded in the
-    n-particle space: sum over partitions of ``labels`` of block products."""
-    out = np.zeros((d**n, d**n), dtype=np.complex128)
-    for q in set_partitions(labels):
-        out += _product_over_blocks(comps, q.blocks, n, d)
-    return out
 
 
 def cluster_correlation_matrix(g: OperatorSequence, elements: tuple) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -162,13 +151,16 @@ def cluster_correlation_matrix(g: OperatorSequence, elements: tuple) -> tuple[np
     local_elements = tuple(tuple(local[l] for l in block_labels((el,))) for el in elements)
     m, d = len(labels), g.d
     mats = _component_mats(g)
-    sym = symmetrizer_matrix(g.stats, m, d)
+    parts = set_partitions(local_elements)
+    # bare[k] lives on labels 1..k in order; placed on a block's sorted labels
+    # it is that block's reconstruction for any sequence, symmetric or not
+    orders = {len(block_labels(b)) for p in parts for b in p.blocks}
+    bare = {k: _reconstruction(mats, k, d) for k in orders}
     total = np.zeros((d**m, d**m), dtype=np.complex128)
-    for p in set_partitions(local_elements):
-        term = np.eye(d**m, dtype=np.complex128)
-        for block in p.blocks:
-            term = term @ _bare_partition_sum(mats, block_labels(block), m, d)
-        total += mobius_weight(p) * term
+    for p in parts:
+        blocks = [block_labels(b) for b in p.blocks]
+        total += mobius_weight(p) * place_product([(bare[len(b)], b) for b in blocks], m, d)
+    sym = symmetrizer_matrix(g.stats, m, d)
     return sym @ total @ sym, labels
 
 
@@ -278,11 +270,7 @@ def generalized_rhs(
     d = spec.d
 
     def embedded_product(p: Partition) -> np.ndarray:
-        prod = np.eye(d**ntot, dtype=np.complex128)
-        for block in p.blocks:
-            local_mat, elem_labels = cluster_correlation_matrix(g, block)
-            prod = prod @ embed_matrix(local_mat, elem_labels, ntot, d)
-        return prod
+        return place_product([cluster_correlation_matrix(g, block) for block in p.blocks], ntot, d)
 
     own, _ = cluster_correlation_matrix(g, tuple(el.labels for el in cluster.elements))
     out = -commutator_generator(own, hamiltonian_matrix(ntot, spec), spec.hbar)
@@ -296,9 +284,6 @@ def generalized_rhs(
 # --------------------------------------------------------------------------
 # RK4 integration of the coupled hierarchy
 # --------------------------------------------------------------------------
-
-DEFAULT_STEPS_PER_UNIT = 1000
-
 
 class _HierarchyPlan:
     """Precomputed structure for repeated right-hand sides.

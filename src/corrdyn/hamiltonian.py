@@ -25,6 +25,7 @@ from .hilbert import (
     embed_matrix,
     hermiticity_defect,
     permutation_conjugate,
+    place_product,
 )
 
 
@@ -213,13 +214,10 @@ def evolve_blocks(
 ) -> ManyBodyOperator:
     """Conjugate by the tensor product of per-block propagators.
 
-    ``blocks`` must partition 1..n; each block of m labels evolves under its
-    own H_m embedded at those labels.  Disjoint supports commute, so block
-    order is immaterial.
+    ``blocks`` must partition 1..n (``place_product`` enforces it); each
+    block of m labels evolves under its own H_m embedded at those labels.
+    Disjoint supports commute, so block order is immaterial.
     """
-    flat = sorted(l for b in blocks for l in b)
-    if flat != list(range(1, f.n + 1)):
-        raise DomainError(f"blocks {blocks} do not partition 1..{f.n}")
     u = block_propagator(blocks, f.n, t, cache)
     return f.with_mat(u @ f.mat @ u.conj().T)
 
@@ -227,12 +225,9 @@ def evolve_blocks(
 def block_propagator(
     blocks: list[tuple[int, ...]], n: int, t: float, cache: EvolutionCache
 ) -> np.ndarray:
-    """Product of embedded per-block propagators on an n-particle space."""
-    u = np.eye(cache.spec.d**n, dtype=np.complex128)
-    for block in blocks:
-        ub = cache.propagator(len(block), t)
-        u = u @ embed_matrix(ub, tuple(sorted(block)), n, cache.spec.d)
-    return u
+    """Tensor product of the per-block propagators on an n-particle space."""
+    factors = [(cache.propagator(len(block), t), tuple(sorted(block))) for block in blocks]
+    return place_product(factors, n, cache.spec.d)
 
 
 def block_hamiltonian(blocks: list[tuple[int, ...]], n: int, cache: EvolutionCache) -> np.ndarray:

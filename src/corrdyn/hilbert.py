@@ -2,9 +2,10 @@
 
 An n-particle operator is a d^n x d^n complex matrix.  Row and column
 indices factor into n base-d digits with particle 1 as the most significant
-digit (numpy C order).  Kernel-side permutations, (anti)symmetrization,
-tensor-factor embedding and partial traces are all index arithmetic on that
-digit decomposition.
+digit (numpy C order).  Kernel-side permutations, (anti)symmetrization and
+partial traces are index arithmetic on that digit decomposition.  Placing
+factors on labels (block products and embeddings alike) is one outer product
+plus one cached axis permutation, with no d^n x d^n matrix products.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import IO, Iterable, Mapping
 
 import numpy as np
@@ -211,47 +212,48 @@ class OperatorSequence:
 # --------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _digit_table(n: int, d: int) -> np.ndarray:
-    """(n, d^n) table: row i holds the base-d digit of particle i+1 for every
-    composite index (particle 1 most significant)."""
-    if n == 0:
-        return np.zeros((0, 1), dtype=np.intp)
-    table = np.array(np.unravel_index(np.arange(d**n), (d,) * n), dtype=np.intp)
-    table.flags.writeable = False
-    return table
-
-
-@lru_cache(maxsize=None)
 def _row_permutation_map(images: tuple[int, ...], n: int, d: int) -> np.ndarray:
-    """Index map r -> r' realizing kernel row substitution q_i -> q_{pi(i)}."""
-    digits = _digit_table(n, d)
-    permuted = digits[[p - 1 for p in images], :]
-    out = np.ravel_multi_index(tuple(permuted), (d,) * n)
+    """Index map r -> r' realizing kernel row substitution q_i -> q_{pi(i)}:
+    the digit axes of the composite indices permuted by pi^-1."""
+    out = np.arange(d**n).reshape((d,) * n).transpose(np.argsort(images)).ravel()
     out.flags.writeable = False
     return out
 
 
 @lru_cache(maxsize=None)
-def _embedding_codes(positions: tuple[int, ...], n: int, d: int):
-    """Index codes used to embed a |positions|-particle operator at the given
-    1-based factor positions of an n-particle space."""
-    digits = _digit_table(n, d)
-    k = len(positions)
-    sub = np.ravel_multi_index(tuple(digits[[p - 1 for p in positions], :]), (d,) * k)
-    rest_axes = [i for i in range(n) if (i + 1) not in positions]
-    if rest_axes:
-        rest = np.ravel_multi_index(tuple(digits[rest_axes, :]), (d,) * len(rest_axes))
-    else:
-        rest = np.zeros(d**n, dtype=np.intp)
-    sub.flags.writeable = False
-    rest.flags.writeable = False
-    return sub, rest
+def _placement_axes(label_tuples: tuple[tuple[int, ...], ...], n: int) -> tuple[int, ...]:
+    """Axis order taking the outer product of the factors (row digits, then
+    column digits, factor after factor) to the row digits and then the column
+    digits of particles 1..n."""
+    if sorted(l for labels in label_tuples for l in labels) != list(range(1, n + 1)):
+        raise DomainError(f"factor labels {label_tuples} do not partition 1..{n}")
+    rows, cols, offset = {}, {}, 0
+    for labels in label_tuples:
+        for j, l in enumerate(labels):
+            rows[l], cols[l] = offset + j, offset + len(labels) + j
+        offset += 2 * len(labels)
+    return tuple(rows[l] for l in range(1, n + 1)) + tuple(cols[l] for l in range(1, n + 1))
+
+
+def place_product(factors: list[tuple[np.ndarray, tuple[int, ...]]], n: int, d: int) -> np.ndarray:
+    """Tensor product of ``(matrix, labels)`` factors on an n-particle space.
+
+    The label tuples are disjoint and cover 1..n; the j-th factor of a
+    matrix acts on its j-th label, so labels need not be sorted.
+    """
+    axes = _placement_axes(tuple(tuple(labels) for _, labels in factors), n)
+    tensors = (
+        np.asarray(a, dtype=np.complex128).reshape((d,) * (2 * len(labels))) for a, labels in factors
+    )
+    out = reduce(np.multiply.outer, tensors)
+    return np.array(out.transpose(axes), order="C").reshape(d**n, d**n)
 
 
 def embed_matrix(a: np.ndarray, positions: tuple[int, ...], n: int, d: int) -> np.ndarray:
     """Embed matrix ``a`` so its factors act at ``positions`` (identity elsewhere)."""
-    sub, rest = _embedding_codes(positions, n, d)
-    return np.asarray(a, dtype=np.complex128)[np.ix_(sub, sub)] * (rest[:, None] == rest[None, :])
+    rest = tuple(p for p in range(1, n + 1) if p not in positions)
+    # with nothing left, the identity is 1x1 on no labels and multiplies by one
+    return place_product([(a, tuple(positions)), (np.eye(d ** len(rest)), rest)], n, d)
 
 
 def partial_trace_matrix(mat: np.ndarray, s: int, n: int, d: int) -> np.ndarray:
@@ -454,17 +456,12 @@ def write_operator(op: ManyBodyOperator, fh: IO[str]) -> None:
 
 
 def read_operator(fh: IO[str]) -> ManyBodyOperator:
-    header = _next_content_line(fh)
-    parts = header.split()
-    if len(parts) != 4 or parts[0] != "op":
-        raise DomainError(f"bad operator header: {header!r}")
-    n, d = int(parts[1]), int(parts[2])
-    stats = Statistics(parts[3])
+    n, d, stats = _read_header(fh, "op", "operator")
     side = d**n
     rows = []
     for _ in range(side):
         line = _next_content_line(fh)
-        entries = [complex(tok) for tok in line.split()]
+        entries = [_parse_complex(tok) for tok in line.split()]
         if len(entries) != side:
             raise DomainError(f"expected {side} entries per row, got {len(entries)}")
         rows.append(entries)
@@ -479,16 +476,11 @@ def write_sequence(seq: OperatorSequence, fh: IO[str]) -> None:
 
 
 def read_sequence(fh: IO[str]) -> OperatorSequence:
-    header = _next_content_line(fh)
-    parts = header.split()
-    if len(parts) != 4 or parts[0] != "seq":
-        raise DomainError(f"bad sequence header: {header!r}")
-    n_max, d = int(parts[1]), int(parts[2])
-    stats = Statistics(parts[3])
+    n_max, d, stats = _read_header(fh, "seq", "sequence")
     f0_line = _next_content_line(fh).split()
-    if f0_line[0] != "f0":
+    if len(f0_line) != 2 or f0_line[0] != "f0":
         raise DomainError("sequence is missing its scalar component line")
-    f0 = complex(f0_line[1])
+    f0 = _parse_complex(f0_line[1])
     comps = {}
     for n in range(1, n_max + 1):
         op = read_operator(fh)
@@ -496,6 +488,25 @@ def read_sequence(fh: IO[str]) -> OperatorSequence:
             raise DomainError(f"component out of order: expected n={n}, got {op.n}")
         comps[n] = op
     return OperatorSequence(d=d, stats=stats, n_max=n_max, f0=f0, components=comps)
+
+
+def _read_header(fh: IO[str], tag: str, what: str) -> tuple[int, int, Statistics]:
+    """Parse a ``<tag> <count> <d> <stats>`` header line."""
+    header = _next_content_line(fh)
+    parts = header.split()
+    try:
+        if len(parts) == 4 and parts[0] == tag and int(parts[1]) >= 0:
+            return int(parts[1]), int(parts[2]), Statistics(parts[3])
+    except ValueError as exc:
+        raise DomainError(f"bad {what} header: {header!r}") from exc
+    raise DomainError(f"bad {what} header: {header!r}")
+
+
+def _parse_complex(tok: str) -> complex:
+    try:
+        return complex(tok)
+    except ValueError as exc:
+        raise DomainError(f"bad complex entry {tok!r}") from exc
 
 
 def _next_content_line(fh: IO[str]) -> str:

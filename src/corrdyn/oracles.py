@@ -3,19 +3,22 @@
 Nothing here shares an implementation with the fast paths it is used to
 validate: tensor algebra is explicit index loops, evolution rebuilds its
 eigendecomposition per call, Bell numbers come from the triangle recurrence,
-and the reduced-operator sum is the direct grand-canonical definition.
+cluster correlations are the nested two-level partition sum over their own
+partition enumeration, and the reduced-operator sum is the direct
+grand-canonical definition.
 Clarity over speed throughout.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .hilbert import ManyBodyOperator, OperatorSequence
+from .hilbert import ManyBodyOperator, OperatorSequence, Statistics
 from .hamiltonian import InteractionSpec, hamiltonian_matrix
 from .combinatorics import mobius_weight, set_partitions
 from .bbgky import MarginalSequence
@@ -93,6 +96,60 @@ def loop_permute_rows(mat: np.ndarray, images: tuple[int, ...], n: int, d: int) 
         src = _pack([rdig[images[i] - 1] for i in range(n)], d)
         out[row, :] = mat[src, :]
     return out
+
+
+def loop_group_average(stats: Statistics, n: int, d: int) -> np.ndarray:
+    """(1/n!) sum_pi sign(pi) P_pi with every P_pi the identity relabeled by
+    ``loop_permute_rows``; the identity for BOLTZMANN."""
+    side = d**n
+    if stats is Statistics.BOLTZMANN:
+        return np.eye(side, dtype=np.complex128)
+    out = np.zeros((side, side), dtype=np.complex128)
+    for images in itertools.permutations(range(1, n + 1)):
+        inversions = sum(a > b for a, b in itertools.combinations(images, 2))
+        sign = -1.0 if stats is Statistics.FERMI and inversions % 2 else 1.0
+        out += sign * loop_permute_rows(np.eye(side), images, n, d)
+    return out / math.factorial(n)
+
+
+def _partitions(items: list) -> list[list[list]]:
+    """All set partitions of ``items``: the first item joins each block of
+    each partition of the rest, or forms a block of its own."""
+    if not items:
+        return [[]]
+    head, out = items[0], []
+    for rest in _partitions(items[1:]):
+        for i in range(len(rest)):
+            out.append(rest[:i] + [[head] + rest[i]] + rest[i + 1:])
+        out.append([[head]] + rest)
+    return out
+
+
+def nested_cluster_correlation(g: OperatorSequence, elements: tuple) -> np.ndarray:
+    """Cluster correlation of disjoint label tuples by the nested definition.
+
+    Outer signed sum over partitions P of the elements, weight
+    (-1)^(|P|-1) (|P|-1)!; per block, the inner sum over all partitions of
+    its labels of products of components, each factor placed on its sorted
+    labels by ``loop_embed``; then the compression S M S with S from
+    ``loop_group_average``.  The matrix acts on the sorted labels.
+    """
+    ground = tuple(sorted(l for el in elements for l in el))
+    m, d = len(ground), g.d
+    total = np.zeros((d**m, d**m), dtype=np.complex128)
+    for outer in _partitions(list(elements)):
+        term = np.eye(d**m, dtype=np.complex128)
+        for block in outer:
+            inner_sum = np.zeros_like(term)
+            for inner in _partitions(sorted(l for el in block for l in el)):
+                prod = np.eye(d**m, dtype=np.complex128)
+                for labels in map(sorted, inner):
+                    prod = prod @ loop_embed(g.components[len(labels)].mat, tuple(labels), ground, d)
+                inner_sum += prod
+            term = term @ inner_sum
+        total += (-1) ** (len(outer) - 1) * math.factorial(len(outer) - 1) * term
+    sym = loop_group_average(g.stats, m, d)
+    return sym @ total @ sym
 
 
 def spectral_trace_norm(mat: np.ndarray) -> float:

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from corrdyn import checks
+from corrdyn import checks, cli
 from corrdyn.checks import run_checks
 from corrdyn.cli import main
 from corrdyn.config import load_scenario
@@ -52,11 +52,16 @@ def test_minimal_config_parses(tmp_path):
     assert cfg.tolerance("norm_bound") == 1e-12
 
 
-def test_retired_system_key_still_loads(tmp_path):
-    # deterministic_reduction was never read; unknown [system] keys are ignored
-    text = MINIMAL.replace("seed = 3\n", "seed = 3\ndeterministic_reduction = true\n", 1)
+@pytest.mark.parametrize(
+    "anchor, key",
+    [("seed = 3\n", "deterministic_reduction"), ("times = 0.0 0.2\n", "integrator_steps_per_unit")],
+    ids=["system", "run"],
+)
+def test_retired_system_key_still_loads(tmp_path, anchor, key):
+    # neither key was ever read; unknown [system] and [run] keys are ignored
+    text = MINIMAL.replace(anchor, f"{anchor}{key} = 1\n", 1)
     cfg = load_scenario(write_cfg(tmp_path, text))
-    assert not hasattr(cfg, "deterministic_reduction")
+    assert not hasattr(cfg, key)
 
 
 def test_missing_scenario_file():
@@ -242,10 +247,64 @@ def test_run_checks_captures_numpy_errors(tmp_path, monkeypatch):
     assert after.name == "norm_bound" and after.passed and after.error is None
 
 
-def test_cli_reports_config_errors(tmp_path, capsys):
-    bad = write_cfg(tmp_path, "[system\nd = 2\n")
-    assert main(["check", str(bad)]) == 2
+ONE_BODY_ROWS = "rows =\n    0+0j 1+0j\n    1+0j 0+0j"
+OPERATOR_ROWS = "0+0j 1+0j\n1+0j 0+0j\n"
+SEQUENCE_COMPONENT = "op 1 2 boltzmann\n" + OPERATOR_ROWS
+
+
+@pytest.mark.parametrize(
+    "text, files, command",
+    [
+        ("[system\nd = 2\n", {}, "check"),
+        (MINIMAL + "\n[tolerances]\nnorm_bound = tight\n", {}, "check"),
+        (MINIMAL.replace("kind = random\nseed = 3", "kind = random\nseed = three"), {}, "check"),
+        (
+            MINIMAL.replace(ONE_BODY_ROWS, "file = one.op"),
+            {"one.op": "op 1 2 boltzmann\n0+0j 1+0j\n1+0j one\n"},
+            "check",
+        ),
+        (
+            MINIMAL.replace(ONE_BODY_ROWS, "file = one.op"),
+            {"one.op": "op one 2 boltzmann\n" + OPERATOR_ROWS},
+            "check",
+        ),
+        (
+            MINIMAL.replace("kind = random\nseed = 3", "kind = file\npath = initial.seq"),
+            {"initial.seq": "seq 1 2 boltzmann\nf0 one\n" + SEQUENCE_COMPONENT},
+            "evolve",
+        ),
+        (
+            MINIMAL.replace("kind = random\nseed = 3", "kind = file\npath = initial.seq"),
+            {"initial.seq": "seq one 2 boltzmann\nf0 1+0j\n" + SEQUENCE_COMPONENT},
+            "evolve",
+        ),
+    ],
+    ids=[
+        "unparsable",
+        "tolerance-not-float",
+        "initial-seed-not-int",
+        "operator-bad-complex",
+        "operator-bad-header",
+        "sequence-bad-complex",
+        "sequence-bad-header",
+    ],
+)
+def test_cli_reports_config_errors(tmp_path, capsys, text, files, command):
+    for name, content in files.items():
+        (tmp_path / name).write_text(content)
+    argv = [command, str(write_cfg(tmp_path, text))] + (["--s", "1"] if command == "evolve" else [])
+    assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_evolve_checks_matrix_cap_before_building(tmp_path, capsys, monkeypatch):
+    def never(g):
+        raise AssertionError("marginals built before the cap check")
+
+    monkeypatch.setattr(cli, "marginals_from_correlations", never)
+    path = write_cfg(tmp_path, MINIMAL.replace("n_max = 2", "n_max = 3\nmatrix_cap = 4"))
+    assert main(["evolve", str(path), "--s", "1"]) == 2
+    assert "cap 4" in capsys.readouterr().err
 
 
 def test_corrupted_potential_breaks_symmetry_check(tmp_path):

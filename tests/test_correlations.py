@@ -6,6 +6,7 @@ from corrdyn.combinatorics import ClusterSet
 from corrdyn.correlations import (
     ClusterCorrelation,
     CorrelationSequence,
+    cluster_correlation_matrix,
     clusterize,
     correlations_to_density,
     density_to_correlations,
@@ -190,6 +191,23 @@ def test_clusterize_truncation_guard():
     g = density_to_correlations(random_sequence(rng, 2, Statistics.BOSE, 2))
     with pytest.raises(TruncationError):
         clusterize(g, 2, 1)
+
+
+@pytest.mark.parametrize("stats", ALL_STATS, ids=str)
+@pytest.mark.parametrize(
+    "d, elements",
+    [(2, ((1, 2), (3,), (4,))), (2, ((1, 3), (2,), (4,))), (3, ((1, 3), (2,)))],
+)
+def test_cluster_correlation_matrix_matches_nested_oracle(stats, d, elements):
+    # unsymmetrized random components: the fast path is exact for any sequence
+    # (d=3 gives the Fermi lane a nonzero antisymmetric space)
+    rng = np.random.default_rng(31)
+    m = sum(len(el) for el in elements)
+    comps = {n: ManyBodyOperator(n, d, random_hermitian(rng, d**n), stats) for n in range(1, m + 1)}
+    g = OperatorSequence(d=d, stats=stats, n_max=m, components=comps)
+    fast, labels = cluster_correlation_matrix(g, elements)
+    assert labels == tuple(range(1, m + 1))
+    assert np.abs(fast - oracles.nested_cluster_correlation(g, elements)).max() <= 1e-12
 
 
 def test_cluster_correlation_container_invariants():

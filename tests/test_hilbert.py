@@ -15,6 +15,7 @@ from corrdyn.hilbert import (
     partial_trace,
     permutation_conjugate,
     permute_ket,
+    place_product,
     random_hermitian,
     random_state_component,
     read_operator,
@@ -133,6 +134,26 @@ def test_embed_label_errors():
         embed_operator(a, (4,), (1, 2, 3))
     with pytest.raises(DomainError):
         embed_operator(a, (1, 2), (1, 2, 3))  # operator has 1 factor, 2 labels
+
+
+@pytest.mark.parametrize(
+    "d, n, label_tuples",
+    [
+        (2, 5, [(4, 1, 5), (3,), (2,)]),  # shuffled, non-contiguous, unsorted inside a factor
+        (3, 3, [(3, 1), (2,)]),
+        (3, 4, [(4, 2), (3, 1)]),
+    ],
+)
+def test_place_product_matches_loop_embed_products(d, n, label_tuples):
+    rng = np.random.default_rng(11)
+    ground = tuple(range(1, n + 1))
+    factors = [(random_hermitian(rng, d ** len(labels)), labels) for labels in label_tuples]
+    expected = np.eye(d**n, dtype=complex)
+    for a, labels in factors:
+        expected = expected @ loop_embed(a, labels, ground, d)
+    assert np.allclose(place_product(factors, n, d), expected, atol=1e-13)
+    with pytest.raises(DomainError, match="partition"):
+        place_product(factors[:-1], n, d)
 
 
 def test_partial_trace_noop_and_factorized():
