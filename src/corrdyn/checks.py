@@ -8,14 +8,13 @@ Checks synthesize their own seeded data; a missing coupling a check needs
 from the seed and noted in the record inputs.
 
 All reductions run in canonical partition order, so results are
-bit-reproducible for a fixed seed regardless of the parallel flag.
+bit-reproducible for a fixed seed.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 import numpy as np
@@ -451,10 +450,9 @@ CHECKS: dict[str, Callable[[ScenarioConfig], list[CheckRecord]]] = {
 }
 
 
-def run_checks(config: ScenarioConfig, parallel: bool = False) -> CheckReport:
+def run_checks(config: ScenarioConfig) -> CheckReport:
     """Run the scenario's named checks; a failing or erroring check never
     aborts the suite.  Results keep the configured check order."""
-    names = list(config.checks)
 
     def run_one(name: str) -> list[CheckRecord]:
         started = time.perf_counter()
@@ -486,10 +484,5 @@ def run_checks(config: ScenarioConfig, parallel: bool = False) -> CheckReport:
             for r in records
         ]
 
-    if parallel and len(names) > 1:
-        with ThreadPoolExecutor(max_workers=min(4, len(names))) as pool:
-            grouped = list(pool.map(run_one, names))
-    else:
-        grouped = [run_one(name) for name in names]
-    records = tuple(r for group in grouped for r in group)
+    records = tuple(r for name in config.checks for r in run_one(name))
     return CheckReport(scenario_digest=config.digest, records=records)

@@ -1,7 +1,7 @@
 """Scenario-driven batch runner.
 
 Subcommands:
-    check  <scenario> [--format table|jsonl] [--out FILE] [--parallel]
+    check  <scenario> [--format table|jsonl] [--out FILE]
     evolve <scenario> --s K [--out FILE]
     info   <scenario>
 
@@ -26,6 +26,7 @@ from .hamiltonian import EvolutionCache
 from .hilbert import (
     ManyBodyOperator,
     OperatorSequence,
+    Statistics,
     random_sequence,
     read_sequence,
     write_operator,
@@ -41,6 +42,11 @@ def _initial_correlations(config: ScenarioConfig) -> CorrelationSequence:
             d=config.d, stats=config.stats, n_max=config.n_max, f0=0j, components={1: g1}
         )
     if init.kind == "random":
+        if init.positive and config.stats is Statistics.FERMI and config.n_max > config.d:
+            raise ConfigError(
+                f"Pauli exclusion: a positive random Fermi start needs n_max <= d (n_max={config.n_max}, "
+                f"d={config.d}); no {config.d + 1} fermions fit in {config.d} modes"
+            )
         rng = np.random.default_rng(init.seed)
         d_seq = random_sequence(
             rng, config.d, config.stats, config.n_max, positive=init.positive, f0=1.0
@@ -67,7 +73,7 @@ def _initial_correlations(config: ScenarioConfig) -> CorrelationSequence:
 
 def cmd_check(args: argparse.Namespace) -> int:
     config = load_scenario(args.scenario)
-    report = run_checks(config, parallel=args.parallel)
+    report = run_checks(config)
     text = render_jsonl(report) if args.format == "jsonl" else render_table(report)
     if args.out:
         Path(args.out).write_text(text)
@@ -128,7 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("scenario")
     check.add_argument("--format", choices=("table", "jsonl"), default="table")
     check.add_argument("--out", default=None, metavar="FILE")
-    check.add_argument("--parallel", action="store_true")
     check.set_defaults(func=cmd_check)
 
     evolve = sub.add_parser("evolve", help="write the s-particle reduced operator per time")

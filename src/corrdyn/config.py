@@ -198,7 +198,10 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
             init_seed = int(init_sec.get("seed", seed))
         except ValueError as exc:
             raise ConfigError(f"{path}: bad [initial] seed {init_sec.get('seed')!r}") from exc
-        positive = str(init_sec.get("positive", "true")).lower() in ("1", "true", "yes", "on")
+        raw_positive = str(init_sec.get("positive", "true")).lower()
+        if raw_positive not in parser.BOOLEAN_STATES:
+            raise ConfigError(f"{path}: [initial] positive must be a boolean, got {raw_positive!r}")
+        positive = parser.BOOLEAN_STATES[raw_positive]
         initial = InitialData(kind="random", seed=init_seed, positive=positive)
     elif kind == "file":
         rel = init_sec.get("path")

@@ -7,6 +7,13 @@ Conventions fixed here once:
 * A product over disjoint blocks is one tensor placement
   (``hilbert.place_product``): each block's factor goes on the block's sorted
   labels, with no d^n x d^n matrix products.
+* Cluster correlations are one unsigned sum over connecting partitions,
+  C(E) = S (sum_{pi: pi v E = 1} prod_{B in pi} g_|B|(B)) S.  Expanding the
+  signed sum over element partitions P of per-block reconstructions, a label
+  partition pi appears under every P >= sigma, sigma the element partition
+  of the join pi v E, with total weight sum_{P >= sigma} mu(P, 1) =
+  delta(sigma, 1) (Moebius inversion on the partition lattice).  With one
+  atomic element every pi connects: that is the density reconstruction.
 * The statistics group average is applied once per order, outside the
   partition sum, to the summed terms.  In the interaction sum of the
   hierarchy the average is applied outside the commutators; applying it
@@ -90,10 +97,24 @@ def _product_over_blocks(
     return place_product([(comps[len(block)], tuple(sorted(block))) for block in blocks], n, d)
 
 
-def _reconstruction(comps: dict[int, np.ndarray], n: int, d: int) -> np.ndarray:
-    """Unsymmetrized density reconstruction on labels 1..n: the sum over all
-    partitions of 1..n of the block products of components."""
-    return sum(_product_over_blocks(comps, p.blocks, n, d) for p in set_partitions(range(1, n + 1)))
+def _connects(blocks: tuple, elements: tuple) -> bool:
+    """Whether blocks joined with elements form one block (a reachability walk)."""
+    reached = set(elements[0])
+    rest = [set(group) for group in (*blocks, *elements[1:])]
+    while rest:
+        touching = [group for group in rest if group & reached]
+        if not touching:
+            return False
+        reached.update(*touching)
+        rest = [group for group in rest if not group <= reached]
+    return True
+
+
+def _connected_sum(comps: dict[int, np.ndarray], elements: tuple, m: int, d: int) -> np.ndarray:
+    """Unsymmetrized sum, over the partitions of 1..m whose join with
+    ``elements`` is connected, of the block products of components."""
+    parts = (p for p in set_partitions(range(1, m + 1)) if _connects(p.blocks, elements))
+    return sum(_product_over_blocks(comps, p.blocks, m, d) for p in parts)
 
 
 def density_to_correlations(D: OperatorSequence) -> CorrelationSequence:
@@ -126,20 +147,21 @@ def correlations_to_density(g: OperatorSequence) -> OperatorSequence:
     """
     d, stats = g.d, g.stats
     mats = _component_mats(g)
-    out = {
-        n: ManyBodyOperator(n, d, symmetrizer_matrix(stats, n, d) @ _reconstruction(mats, n, d), stats)
-        for n in range(1, g.n_max + 1)
-    }
+    out = {}
+    for n in range(1, g.n_max + 1):
+        bare = _connected_sum(mats, (tuple(range(1, n + 1)),), n, d)  # one element: every partition connects
+        out[n] = ManyBodyOperator(n, d, symmetrizer_matrix(stats, n, d) @ bare, stats)
     return OperatorSequence(d=d, stats=stats, n_max=g.n_max, f0=1.0 + 0j, components=out)
 
 
 def cluster_correlation_matrix(g: OperatorSequence, elements: tuple) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Cluster-set partition sum for the given elements.
+    """Cluster correlation of the given elements.
 
     ``elements`` is a collection of disjoint label tuples (atomic groups).
     Returns the matrix on the local space of the sorted underlying labels,
     plus those labels: the group average acts on exactly the particles the
-    elements carry, so the result can be embedded as a block factor.
+    elements carry, so the result can be embedded as a block factor.  It is
+    the connected sum of the module docstring, exact for any sequence.
 
     The group average is applied as the two-sided compression S M S.  On
     sums that are covariant under the full label group (plain sequences)
@@ -150,26 +172,15 @@ def cluster_correlation_matrix(g: OperatorSequence, elements: tuple) -> tuple[np
     local = {l: i + 1 for i, l in enumerate(labels)}
     local_elements = tuple(tuple(local[l] for l in block_labels((el,))) for el in elements)
     m, d = len(labels), g.d
-    mats = _component_mats(g)
-    parts = set_partitions(local_elements)
-    # bare[k] lives on labels 1..k in order; placed on a block's sorted labels
-    # it is that block's reconstruction for any sequence, symmetric or not
-    orders = {len(block_labels(b)) for p in parts for b in p.blocks}
-    bare = {k: _reconstruction(mats, k, d) for k in orders}
-    total = np.zeros((d**m, d**m), dtype=np.complex128)
-    for p in parts:
-        blocks = [block_labels(b) for b in p.blocks]
-        total += mobius_weight(p) * place_product([(bare[len(b)], b) for b in blocks], m, d)
     sym = symmetrizer_matrix(g.stats, m, d)
-    return sym @ total @ sym, labels
+    return sym @ _connected_sum(_component_mats(g), local_elements, m, d) @ sym, labels
 
 
 def clusterize(g: OperatorSequence, s: int, n: int) -> ClusterCorrelation:
     """Correlation operator of the cluster set ({1..s}, s+1, ..., s+n).
 
-    Outer signed sum over partitions of the cluster set (the s-cluster stays
-    atomic), inner unsymmetrized density reconstruction per block, the
-    two-sided group-average compression outermost.
+    One sum over the partitions of 1..s+n whose join with the cluster set is
+    a single block, the two-sided group-average compression outermost.
     """
     if s < 1:
         raise DomainError("cluster size s must be >= 1")
@@ -235,6 +246,24 @@ def _interaction_sum(
     return acc
 
 
+class _OrderPlan:
+    """Right-hand side of hierarchy order n on component matrices (orders <= n),
+    with the Hamiltonian, group average and coupling supports built once."""
+
+    def __init__(self, n: int, stats: Statistics, spec: InteractionSpec):
+        self.n, self.d, self.hbar = n, spec.d, spec.hbar
+        self.h = hamiltonian_matrix(n, spec)
+        self.sym = symmetrizer_matrix(stats, n, spec.d)
+        self.terms = _support_terms(set_partitions(range(1, n + 1)), spec, n)
+
+    def __call__(self, comps: dict[int, np.ndarray]) -> np.ndarray:
+        out = -commutator_generator(comps[self.n], self.h, self.hbar)
+        if self.terms:
+            product = lambda p: _product_over_blocks(comps, p.blocks, self.n, self.d)
+            out += self.sym @ _interaction_sum(self.terms, product, self.hbar)
+        return out
+
+
 def von_neumann_rhs(g: OperatorSequence, n: int, spec: InteractionSpec) -> ManyBodyOperator:
     """Time derivative of the n-particle correlation component.
 
@@ -243,14 +272,7 @@ def von_neumann_rhs(g: OperatorSequence, n: int, spec: InteractionSpec) -> ManyB
     multi-block partitions whose every block meets Z.  Couplings without a
     matching Phi^(k) contribute zero.  For n = 1 this is just -N_1 g_1.
     """
-    d = spec.d
-    mats = _component_mats(g)
-    out = -commutator_generator(mats[n], hamiltonian_matrix(n, spec), spec.hbar)
-    terms = _support_terms(set_partitions(range(1, n + 1)), spec, n)
-    if terms:
-        acc = _interaction_sum(terms, lambda p: _product_over_blocks(mats, p.blocks, n, d), spec.hbar)
-        out += symmetrizer_matrix(g.stats, n, d) @ acc
-    return ManyBodyOperator(n, d, out, g.stats)
+    return ManyBodyOperator(n, spec.d, _OrderPlan(n, g.stats, spec)(_component_mats(g)), g.stats)
 
 
 def generalized_rhs(
@@ -285,39 +307,6 @@ def generalized_rhs(
 # RK4 integration of the coupled hierarchy
 # --------------------------------------------------------------------------
 
-class _HierarchyPlan:
-    """Precomputed structure for repeated right-hand sides.
-
-    The hierarchy is lower triangular in the particle count, so one plan per
-    component n caches the Hamiltonian, the group average, and the coupling
-    supports with their embedded couplings.
-    """
-
-    def __init__(self, d: int, stats: Statistics, n_max: int, spec: InteractionSpec):
-        self.d = d
-        self.spec = spec
-        self.n_max = n_max
-        self.h = {n: hamiltonian_matrix(n, spec) for n in range(1, n_max + 1)}
-        self.sym = {n: symmetrizer_matrix(stats, n, d) for n in range(1, n_max + 1)}
-        self.terms = {
-            n: _support_terms(set_partitions(range(1, n + 1)), spec, n) for n in range(1, n_max + 1)
-        }
-
-    def rhs(self, comps: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
-        out = {}
-        for n in range(1, self.n_max + 1):
-            val = -commutator_generator(comps[n], self.h[n], self.spec.hbar)
-            if self.terms[n]:
-                acc = _interaction_sum(
-                    self.terms[n],
-                    lambda p: _product_over_blocks(comps, p.blocks, n, self.d),
-                    self.spec.hbar,
-                )
-                val += self.sym[n] @ acc
-            out[n] = val
-        return out
-
-
 def integrate_hierarchy(
     g0: OperatorSequence,
     t_final: float,
@@ -333,14 +322,18 @@ def integrate_hierarchy(
     """
     if steps < 1:
         raise DomainError("steps must be >= 1")
-    plan = _HierarchyPlan(g0.d, g0.stats, g0.n_max, spec)
+    plans = [_OrderPlan(n, g0.stats, spec) for n in range(1, g0.n_max + 1)]
+
+    def rhs(comps: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
+        return {plan.n: plan(comps) for plan in plans}
+
     y = {n: op.mat.copy() for n, op in g0.components.items()}
     h = t_final / steps
     for step in range(steps):
-        k1 = plan.rhs(y)
-        k2 = plan.rhs({n: y[n] + 0.5 * h * k1[n] for n in y})
-        k3 = plan.rhs({n: y[n] + 0.5 * h * k2[n] for n in y})
-        k4 = plan.rhs({n: y[n] + h * k3[n] for n in y})
+        k1 = rhs(y)
+        k2 = rhs({n: y[n] + 0.5 * h * k1[n] for n in y})
+        k3 = rhs({n: y[n] + 0.5 * h * k2[n] for n in y})
+        k4 = rhs({n: y[n] + h * k3[n] for n in y})
         for n in y:
             y[n] = y[n] + (h / 6.0) * (k1[n] + 2.0 * k2[n] + 2.0 * k3[n] + k4[n])
         if any(not np.isfinite(y[n]).all() for n in y):

@@ -172,8 +172,7 @@ def interaction_generator(
 class EvolutionCache:
     """Eigendecompositions of H_m per particle count, built lazily.
 
-    Immutable after construction apart from memoization; safe to share
-    between concurrently running checks.
+    Immutable after construction apart from memoization.
     """
 
     def __init__(self, spec: InteractionSpec):

@@ -162,16 +162,6 @@ def test_cli_check_jsonl_output_file(tmp_path):
     assert parsed.overall_pass
 
 
-def test_cli_parallel_matches_serial(tmp_path):
-    path = write_cfg(
-        tmp_path, MINIMAL.replace("checks = norm_bound", "checks = norm_bound cumulant_zero_time")
-    )
-    out_a, out_b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    assert main(["check", str(path), "--format", "jsonl", "--out", str(out_a)]) == 0
-    assert main(["check", str(path), "--format", "jsonl", "--out", str(out_b), "--parallel"]) == 0
-    assert out_a.read_bytes() == out_b.read_bytes()
-
-
 def test_cli_evolve_writes_parseable_operators(tmp_path):
     path = write_cfg(tmp_path, MINIMAL)
     out = tmp_path / "f1.ops"
@@ -258,6 +248,7 @@ SEQUENCE_COMPONENT = "op 1 2 boltzmann\n" + OPERATOR_ROWS
         ("[system\nd = 2\n", {}, "check"),
         (MINIMAL + "\n[tolerances]\nnorm_bound = tight\n", {}, "check"),
         (MINIMAL.replace("kind = random\nseed = 3", "kind = random\nseed = three"), {}, "check"),
+        (MINIMAL.replace("kind = random\nseed = 3", "kind = random\nseed = 3\npositive = ture"), {}, "check"),
         (
             MINIMAL.replace(ONE_BODY_ROWS, "file = one.op"),
             {"one.op": "op 1 2 boltzmann\n0+0j 1+0j\n1+0j one\n"},
@@ -283,6 +274,7 @@ SEQUENCE_COMPONENT = "op 1 2 boltzmann\n" + OPERATOR_ROWS
         "unparsable",
         "tolerance-not-float",
         "initial-seed-not-int",
+        "initial-positive-not-bool",
         "operator-bad-complex",
         "operator-bad-header",
         "sequence-bad-complex",
@@ -305,6 +297,23 @@ def test_cli_evolve_checks_matrix_cap_before_building(tmp_path, capsys, monkeypa
     path = write_cfg(tmp_path, MINIMAL.replace("n_max = 2", "n_max = 3\nmatrix_cap = 4"))
     assert main(["evolve", str(path), "--s", "1"]) == 2
     assert "cap 4" in capsys.readouterr().err
+
+
+def test_cli_evolve_rejects_pauli_excluded_start_before_building(capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("random data built before the exclusion check")
+
+    monkeypatch.setattr(cli, "random_sequence", never)
+    path = SCENARIOS / "acceptance_fermi.cfg"  # d=2, n_max=4, positive random start
+    assert main(["evolve", str(path), "--s", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "Pauli exclusion" in err and "n_max <= d" in err
+
+
+@pytest.mark.parametrize("word, positive", [("no", False), ("On", True), ("0", False)])
+def test_initial_positive_accepts_boolean_words(tmp_path, word, positive):
+    text = MINIMAL.replace("kind = random\nseed = 3", f"kind = random\nseed = 3\npositive = {word}")
+    assert load_scenario(write_cfg(tmp_path, text)).initial.positive is positive
 
 
 def test_corrupted_potential_breaks_symmetry_check(tmp_path):

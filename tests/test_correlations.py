@@ -196,7 +196,14 @@ def test_clusterize_truncation_guard():
 @pytest.mark.parametrize("stats", ALL_STATS, ids=str)
 @pytest.mark.parametrize(
     "d, elements",
-    [(2, ((1, 2), (3,), (4,))), (2, ((1, 3), (2,), (4,))), (3, ((1, 3), (2,)))],
+    [
+        (2, ((1, 2), (3,), (4,))),
+        (2, ((1, 3), (2,), (4,))),
+        (3, ((1, 3), (2,))),
+        (2, ((3, 1), (2, 4))),
+        (2, ((1,), (2, 3), (4,))),
+        (2, ((2, 4), (1,), (3,))),
+    ],
 )
 def test_cluster_correlation_matrix_matches_nested_oracle(stats, d, elements):
     # unsymmetrized random components: the fast path is exact for any sequence
@@ -208,6 +215,18 @@ def test_cluster_correlation_matrix_matches_nested_oracle(stats, d, elements):
     fast, labels = cluster_correlation_matrix(g, elements)
     assert labels == tuple(range(1, m + 1))
     assert np.abs(fast - oracles.nested_cluster_correlation(g, elements)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("stats", ALL_STATS, ids=str)
+@pytest.mark.parametrize("d, n", [(2, 4), (3, 3)])
+def test_correlations_to_density_matches_nested_oracle(stats, d, n):
+    # one atomic element: S D_n is the nested oracle's S R S
+    rng = np.random.default_rng(32)
+    comps = {k: ManyBodyOperator(k, d, random_hermitian(rng, d**k), stats) for k in range(1, n + 1)}
+    g = OperatorSequence(d=d, stats=stats, n_max=n, components=comps)
+    fast = correlations_to_density(g).component(n).mat @ oracles.loop_group_average(stats, n, d)
+    expected = oracles.nested_cluster_correlation(g, (tuple(range(1, n + 1)),))
+    assert np.abs(fast - expected).max() <= 1e-12
 
 
 def test_cluster_correlation_container_invariants():
