@@ -27,6 +27,7 @@ from .hilbert import (
     ManyBodyOperator,
     OperatorSequence,
     Statistics,
+    group_rank,
     random_sequence,
     read_sequence,
     write_operator,
@@ -113,10 +114,11 @@ def cmd_info(args: argparse.Namespace) -> int:
     print(f"checks    {' '.join(config.checks) or '(none)'}")
     print(f"times     {' '.join(str(t) for t in config.times)}")
     print()
-    print("order  matrix side  partitions  hierarchy terms")
+    print("order  matrix side  partitions  hierarchy terms  group rank")
     for n in range(1, config.n_max + 1):
         terms = len(coupling_supports(set_partitions(range(1, n + 1)), config.potentials))
-        print(f"{n:5d}  {config.d**n:11d}  {bell_number(n):10d}  {terms:15d}")
+        rank = group_rank(config.stats, n, config.d)
+        print(f"{n:5d}  {config.d**n:11d}  {bell_number(n):10d}  {terms:15d}  {rank:10d}")
     cap_ok = config.d**config.n_max <= config.matrix_cap
     print(f"\nmatrix cap {config.matrix_cap}: {'ok' if cap_ok else 'EXCEEDED'}")
     return 0

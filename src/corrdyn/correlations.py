@@ -29,15 +29,26 @@ Conventions fixed here once:
 
       sum_p sum_choices [prod_p, Phi_Z] = sum_Z [sum_{p: every block meets Z} prod_p, Phi_Z]
 
-  exactly (the commutator is linear), with one commutator per support and
-  each partition's block product built once.
+  exactly (the commutator is linear), with each partition's block product
+  built once.
+* The group average is projected before multiplying.  With S = V V^dagger
+  (``hilbert.symmetric_isometry``, V of rank r) and A_Z the summed products
+  of one support,
+
+      V^dagger [A_Z, Phi_Z] = (V^dagger A_Z) Phi_Z - (V^dagger Phi_Z) A_Z,
+
+  so every product has r rows instead of d^n, and rank 0 costs nothing.
+  One helper (``_SupportSum``) returns V^dagger of the interaction sum for
+  every right-hand side: the hierarchy order lifts it as V (V^dagger acc),
+  ``generalized_rhs`` as V ((V^dagger acc) V) V^dagger.  The drift
+  -[g_n, H_n] stays dense, since inputs need not be symmetric on both sides.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -57,6 +68,7 @@ from .hilbert import (
     Statistics,
     embed_matrix,
     place_product,
+    symmetric_isometry,
     symmetrizer_matrix,
 )
 
@@ -204,63 +216,92 @@ def coupling_supports(partitions: list[Partition], orders: Iterable[int]) -> lis
     For every order k in ``orders`` and every k-subset Z of the labels the
     partitions carry, lists the multi-block partitions whose every block
     meets Z; supports that no partition reaches are dropped.  Pure label
-    bookkeeping: the number of supports is the number of commutators one
-    hierarchy right-hand side evaluates.
+    bookkeeping: the number of supports is the number of embedded couplings
+    one hierarchy right-hand side sums over.
     """
-    multi = [(p, [set(block_labels(b)) for b in p.blocks]) for p in partitions if p.size >= 2]
+    orders = sorted(orders)
+    # a partition with more blocks than the largest order meets no support
+    k_max = orders[-1] if orders else 0
+    multi = [(p, [set(block_labels(b)) for b in p.blocks]) for p in partitions if 2 <= p.size <= k_max]
     labels = sorted(set().union(*multi[0][1])) if multi else []
     out = []
-    for k in sorted(orders):
+    for k in orders:
+        fits = [(p, blocks) for p, blocks in multi if len(blocks) <= k]
         for z in itertools.combinations(labels, k):
             zset = set(z)
-            hits = tuple(p for p, blocks in multi if p.size <= k and all(b & zset for b in blocks))
+            hits = tuple(p for p, blocks in fits if all(b & zset for b in blocks))
             if hits:
                 out.append((z, hits))
     return out
 
 
-def _support_terms(
-    partitions: list[Partition], spec: InteractionSpec, n: int
-) -> list[tuple[np.ndarray, tuple[Partition, ...]]]:
-    """Coupling supports with Phi^(|Z|) embedded at Z in the n-particle space."""
-    return [
-        (embed_matrix(spec.potentials[len(z)], z, n, spec.d), parts)
-        for z, parts in coupling_supports(partitions, spec.potentials)
-    ]
+class _SupportSum:
+    """Projected interaction sum of one hierarchy order or cluster set.
+
+    Calling it with the block products of ``parts`` (in that order) returns
+    V^dagger acc, V the ``symmetric_isometry`` of the order (acc itself for
+    BOLTZMANN), with acc = (i/hbar) sum_Z [A_Z, Phi_Z] and A_Z the sum of the
+    products whose partition meets Z in every block.  Built once: the 0/1
+    incidence M of supports x partitions, the embedded Phi_Z stacked as one
+    (n_Z side) x side array, and U_p = sum_Z M[Z, p] V^dagger Phi_Z stacked
+    as r x (P side).  A call writes the P products into one preallocated
+    (P side) x side buffer and does two GEMMs with r rows.  ``parts`` is
+    empty when no support is reached or the rank r is zero, and then no
+    product need be built.
+    """
+
+    def __init__(self, partitions: list[Partition], spec: InteractionSpec, n: int, stats: Statistics):
+        d, self.hbar = spec.d, spec.hbar
+        self.side = side = d**n
+        self.v = symmetric_isometry(stats, n, d)
+        rank = side if self.v is None else self.v.shape[1]
+        supports = coupling_supports(partitions, spec.potentials) if rank else []
+        self.parts = list(dict.fromkeys(p for _, hits in supports for p in hits))
+        column = {p: j for j, p in enumerate(self.parts)}
+        self.incidence = np.zeros((len(supports), len(self.parts)), dtype=np.complex128)
+        for i, (_, hits) in enumerate(supports):
+            self.incidence[i, [column[p] for p in hits]] = 1.0
+        self.phi = np.empty((len(supports) * side, side), dtype=np.complex128)
+        for i, (z, _) in enumerate(supports):
+            self.phi[i * side:(i + 1) * side] = embed_matrix(spec.potentials[len(z)], z, n, d)
+        self.products = np.empty((len(self.parts) * side, side), dtype=np.complex128)
+        if self.parts:
+            self.u = _side_by_side(self.incidence.T, self._project(self.phi.reshape(-1, side, side)))
+
+    def _project(self, stacked: np.ndarray) -> np.ndarray:
+        return stacked if self.v is None else self.v.T @ stacked
+
+    def __call__(self, products: Iterable[np.ndarray]) -> np.ndarray:
+        stacked = self.products.reshape(-1, self.side, self.side)
+        for i, product in enumerate(products):
+            stacked[i] = product
+        va = _side_by_side(self.incidence, self._project(stacked))
+        return (1j / self.hbar) * (va @ self.phi - self.u @ self.products)
 
 
-def _interaction_sum(
-    terms: list[tuple[np.ndarray, tuple[Partition, ...]]],
-    block_product: Callable[[Partition], np.ndarray],
-    hbar: float,
-) -> np.ndarray:
-    """-sum_Z [sum_p prod_p, Phi_Z] (no symmetrizer); each partition's block
-    product is built once however many supports it meets."""
-    products: dict[Partition, np.ndarray] = {}
-    acc = 0
-    for phi, parts in terms:
-        for p in parts:
-            if p not in products:
-                products[p] = block_product(p)
-        acc = acc - commutator_generator(sum(products[p] for p in parts), phi, hbar)
-    return acc
+def _side_by_side(weights: np.ndarray, stacked: np.ndarray) -> np.ndarray:
+    """The sums sum_j weights[i, j] stacked[j] for every i, placed side by
+    side: one r x (len(weights) side) array from stacked of shape (m, r, side)."""
+    m, rank, side = stacked.shape
+    sums = (weights @ stacked.reshape(m, rank * side)).reshape(-1, rank, side)
+    return sums.transpose(1, 0, 2).reshape(rank, -1)
 
 
 class _OrderPlan:
     """Right-hand side of hierarchy order n on component matrices (orders <= n),
-    with the Hamiltonian, group average and coupling supports built once."""
+    with the Hamiltonian and the projected support sum built once."""
 
     def __init__(self, n: int, stats: Statistics, spec: InteractionSpec):
         self.n, self.d, self.hbar = n, spec.d, spec.hbar
         self.h = hamiltonian_matrix(n, spec)
-        self.sym = symmetrizer_matrix(stats, n, spec.d)
-        self.terms = _support_terms(set_partitions(range(1, n + 1)), spec, n)
+        self.support = _SupportSum(set_partitions(range(1, n + 1)), spec, n, stats)
 
     def __call__(self, comps: dict[int, np.ndarray]) -> np.ndarray:
         out = -commutator_generator(comps[self.n], self.h, self.hbar)
-        if self.terms:
-            product = lambda p: _product_over_blocks(comps, p.blocks, self.n, self.d)
-            out += self.sym @ _interaction_sum(self.terms, product, self.hbar)
+        support = self.support
+        if support.parts:
+            proj = support(_product_over_blocks(comps, p.blocks, self.n, self.d) for p in support.parts)
+            out += proj if support.v is None else support.v @ proj
         return out
 
 
@@ -296,10 +337,11 @@ def generalized_rhs(
 
     own, _ = cluster_correlation_matrix(g, tuple(el.labels for el in cluster.elements))
     out = -commutator_generator(own, hamiltonian_matrix(ntot, spec), spec.hbar)
-    terms = _support_terms(cluster_partitions(cluster), spec, ntot)
-    if terms:
-        sym = symmetrizer_matrix(g.stats, ntot, d)
-        out += sym @ _interaction_sum(terms, embedded_product, spec.hbar) @ sym
+    support = _SupportSum(cluster_partitions(cluster), spec, ntot, g.stats)
+    if support.parts:
+        proj = support(embedded_product(p) for p in support.parts)
+        v = support.v
+        out += proj if v is None else v @ (proj @ v) @ v.T
     return ManyBodyOperator(ntot, d, out, g.stats)
 
 

@@ -20,7 +20,9 @@ import numpy as np
 
 from .errors import DomainError, ResourceCapError
 
-#: Building the group-average symmetrizer walks all n! permutations.
+#: Largest particle number with a group average (isometry or projector).
+#: Past it the dense projector has at least 2^20 entries (d^n x d^n at d=2),
+#: beyond the d^n <= 256 regime the dense engine serves.
 SYMMETRIZER_MAX_PARTICLES = 9
 
 #: Largest relative defect max|M - M^dagger| / max(1, max|M|) accepted as Hermitian.
@@ -265,24 +267,61 @@ def partial_trace_matrix(mat: np.ndarray, s: int, n: int, d: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def symmetric_isometry(stats: Statistics, n: int, d: int) -> np.ndarray | None:
+    """Isometry V onto the (anti)symmetric n-particle subspace, S = V V^dagger.
+
+    One column per occupation pattern (a sorted digit tuple, in increasing
+    order): the normalized sum of the basis states that carry the pattern's
+    digits, each signed for FERMI by the parity of sorting its digits.  A
+    FERMI pattern with a repeated digit has no column, so the rank is
+    C(n+d-1, n) for BOSE and C(d, n) for FERMI, zero for n > d.  Entries
+    are real, so V^dagger = V.T.  None for BOLTZMANN and for n = 1, where
+    the group average is the identity.
+    """
+    if stats is Statistics.BOLTZMANN or n == 1:
+        return None
+    if n > SYMMETRIZER_MAX_PARTICLES:
+        raise ResourceCapError(f"group average over {n} particles exceeds the particle cap")
+    side = d**n
+    powers = d ** np.arange(n - 1, -1, -1)
+    digits = np.arange(side)[:, None] // powers % d
+    keys = np.sort(digits, axis=1) @ powers
+    counts = np.stack([(digits == k).sum(axis=1) for k in range(d)], axis=1)
+    factorials = np.array([math.factorial(m) for m in range(n + 1)], dtype=float)
+    # distinct arrangements of each pattern: n! / prod_k m_k!
+    value = 1.0 / np.sqrt(math.factorial(n) / factorials[counts].prod(axis=1))
+    rows = np.arange(side)
+    if stats is Statistics.FERMI:
+        inversions = sum(digits[:, i] > digits[:, j] for i in range(n) for j in range(i + 1, n))
+        value = np.where(inversions % 2, -value, value)
+        rows = rows[(counts <= 1).all(axis=1)]
+    columns, col = np.unique(keys[rows], return_inverse=True)
+    out = np.zeros((side, len(columns)), dtype=np.complex128)
+    out[rows, col] = value[rows]
+    out.flags.writeable = False
+    return out
+
+
+def group_rank(stats: Statistics, n: int, d: int) -> int:
+    """Rank of the n-particle group average, the column count of
+    ``symmetric_isometry``: C(n+d-1, n) for BOSE, C(d, n) for FERMI and
+    d^n for BOLTZMANN (no matrix is built)."""
+    if stats is Statistics.BOSE:
+        return math.comb(n + d - 1, n)
+    if stats is Statistics.FERMI:
+        return math.comb(d, n)
+    return d**n
+
+
+@lru_cache(maxsize=None)
 def symmetrizer_matrix(stats: Statistics, n: int, d: int) -> np.ndarray:
     """Group-average projection (1/n!) sum_pi sign(pi) P_pi on the ket side.
 
-    For BOLTZMANN this is the identity.  The returned matrix is the
-    orthogonal projection onto the (anti)symmetric subspace.
+    The orthogonal projection onto the (anti)symmetric subspace, built as
+    V V^dagger from ``symmetric_isometry``; the identity for BOLTZMANN.
     """
-    side = d**n
-    if stats is Statistics.BOLTZMANN or n == 1:
-        out = np.eye(side, dtype=np.complex128)
-    else:
-        if n > SYMMETRIZER_MAX_PARTICLES:
-            raise ResourceCapError(f"symmetrizer over {n} particles exceeds n! budget")
-        out = np.zeros((side, side), dtype=np.complex128)
-        rows = np.arange(side)
-        for perm in all_permutations(n):
-            sign = stats.permutation_sign(perm.parity)
-            out[rows, _row_permutation_map(perm.images, n, d)] += sign
-        out /= math.factorial(n)
+    v = symmetric_isometry(stats, n, d)
+    out = np.eye(d**n, dtype=np.complex128) if v is None else v @ v.T
     out.flags.writeable = False
     return out
 

@@ -203,19 +203,28 @@ rows =
 """
 
 
-def info_terms(capsys, path) -> list[int]:
+def info_column(capsys, path, column: int) -> list[int]:
     assert main(["info", str(path)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    header = lines.index("order  matrix side  partitions  hierarchy terms")
+    header = lines.index("order  matrix side  partitions  hierarchy terms  group rank")
     rows = [line.split() for line in lines[header + 1:] if line.strip()]
-    return [int(row[3]) for row in rows if row[0].isdigit()]
+    return [int(row[column]) for row in rows if row[0].isdigit()]
 
 
 def test_cli_info_counts_commutators_per_order(tmp_path, capsys):
     # one commutator per pair support: C(n, 2) at order n
     base = MINIMAL.replace("n_max = 2", "n_max = 4")
-    assert info_terms(capsys, write_cfg(tmp_path, base + PAIR_POTENTIAL, "pair.cfg")) == [0, 1, 3, 6]
-    assert info_terms(capsys, write_cfg(tmp_path, base, "free.cfg")) == [0, 0, 0, 0]
+    assert info_column(capsys, write_cfg(tmp_path, base + PAIR_POTENTIAL, "pair.cfg"), 3) == [0, 1, 3, 6]
+    assert info_column(capsys, write_cfg(tmp_path, base, "free.cfg"), 3) == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize(
+    "stats, ranks",
+    [("bose", [2, 3, 4, 5]), ("fermi", [2, 1, 0, 0]), ("boltzmann", [2, 4, 8, 16])],
+)
+def test_cli_info_prints_group_rank_per_order(tmp_path, capsys, stats, ranks):
+    text = MINIMAL.replace("n_max = 2", "n_max = 4").replace("stats = boltzmann", f"stats = {stats}")
+    assert info_column(capsys, write_cfg(tmp_path, text), 4) == ranks
 
 
 def test_run_checks_captures_numpy_errors(tmp_path, monkeypatch):

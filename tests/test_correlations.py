@@ -15,7 +15,13 @@ from corrdyn.correlations import (
     von_neumann_rhs,
 )
 from corrdyn.errors import DomainError, IntegrationError, TruncationError
-from corrdyn.hamiltonian import EvolutionCache, InteractionSpec, evolve_group
+from corrdyn.hamiltonian import (
+    EvolutionCache,
+    InteractionSpec,
+    commutator_generator,
+    evolve_group,
+    hamiltonian_matrix,
+)
 from corrdyn.hilbert import (
     ManyBodyOperator,
     OperatorSequence,
@@ -260,6 +266,17 @@ def test_rhs_free_coupling_reduces_to_drift():
         h = build_hamiltonian(n, free)
         expected = -von_neumann_generator(g.component(n), h).mat
         assert np.allclose(out.mat, expected, atol=1e-13)
+
+
+def test_rhs_rank_zero_order_is_pure_drift():
+    # Fermi at d=2, n=3 has no antisymmetric state: the projected interaction
+    # sum vanishes, and the drift stays dense on inputs that are not symmetric
+    spec = pair_spec()
+    rng = np.random.default_rng(64)
+    comps = {n: ManyBodyOperator(n, 2, random_hermitian(rng, 2**n), Statistics.FERMI) for n in (1, 2, 3)}
+    g = OperatorSequence(d=2, stats=Statistics.FERMI, n_max=3, components=comps)
+    expected = -commutator_generator(comps[3].mat, hamiltonian_matrix(3, spec), spec.hbar)
+    assert np.array_equal(von_neumann_rhs(g, 3, spec).mat, expected)
 
 
 @pytest.mark.parametrize("stats", ALL_STATS)

@@ -46,16 +46,19 @@ def test_roundtrip_at_dimension_three(stats):
         assert gap <= 1e-11 * (1 + trace_norm(d_seq.component(n)))
 
 
-def test_hierarchy_residual_at_dimension_three(spec3):
+@pytest.mark.parametrize("stats", [Statistics.BOSE, Statistics.FERMI])
+def test_hierarchy_residual_at_dimension_three(spec3, stats):
+    # at d=3 the Fermi order 3 has group rank 1, so its projected
+    # interaction sum is nonzero (at d=2 every Fermi order above 2 is rank 0)
     rng = np.random.default_rng(125)
-    d0 = random_sequence(rng, 3, Statistics.BOSE, 2, f0=1.0)
+    d0 = random_sequence(rng, 3, stats, 3, f0=1.0)
 
     def g_at(t):
         return density_to_correlations(oracles.direct_density_evolution(d0, t, spec3))
 
     t, h = 0.2, 1e-4
     g_t = g_at(t)
-    for n in (1, 2):
+    for n in (1, 2, 3):
         coarse = (g_at(t + h).component(n).mat - g_at(t - h).component(n).mat) / (2 * h)
         fine = (g_at(t + h / 2).component(n).mat - g_at(t - h / 2).component(n).mat) / h
         deriv = (4 * fine - coarse) / 3

@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -21,13 +22,20 @@ from corrdyn.hilbert import (
     read_operator,
     read_sequence,
     sequence_trace_norm,
+    symmetric_isometry,
     symmetrize,
     symmetrizer_matrix,
     trace_norm,
     write_operator,
     write_sequence,
 )
-from corrdyn.oracles import loop_embed, loop_partial_trace, loop_permute_rows, spectral_trace_norm
+from corrdyn.oracles import (
+    loop_embed,
+    loop_group_average,
+    loop_partial_trace,
+    loop_permute_rows,
+    spectral_trace_norm,
+)
 
 ALL_STATS = [Statistics.BOSE, Statistics.FERMI, Statistics.BOLTZMANN]
 
@@ -242,6 +250,38 @@ def test_symmetrizer_is_projection_matrix():
         s = symmetrizer_matrix(stats, 3, 2)
         assert np.allclose(s @ s, s, atol=1e-14)
         assert np.allclose(s, s.conj().T, atol=1e-14)
+
+
+ISOMETRY_SIZES = [
+    (stats, d, n)
+    for stats in (Statistics.BOSE, Statistics.FERMI)
+    for d in (2, 3, 4)
+    for n in range(2, 9)
+    if d**n <= 256
+]
+
+
+@pytest.mark.parametrize("stats, d, n", ISOMETRY_SIZES)
+def test_symmetric_isometry_factors_the_group_average(stats, d, n):
+    v = symmetric_isometry(stats, n, d)
+    rank = math.comb(n + d - 1, n) if stats is Statistics.BOSE else math.comb(d, n)
+    assert v.shape == (d**n, rank)
+    assert np.abs(v.conj().T @ v - np.eye(rank)).max(initial=0.0) <= 1e-15
+    # range inside the (anti)symmetric subspace: with V^dagger V = I and the
+    # rank equal to its dimension, V V^dagger is the group average
+    sign = -1.0 if stats is Statistics.FERMI else 1.0
+    for i in range(1, n):
+        images = Permutation.transposition(n, i, i + 1).images
+        assert np.abs(loop_permute_rows(v, images, n, d) - sign * v).max(initial=0.0) <= 1e-15
+    # the loop oracle walks n! relabelings of d^n rows: 5.6 s at d=2, n=7
+    if math.factorial(n) * d**n <= 10**5:
+        assert np.abs(v @ v.conj().T - loop_group_average(stats, n, d)).max() <= 1e-15
+
+
+def test_symmetric_isometry_is_none_for_identity_averages():
+    assert symmetric_isometry(Statistics.BOLTZMANN, 3, 2) is None
+    assert symmetric_isometry(Statistics.BOSE, 1, 3) is None
+    assert symmetric_isometry(Statistics.FERMI, 3, 2).shape == (8, 0)
 
 
 def test_symmetrizer_particle_budget_guard():
