@@ -119,6 +119,9 @@ def cmd_info(args: argparse.Namespace) -> int:
         terms = len(coupling_supports(set_partitions(range(1, n + 1)), config.potentials))
         rank = group_rank(config.stats, n, config.d)
         print(f"{n:5d}  {config.d**n:11d}  {bell_number(n):10d}  {terms:15d}  {rank:10d}")
+    cache = EvolutionCache(config.interaction_spec())
+    within_cap = [n for n in range(1, config.n_max + 1) if config.d**n <= config.matrix_cap]
+    print("eigh error " + " ".join(f"{cache.reconstruction_error(n):.1e}" for n in within_cap))
     cap_ok = config.d**config.n_max <= config.matrix_cap
     print(f"\nmatrix cap {config.matrix_cap}: {'ok' if cap_ok else 'EXCEEDED'}")
     return 0
@@ -144,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     evolve.add_argument("--out", default=None, metavar="FILE")
     evolve.set_defaults(func=cmd_evolve)
 
-    info = sub.add_parser("info", help="print dimensions, partition counts and commutators per order")
+    info = sub.add_parser("info", help="print dimensions, partition counts, coupling supports and group rank per order")
     info.add_argument("scenario")
     info.set_defaults(func=cmd_info)
     return parser

@@ -42,12 +42,27 @@ Conventions fixed here once:
   every right-hand side: the hierarchy order lifts it as V (V^dagger acc),
   ``generalized_rhs`` as V ((V^dagger acc) V) V^dagger.  The drift
   -[g_n, H_n] stays dense, since inputs need not be symmetric on both sides.
+* Small orders of the RK4 right-hand side are tabulated.  With row-major
+  vec, vec(A X B) = (A (x) B^T) vec X, so the drift is
+  (i/hbar)(I (x) H^T - H (x) I) vec g_n, and the lifted interaction term of
+  a partition p is K_p vec P_p with
+  K_p = (i/hbar) sum_Z M[Z, p] (S (x) Phi_Z^T - S Phi_Z (x) I).  The block
+  product P_p is the outer product of raveled components, in p's block
+  order by size, read at p's placement index (``hilbert.placement_index``),
+  so one order is linear in one monomial per block-size type.  Built once
+  per ``integrate_hierarchy`` call, an order's block costs one GEMV per
+  stage where the generic plan costs a Python-level placement per
+  partition; the bound ``TABULATED_MAX_ENTRIES`` keeps tabulation where
+  the GEMV is faster (orders 1-3 at d = 2, 1-2 at d = 3, order 1 at
+  d = 4).  A single evaluation (``von_neumann_rhs``, ``generalized_rhs``)
+  stays generic: building the block costs more than one generic call.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable
 
 import numpy as np
@@ -68,6 +83,7 @@ from .hilbert import (
     Statistics,
     embed_matrix,
     place_product,
+    placement_index,
     symmetric_isometry,
     symmetrizer_matrix,
 )
@@ -289,20 +305,41 @@ def _side_by_side(weights: np.ndarray, stacked: np.ndarray) -> np.ndarray:
 
 class _OrderPlan:
     """Right-hand side of hierarchy order n on component matrices (orders <= n),
-    with the Hamiltonian and the projected support sum built once."""
+    with the Hamiltonian, the projected support sum and each reached
+    partition's blocks as (size, sorted labels) built once."""
 
     def __init__(self, n: int, stats: Statistics, spec: InteractionSpec):
         self.n, self.d, self.hbar = n, spec.d, spec.hbar
         self.h = hamiltonian_matrix(n, spec)
         self.support = _SupportSum(set_partitions(range(1, n + 1)), spec, n, stats)
+        self.blocks = [tuple((len(b), tuple(sorted(b))) for b in p.blocks) for p in self.support.parts]
 
     def __call__(self, comps: dict[int, np.ndarray]) -> np.ndarray:
         out = -commutator_generator(comps[self.n], self.h, self.hbar)
         support = self.support
         if support.parts:
-            proj = support(_product_over_blocks(comps, p.blocks, self.n, self.d) for p in support.parts)
+            proj = support(
+                place_product([(comps[k], labels) for k, labels in blocks], self.n, self.d)
+                for blocks in self.blocks
+            )
             out += proj if support.v is None else support.v @ proj
         return out
+
+    def block_types(self) -> dict[tuple[int, ...], list[tuple[int, tuple]]]:
+        """The reached partitions grouped by block-size type (sizes descending):
+        per type, each partition's index in ``support.parts`` with its blocks
+        in that size order (ties keep their order), the factor order of the
+        type's monomial."""
+        types: dict[tuple[int, ...], list[tuple[int, tuple]]] = {}
+        for j, blocks in enumerate(self.blocks):
+            ordered = tuple(sorted(blocks, key=lambda block: -block[0]))
+            types.setdefault(tuple(k for k, _ in ordered), []).append((j, ordered))
+        return types
+
+    def tabulated_entries(self) -> int:
+        """Entries of this order's block of the tabulated right-hand side:
+        side^2 x side^2 for the drift and for each block-size type."""
+        return self.h.size**2 * (1 + len(self.block_types()))
 
 
 def von_neumann_rhs(g: OperatorSequence, n: int, spec: InteractionSpec) -> ManyBodyOperator:
@@ -349,6 +386,62 @@ def generalized_rhs(
 # RK4 integration of the coupled hierarchy
 # --------------------------------------------------------------------------
 
+#: Largest block, side^2 x side^2 (1 + T_n) entries, that an order's
+#: right-hand side is tabulated in (T_n its block-size types).  Per
+#: evaluation (Bose, two-body coupling, one BLAS thread, 2-vCPU x86 host) the
+#: GEMV wins up to here (side 4, 8 and 9: 4.0-8.8 us against 22-38 us for
+#: the generic plan) and loses above it (side 16 at d = 4 and at d = 2:
+#: 57 and 117 us against 31 and 94 us; side 27: 647 us against 98 us).
+TABULATED_MAX_ENTRIES = 2**14
+
+
+class _TabulatedOrders:
+    """Right-hand side of orders 1..m as one matrix W on the flat state.
+
+    Row block n of W holds the drift (i/hbar)(I (x) H^T - H (x) I) on vec g_n
+    and, per block-size type lambda of order n, the sum over its partitions p
+    of K_p = (i/hbar) sum_Z M[Z, p] (S (x) Phi_Z^T - S Phi_Z (x) I), with the
+    columns of K_p scattered by the placement index of p.  A call applies W
+    to the flat components of orders 1..m followed by one monomial per type,
+    the outer product of the raveled components of sizes lambda.
+    """
+
+    def __init__(self, plans: list[_OrderPlan], bounds: list[int]):
+        self.length = width = bounds[len(plans)]
+        self.monomials: list[tuple[int, list[tuple[int, int]]]] = []
+        blocks = []
+        for plan, row in zip(plans, bounds):
+            side, n = plan.h.shape[0], plan.n
+            eye = np.eye(side)
+            blocks.append((row, row, (1j / plan.hbar) * (np.kron(eye, plan.h.T) - np.kron(plan.h, eye))))
+            support = plan.support
+            if not support.parts:
+                continue
+            sym = eye if support.v is None else support.v @ support.v.T
+            coupling = support.incidence.T @ support.phi.reshape(len(support.incidence), -1)
+            for sizes, members in sorted(plan.block_types().items(), reverse=True):
+                block = np.zeros((side**2, side**2), dtype=np.complex128)
+                for j, ordered in members:
+                    b = coupling[j].reshape(side, side)
+                    index = placement_index(tuple(labels for _, labels in ordered), n, plan.d)
+                    block[:, index] += (1j / plan.hbar) * (np.kron(sym, b.T) - np.kron(sym @ b, eye))
+                blocks.append((row, width, block))
+                self.monomials.append((width, [(bounds[k - 1], bounds[k]) for k in sizes]))
+                width += side**2
+        self.w = np.zeros((self.length, width), dtype=np.complex128)
+        for row, col, block in blocks:
+            self.w[row:row + block.shape[0], col:col + block.shape[1]] = block
+        self.x = np.empty(width, dtype=np.complex128)
+
+    def __call__(self, y: np.ndarray) -> np.ndarray:
+        x = self.x
+        x[:self.length] = y[:self.length]
+        for col, factors in self.monomials:
+            monomial = reduce(np.multiply.outer, [y[lo:hi] for lo, hi in factors]).ravel()
+            x[col:col + monomial.size] = monomial
+        return self.w @ x
+
+
 def integrate_hierarchy(
     g0: OperatorSequence,
     t_final: float,
@@ -357,28 +450,43 @@ def integrate_hierarchy(
 ) -> CorrelationSequence:
     """Classical fixed-step RK4 for the coupled correlation hierarchy.
 
-    ``steps`` uniform steps from 0 to t_final; each stage evaluates every
-    component once (the right-hand side of component n only reads orders
-    <= n).  Raises IntegrationError with the step index if values stop
-    being finite.
+    ``steps`` uniform steps from 0 to t_final on one flat state: the
+    components raveled and concatenated by order.  The right-hand side of
+    component n only reads orders <= n.  The leading orders whose block fits
+    ``TABULATED_MAX_ENTRIES`` are one matrix built once per call
+    (``_TabulatedOrders``), so each stage costs them one GEMV; the orders
+    above keep their ``_OrderPlan`` on views of the state.  Raises
+    IntegrationError with the step index if values stop being finite.
     """
     if steps < 1:
         raise DomainError("steps must be >= 1")
-    plans = [_OrderPlan(n, g0.stats, spec) for n in range(1, g0.n_max + 1)]
+    d, n_max = g0.d, g0.n_max
+    plans = [_OrderPlan(n, g0.stats, spec) for n in range(1, n_max + 1)]
+    m = next((i for i, plan in enumerate(plans) if plan.tabulated_entries() > TABULATED_MAX_ENTRIES), n_max)
+    bounds = [0, *itertools.accumulate(d ** (2 * n) for n in range(1, n_max + 1))]
+    table = _TabulatedOrders(plans[:m], bounds)
 
-    def rhs(comps: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
-        return {plan.n: plan(comps) for plan in plans}
+    def rhs(y: np.ndarray) -> np.ndarray:
+        out = np.empty_like(y)
+        out[:table.length] = table(y)
+        if m < n_max:
+            comps = {n: y[bounds[n - 1]:bounds[n]].reshape(d**n, d**n) for n in range(1, n_max + 1)}
+            for plan in plans[m:]:
+                out[bounds[plan.n - 1]:bounds[plan.n]] = plan(comps).ravel()
+        return out
 
-    y = {n: op.mat.copy() for n, op in g0.components.items()}
+    y = np.concatenate([g0.component(n).mat.ravel() for n in range(1, n_max + 1)])
     h = t_final / steps
     for step in range(steps):
         k1 = rhs(y)
-        k2 = rhs({n: y[n] + 0.5 * h * k1[n] for n in y})
-        k3 = rhs({n: y[n] + 0.5 * h * k2[n] for n in y})
-        k4 = rhs({n: y[n] + h * k3[n] for n in y})
-        for n in y:
-            y[n] = y[n] + (h / 6.0) * (k1[n] + 2.0 * k2[n] + 2.0 * k3[n] + k4[n])
-        if any(not np.isfinite(y[n]).all() for n in y):
+        k2 = rhs(y + 0.5 * h * k1)
+        k3 = rhs(y + 0.5 * h * k2)
+        k4 = rhs(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.isfinite(y).all():
             raise IntegrationError("hierarchy integration diverged", step)
-    comps = {n: ManyBodyOperator(n, g0.d, y[n], g0.stats) for n in y}
-    return CorrelationSequence(d=g0.d, stats=g0.stats, n_max=g0.n_max, f0=0j, components=comps)
+    comps = {
+        n: ManyBodyOperator(n, d, y[bounds[n - 1]:bounds[n]].reshape(d**n, d**n), g0.stats)
+        for n in range(1, n_max + 1)
+    }
+    return CorrelationSequence(d=d, stats=g0.stats, n_max=n_max, f0=0j, components=comps)

@@ -251,6 +251,14 @@ def place_product(factors: list[tuple[np.ndarray, tuple[int, ...]]], n: int, d: 
     return np.array(out.transpose(axes), order="C").reshape(d**n, d**n)
 
 
+def placement_index(label_tuples: tuple[tuple[int, ...], ...], n: int, d: int) -> np.ndarray:
+    """Flat index map of ``place_product``: the raveled product equals the
+    outer product of the raveled factors, in the order of ``label_tuples``,
+    taken at these indices."""
+    axes = _placement_axes(label_tuples, n)
+    return np.arange(d ** (2 * n)).reshape((d,) * (2 * n)).transpose(axes).ravel()
+
+
 def embed_matrix(a: np.ndarray, positions: tuple[int, ...], n: int, d: int) -> np.ndarray:
     """Embed matrix ``a`` so its factors act at ``positions`` (identity elsewhere)."""
     rest = tuple(p for p in range(1, n + 1) if p not in positions)

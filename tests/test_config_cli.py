@@ -227,6 +227,18 @@ def test_cli_info_prints_group_rank_per_order(tmp_path, capsys, stats, ranks):
     assert info_column(capsys, write_cfg(tmp_path, text), 4) == ranks
 
 
+@pytest.mark.parametrize("cap, orders", [(4096, 4), (8, 3)])
+def test_cli_info_prints_eigh_error_per_order(tmp_path, capsys, cap, orders):
+    # one reconstruction error per order whose H_n fits the matrix cap
+    text = MINIMAL.replace("n_max = 2", f"n_max = 4\nmatrix_cap = {cap}") + PAIR_POTENTIAL
+    assert main(["info", str(write_cfg(tmp_path, text))]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("eigh error")]
+    assert len(lines) == 1
+    errors = [float(value) for value in lines[0].split()[2:]]
+    assert len(errors) == orders
+    assert all(0.0 <= error <= 1e-10 for error in errors)
+
+
 def test_run_checks_captures_numpy_errors(tmp_path, monkeypatch):
     def singular(config):
         raise np.linalg.LinAlgError("SVD did not converge")

@@ -423,12 +423,77 @@ def test_integrate_rejects_bad_step_count():
         integrate_hierarchy(g0, 1.0, 0, spec)
 
 
+def reference_rk4(g0, t_final, steps, spec):
+    """Fixed-step RK4 over ``von_neumann_rhs``, one order at a time: the
+    components after the last step, and the first step whose state is not
+    finite (None when every step stays finite)."""
+    d, stats, orders = g0.d, g0.stats, range(1, g0.n_max + 1)
+
+    def rhs(y):
+        comps = {n: ManyBodyOperator(n, d, y[n], stats) for n in orders}
+        seq = OperatorSequence(d=d, stats=stats, n_max=g0.n_max, components=comps)
+        return {n: von_neumann_rhs(seq, n, spec).mat for n in orders}
+
+    y = {n: g0.component(n).mat for n in orders}
+    h = t_final / steps
+    for step in range(steps):
+        try:
+            k1 = rhs(y)
+            k2 = rhs({n: y[n] + 0.5 * h * k1[n] for n in orders})
+            k3 = rhs({n: y[n] + 0.5 * h * k2[n] for n in orders})
+            k4 = rhs({n: y[n] + h * k3[n] for n in orders})
+        except DomainError:  # a stage state or derivative is not finite
+            return y, step
+        y = {n: y[n] + (h / 6.0) * (k1[n] + 2.0 * k2[n] + 2.0 * k3[n] + k4[n]) for n in orders}
+        if not all(np.isfinite(y[n]).all() for n in orders):
+            return y, step
+    return y, None
+
+
+@pytest.mark.parametrize("stats", ALL_STATS)
+@pytest.mark.parametrize(
+    "d, n_max, couplings, generic",
+    [(2, 4, (2,), {4}), (2, 4, (2, 3), {4}), (3, 3, (2,), {3}), (4, 2, (2,), {2})],
+)
+def test_integrate_matches_reference_rk4(stats, d, n_max, couplings, generic, monkeypatch):
+    # the tabulated leading orders and the generic plans above them step like
+    # RK4 over the one-order right-hand side, on components that are not
+    # symmetric; only the generic orders evaluate a dense drift commutator
+    rng = np.random.default_rng(74)
+    pots = {k: permutation_average(random_hermitian(rng, d**k), k, d) for k in couplings}
+    spec = InteractionSpec(d=d, one_body=random_hermitian(rng, d), potentials=pots)
+    comps = {
+        n: ManyBodyOperator(n, d, rng.normal(size=(d**n, d**n)) + 1j * rng.normal(size=(d**n, d**n)), stats)
+        for n in range(1, n_max + 1)
+    }
+    g0 = CorrelationSequence(d=d, stats=stats, n_max=n_max, components=comps)
+    expected, diverged = reference_rk4(g0, 0.1, 3, spec)
+    assert diverged is None
+
+    sides = []
+    from corrdyn import correlations
+
+    def counting(f, h, hbar):
+        sides.append(f.shape[0])
+        return commutator_generator(f, h, hbar)
+
+    monkeypatch.setattr(correlations, "commutator_generator", counting)
+    out = integrate_hierarchy(g0, 0.1, 3, spec)
+    assert set(sides) == {d**n for n in generic}
+    for n in range(1, n_max + 1):
+        gap = np.linalg.norm(out.component(n).mat - expected[n])
+        assert gap <= 1e-13 * np.linalg.norm(expected[n])
+
+
 def test_integrate_reports_divergence_step():
-    # An absurdly stiff drift makes fixed-step RK4 blow up to overflow.
+    # An absurdly stiff drift makes fixed-step RK4 blow up to overflow, at
+    # the step where RK4 over the one-order right-hand side does.
     rng = np.random.default_rng(71)
     stiff = InteractionSpec(d=2, one_body=1e6 * np.diag([1.0, -1.0]))
     g0 = density_to_correlations(random_sequence(rng, 2, Statistics.BOSE, 2))
     with np.errstate(over="ignore", invalid="ignore"):
+        _, diverged = reference_rk4(g0, 1.0, 200, stiff)
         with pytest.raises(IntegrationError) as err:
             integrate_hierarchy(g0, 1.0, 200, stiff)
-    assert err.value.step >= 0
+    assert diverged is not None
+    assert err.value.step == diverged
