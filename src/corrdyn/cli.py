@@ -147,7 +147,9 @@ def build_parser() -> argparse.ArgumentParser:
     evolve.add_argument("--out", default=None, metavar="FILE")
     evolve.set_defaults(func=cmd_evolve)
 
-    info = sub.add_parser("info", help="print dimensions, partition counts, coupling supports and group rank per order")
+    info = sub.add_parser(
+        "info", help="print dimensions, partition counts, coupling supports and group rank per order"
+    )
     info.add_argument("scenario")
     info.set_defaults(func=cmd_info)
     return parser
