@@ -13,6 +13,7 @@ bit-reproducible for a fixed seed.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 from typing import Callable
@@ -59,6 +60,13 @@ from .report import CheckRecord, CheckReport
 
 def _rng(config: ScenarioConfig, tag: int) -> np.random.Generator:
     return np.random.default_rng([config.seed, tag])
+
+
+def _random_operator(rng: np.random.Generator, n: int, config: ScenarioConfig) -> ManyBodyOperator:
+    """Seeded complex n-particle operator, real part drawn before imaginary."""
+    side = config.d**n
+    real = rng.standard_normal((side, side))
+    return ManyBodyOperator(n, config.d, real + 1j * rng.standard_normal((side, side)), config.stats)
 
 
 def _symmetrized_coupling(rng: np.random.Generator, k: int, d: int) -> np.ndarray:
@@ -167,14 +175,7 @@ def check_cumulant_zero_time(config: ScenarioConfig) -> list[CheckRecord]:
     worst = 0.0
     for s in (1, 2):
         for n in (1, 2, 3):
-            ntot = s + n
-            f = ManyBodyOperator(
-                ntot,
-                config.d,
-                rng.standard_normal((config.d**ntot,) * 2)
-                + 1j * rng.standard_normal((config.d**ntot,) * 2),
-                config.stats,
-            )
+            f = _random_operator(rng, s + n, config)
             out = cumulant_apply(0.0, ClusterSet.canonical(s, n), f, cache)
             worst = max(worst, trace_norm(out) / trace_norm(f))
     return [
@@ -198,14 +199,7 @@ def check_cumulant_free(config: ScenarioConfig) -> list[CheckRecord]:
     worst = 0.0
     for s in (1, 2):
         for n in (1, 2, 3):
-            ntot = s + n
-            f = ManyBodyOperator(
-                ntot,
-                config.d,
-                rng.standard_normal((config.d**ntot,) * 2)
-                + 1j * rng.standard_normal((config.d**ntot,) * 2),
-                config.stats,
-            )
+            f = _random_operator(rng, s + n, config)
             for t in (-5.0, -1.3, 0.4, 5.0):
                 out = cumulant_apply(t, ClusterSet.canonical(s, n), f, cache)
                 worst = max(worst, trace_norm(out) / trace_norm(f))
@@ -361,14 +355,7 @@ def check_norm_bound(config: ScenarioConfig) -> list[CheckRecord]:
     bound_factor = 0.0
     for i in range(20):
         n = 1 + (i % 3)
-        ntot = 1 + n
-        f = ManyBodyOperator(
-            ntot,
-            config.d,
-            rng.standard_normal((config.d**ntot,) * 2)
-            + 1j * rng.standard_normal((config.d**ntot,) * 2),
-            config.stats,
-        )
+        f = _random_operator(rng, 1 + n, config)
         rep = cumulant_norm_bound_check(0.7, 1, n, f, cache)
         worst = max(worst, max(0.0, (rep.lhs - rep.bound)) / rep.bound)
         worst_ratio = max(worst_ratio, rep.lhs / rep.input_norm)
@@ -471,18 +458,7 @@ def run_checks(config: ScenarioConfig) -> CheckReport:
                 )
             ]
         elapsed_ms = (time.perf_counter() - started) * 1e3
-        return [
-            CheckRecord(
-                name=r.name,
-                inputs=r.inputs,
-                residual=r.residual,
-                tolerance=r.tolerance,
-                passed=r.passed,
-                wall_ms=elapsed_ms,
-                error=r.error,
-            )
-            for r in records
-        ]
+        return [dataclasses.replace(r, wall_ms=elapsed_ms) for r in records]
 
     records = tuple(r for name in config.checks for r in run_one(name))
     return CheckReport(scenario_digest=config.digest, records=records)

@@ -1,8 +1,9 @@
 """Set partitions, subsets and cluster bookkeeping.
 
-Everything downstream (cluster transforms, cumulants, hierarchy right-hand
-sides) is a weighted sum over set partitions, so enumeration order is fixed
-once and for all: partitions are generated in restricted-growth order, blocks
+The evolution-group cumulants and the hierarchy right-hand sides are
+weighted sums over set partitions (the correlation transforms sum over
+subsets instead, see ``correlations``), so enumeration order is fixed once
+and for all: partitions are generated in restricted-growth order, blocks
 are ordered by their least element, and elements inside a block keep ground
 order.  That makes every reduction over partition terms replayable.
 """

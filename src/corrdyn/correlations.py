@@ -1,4 +1,4 @@
-"""Correlation operators: the signed partition transform pairing them with
+"""Correlation operators: the partition-lattice transform pairing them with
 density operators, cluster correlations, and the coupled hierarchy of
 equations of motion with a fixed-step RK4 integrator.
 
@@ -7,15 +7,18 @@ Conventions fixed here once:
 * A product over disjoint blocks is one tensor placement
   (``hilbert.place_product``): each block's factor goes on the block's sorted
   labels, with no d^n x d^n matrix products.
-* Cluster correlations are one unsigned sum over connecting partitions,
-  C(E) = S (sum_{pi: pi v E = 1} prod_{B in pi} g_|B|(B)) S.  Expanding the
-  signed sum over element partitions P of per-block reconstructions, a label
-  partition pi appears under every P >= sigma, sigma the element partition
-  of the join pi v E, with total weight sum_{P >= sigma} mu(P, 1) =
-  delta(sigma, 1) (Moebius inversion on the partition lattice).  With one
-  atomic element every pi connects: that is the density reconstruction.
+* Densities, correlations and cluster correlations solve one exponential
+  formula.  Over disjoint elements E = (e_1, ..., e_k) covering 1..m,
+  V(E) = sum_{Q subset E, e_1 in Q} C(Q) (x) V(E - Q), each factor on its
+  sorted labels.  Solved for V over singletons with C = g it gives the
+  density reconstruction R_n; solved for C with V = D the connected part of
+  the density, and with V = R over atomic groups their cluster correlation.
+  It holds for any sequence: relabeling Q in order to 1..|Q| maps its
+  partitions to partitions with the same sorted block labels, so a value
+  computed on 1..|Q| and placed on sorted Q is the value on Q.  An order
+  costs 2^(k-1) - 1 placements, not the Bell(k) - 1 of a partition sum.
 * The statistics group average is applied once per order, outside the
-  partition sum, to the summed terms.  In the interaction sum of the
+  exponential formula, to the summed terms.  In the interaction sum of the
   hierarchy the average is applied outside the commutators; applying it
   between the commutator and the product breaks the Bose identity at three
   particles, while the outer placement is exact for every statistics
@@ -63,7 +66,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -72,7 +75,6 @@ from .combinatorics import (
     Partition,
     block_labels,
     cluster_partitions,
-    mobius_weight,
     set_partitions,
 )
 from .errors import DomainError, IntegrationError, TruncationError
@@ -119,66 +121,71 @@ def _component_mats(seq: OperatorSequence) -> dict[int, np.ndarray]:
     return {n: op.mat for n, op in seq.components.items()}
 
 
-def _product_over_blocks(
-    comps: dict[int, np.ndarray], blocks: tuple[tuple[int, ...], ...], n: int, d: int
+def _relabeled(elements: tuple) -> tuple[tuple, tuple[int, ...]]:
+    """Disjoint label tuples relabeled in order to 1..m, each sorted and the
+    tuple ordered by least label, with the sorted labels they carry."""
+    labels = tuple(sorted(l for el in elements for l in el))
+    local = {l: i for i, l in enumerate(labels, 1)}
+    return tuple(sorted(tuple(sorted(local[l] for l in el)) for el in elements)), labels
+
+
+def _split_sum(
+    elements: tuple, connected: Callable[[tuple], np.ndarray], whole: dict[int, np.ndarray], d: int
 ) -> np.ndarray:
-    return place_product([(comps[len(block)], tuple(sorted(block))) for block in blocks], n, d)
+    """The exponential formula less its Q = E term: the sum, over the proper
+    sub-tuples Q of ``elements`` that hold the first element, of connected(Q)
+    on Q's sorted labels times whole[size] on the rest's.  ``elements`` and
+    the argument of ``connected`` are relabeled as by ``_relabeled``."""
+    first, others = elements[0], elements[1:]
+    m = sum(map(len, elements))
+    total = np.zeros((d**m, d**m), dtype=np.complex128)
+    for r in range(len(others)):
+        for chosen in itertools.combinations(others, r):
+            q, q_labels = _relabeled((first, *chosen))
+            rest = tuple(sorted(l for el in others if el not in chosen for l in el))
+            total += place_product([(connected(q), q_labels), (whole[len(rest)], rest)], m, d)
+    return total
 
 
-def _connects(blocks: tuple, elements: tuple) -> bool:
-    """Whether blocks joined with elements form one block (a reachability walk)."""
-    reached = set(elements[0])
-    rest = [set(group) for group in (*blocks, *elements[1:])]
-    while rest:
-        touching = [group for group in rest if group & reached]
-        if not touching:
-            return False
-        reached.update(*touching)
-        rest = [group for group in rest if not group <= reached]
-    return True
-
-
-def _connected_sum(comps: dict[int, np.ndarray], elements: tuple, m: int, d: int) -> np.ndarray:
-    """Unsymmetrized sum, over the partitions of 1..m whose join with
-    ``elements`` is connected, of the block products of components."""
-    parts = (p for p in set_partitions(range(1, m + 1)) if _connects(p.blocks, elements))
-    return sum(_product_over_blocks(comps, p.blocks, m, d) for p in parts)
+def _reconstructions(mats: dict[int, np.ndarray], m: int, d: int) -> dict[int, np.ndarray]:
+    """Unsymmetrized density reconstructions R_1..R_m of correlation
+    components: the exponential formula over singletons with C = g by size."""
+    whole: dict[int, np.ndarray] = {}
+    for n in range(1, m + 1):
+        singletons = tuple((l,) for l in range(1, n + 1))
+        whole[n] = mats[n] + _split_sum(singletons, lambda q: mats[len(q)], whole, d)
+    return whole
 
 
 def density_to_correlations(D: OperatorSequence) -> CorrelationSequence:
-    """Signed partition sum turning density components into correlations.
+    """Partition-lattice Moebius inversion turning density components into
+    correlations.
 
-    g_n = D_n + S_n applied to the sum over partitions with >= 2 blocks of
-    the partition weight times the product of density components on the
-    blocks, S_n being the statistics group average.  The
-    inverse is ``correlations_to_density``; the pair is an exact bijection
-    on statistics-symmetric sequences.
+    The exponential formula over singletons with V = D is solved for its
+    connected part M_n, and g_n = D_n + S_n (M_n - D_n), S_n being the
+    statistics group average.  The inverse is ``correlations_to_density``;
+    the pair is an exact bijection on statistics-symmetric sequences.
     """
     d, stats = D.d, D.stats
     mats = _component_mats(D)
+    connected: dict[int, np.ndarray] = {}
     out = {}
     for n in range(1, D.n_max + 1):
-        total = np.zeros((d**n, d**n), dtype=np.complex128)
-        for p in set_partitions(range(1, n + 1)):
-            if p.size > 1:
-                total += mobius_weight(p) * _product_over_blocks(mats, p.blocks, n, d)
-        out[n] = ManyBodyOperator(n, d, mats[n] + symmetrizer_matrix(stats, n, d) @ total, stats)
+        split = _split_sum(tuple((l,) for l in range(1, n + 1)), lambda q: connected[len(q)], mats, d)
+        connected[n] = mats[n] - split
+        out[n] = ManyBodyOperator(n, d, mats[n] - symmetrizer_matrix(stats, n, d) @ split, stats)
     return CorrelationSequence(d=d, stats=stats, n_max=D.n_max, f0=0j, components=out)
 
 
 def correlations_to_density(g: OperatorSequence) -> OperatorSequence:
     """Partition-lattice inverse of ``density_to_correlations``.
 
-    D_n is the sum over all partitions of the symmetrized product of
-    correlation components; the scalar part is set to one (the empty-set
-    convention of the exponential formula).
+    D_n = S_n R_n with R_n the reconstruction by the exponential formula;
+    the scalar part is set to one (its empty-set convention).
     """
     d, stats = g.d, g.stats
-    mats = _component_mats(g)
-    out = {}
-    for n in range(1, g.n_max + 1):
-        bare = _connected_sum(mats, (tuple(range(1, n + 1)),), n, d)  # one element: every partition connects
-        out[n] = ManyBodyOperator(n, d, symmetrizer_matrix(stats, n, d) @ bare, stats)
+    whole = _reconstructions(_component_mats(g), g.n_max, d)
+    out = {n: ManyBodyOperator(n, d, symmetrizer_matrix(stats, n, d) @ r, stats) for n, r in whole.items()}
     return OperatorSequence(d=d, stats=stats, n_max=g.n_max, f0=1.0 + 0j, components=out)
 
 
@@ -189,26 +196,34 @@ def cluster_correlation_matrix(g: OperatorSequence, elements: tuple) -> tuple[np
     Returns the matrix on the local space of the sorted underlying labels,
     plus those labels: the group average acts on exactly the particles the
     elements carry, so the result can be embedded as a block factor.  It is
-    the connected sum of the module docstring, exact for any sequence.
+    the exponential formula over the elements with V = R solved for C,
+    memoized per relabeled sub-tuple, exact for any sequence.
 
-    The group average is applied as the two-sided compression S M S.  On
+    The group average is applied as the two-sided compression S C S.  On
     sums that are covariant under the full label group (plain sequences)
     this coincides with the one-sided average, and on cluster-structured
     sums it is the variant that keeps Hermitian inputs Hermitian.
     """
-    labels = block_labels(elements)
-    local = {l: i + 1 for i, l in enumerate(labels)}
-    local_elements = tuple(tuple(local[l] for l in block_labels((el,))) for el in elements)
+    local, labels = _relabeled(tuple(block_labels((el,)) for el in elements))
     m, d = len(labels), g.d
+    mats = _component_mats(g)
+    memo = {tuple((l,) for l in range(1, k + 1)): mats[k] for k in range(1, m + 1)}
+    whole = {} if local in memo else _reconstructions(mats, m, d)  # all singletons: C = g_m
+
+    def connected(q: tuple) -> np.ndarray:
+        if q not in memo:
+            memo[q] = whole[sum(map(len, q))] - _split_sum(q, connected, whole, d)
+        return memo[q]
+
     sym = symmetrizer_matrix(g.stats, m, d)
-    return sym @ _connected_sum(_component_mats(g), local_elements, m, d) @ sym, labels
+    return sym @ connected(local) @ sym, labels
 
 
 def clusterize(g: OperatorSequence, s: int, n: int) -> ClusterCorrelation:
     """Correlation operator of the cluster set ({1..s}, s+1, ..., s+n).
 
-    One sum over the partitions of 1..s+n whose join with the cluster set is
-    a single block, the two-sided group-average compression outermost.
+    The exponential formula over the cluster set solved for its cluster
+    correlation, the two-sided group-average compression outermost.
     """
     if s < 1:
         raise DomainError("cluster size s must be >= 1")

@@ -3,9 +3,10 @@
 Nothing here shares an implementation with the fast paths it is used to
 validate: tensor algebra is explicit index loops, evolution rebuilds its
 eigendecomposition per call, Bell numbers come from the triangle recurrence,
-cluster correlations are the nested two-level partition sum over their own
-partition enumeration, and the reduced-operator sum is the direct
-grand-canonical definition.
+correlations are the signed partition sum and cluster correlations the
+nested two-level partition sum, both over their own partition enumeration
+(the fast paths solve one exponential formula instead), and the
+reduced-operator sum is the direct grand-canonical definition.
 Clarity over speed throughout.
 """
 
@@ -150,6 +151,28 @@ def nested_cluster_correlation(g: OperatorSequence, elements: tuple) -> np.ndarr
         total += (-1) ** (len(outer) - 1) * math.factorial(len(outer) - 1) * term
     sym = loop_group_average(g.stats, m, d)
     return sym @ total @ sym
+
+
+def signed_density_to_correlations(D: OperatorSequence) -> dict[int, np.ndarray]:
+    """Correlation components of a density sequence by the signed partition sum.
+
+    g_n = D_n + S_n sum over the partitions P of 1..n with >= 2 blocks of
+    (-1)^(|P|-1) (|P|-1)! times the product of the components D_|B|, each
+    placed on its block's sorted labels by ``loop_embed``, with S_n from
+    ``loop_group_average``.
+    """
+    d, out = D.d, {}
+    for n in range(1, D.n_max + 1):
+        ground = tuple(range(1, n + 1))
+        total = np.zeros((d**n, d**n), dtype=np.complex128)
+        for blocks in _partitions(list(ground)):
+            if len(blocks) > 1:
+                prod = np.eye(d**n, dtype=np.complex128)
+                for labels in map(sorted, blocks):
+                    prod = prod @ loop_embed(D.components[len(labels)].mat, tuple(labels), ground, d)
+                total += (-1) ** (len(blocks) - 1) * math.factorial(len(blocks) - 1) * prod
+        out[n] = D.components[n].mat + loop_group_average(D.stats, n, d) @ total
+    return out
 
 
 def spectral_trace_norm(mat: np.ndarray) -> float:

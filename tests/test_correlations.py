@@ -209,11 +209,13 @@ def test_clusterize_truncation_guard():
         (2, ((3, 1), (2, 4))),
         (2, ((1,), (2, 3), (4,))),
         (2, ((2, 4), (1,), (3,))),
+        (2, ((1, 4), (2, 5), (3,))),
     ],
 )
 def test_cluster_correlation_matrix_matches_nested_oracle(stats, d, elements):
     # unsymmetrized random components: the fast path is exact for any sequence
-    # (d=3 gives the Fermi lane a nonzero antisymmetric space)
+    # (d=3 gives the Fermi lane a nonzero antisymmetric space; at d=2 and five
+    # labels both Fermi sides are identically zero, no antisymmetric space)
     rng = np.random.default_rng(31)
     m = sum(len(el) for el in elements)
     comps = {n: ManyBodyOperator(n, d, random_hermitian(rng, d**n), stats) for n in range(1, m + 1)}
@@ -233,6 +235,46 @@ def test_correlations_to_density_matches_nested_oracle(stats, d, n):
     fast = correlations_to_density(g).component(n).mat @ oracles.loop_group_average(stats, n, d)
     expected = oracles.nested_cluster_correlation(g, (tuple(range(1, n + 1)),))
     assert np.abs(fast - expected).max() <= 1e-12
+
+
+@pytest.mark.parametrize("stats", ALL_STATS, ids=str)
+@pytest.mark.parametrize("d, n", [(2, 4), (3, 3)])
+def test_density_to_correlations_matches_signed_oracle(stats, d, n):
+    # unsymmetrized complex components, as for the nested oracle
+    rng = np.random.default_rng(33)
+    comps = {}
+    for k in range(1, n + 1):
+        mat = rng.standard_normal((d**k, d**k)) + 1j * rng.standard_normal((d**k, d**k))
+        comps[k] = ManyBodyOperator(k, d, mat, stats)
+    D = OperatorSequence(d=d, stats=stats, n_max=n, f0=1.0, components=comps)
+    fast, expected = density_to_correlations(D), oracles.signed_density_to_correlations(D)
+    for k in range(1, n + 1):
+        assert np.abs(fast.component(k).mat - expected[k]).max() <= 1e-12
+
+
+def test_transforms_enumerate_no_set_partitions(monkeypatch):
+    # the exponential formula needs subsets only: the same matrices come out
+    # with set partition enumeration disabled
+    rng = np.random.default_rng(34)
+    d_seq = random_sequence(rng, 2, Statistics.BOSE, 4, f0=1.0)
+    elements = ((1, 3), (2,), (4,))
+
+    def run():
+        g = density_to_correlations(d_seq)
+        return g, correlations_to_density(g), cluster_correlation_matrix(g, elements)[0]
+
+    g, back, cluster = run()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("set_partitions called")
+
+    monkeypatch.setattr("corrdyn.combinatorics.set_partitions", refuse)
+    monkeypatch.setattr("corrdyn.correlations.set_partitions", refuse)
+    g2, back2, cluster2 = run()
+    for n in range(1, 5):
+        assert np.array_equal(g2.component(n).mat, g.component(n).mat)
+        assert np.array_equal(back2.component(n).mat, back.component(n).mat)
+    assert np.array_equal(cluster2, cluster)
 
 
 def test_cluster_correlation_container_invariants():
