@@ -30,9 +30,9 @@ from .hilbert import (
     ManyBodyOperator,
     Statistics,
     embed_matrix,
+    group_average,
     partial_trace_matrix,
     place_product,
-    symmetrizer_matrix,
     trace_norm,
 )
 from .correlations import CorrelationSequence, ClusterCorrelation, clusterize
@@ -216,9 +216,8 @@ def chaos_cluster_solution(
     ntot = s + n
     cache.spec.check_side(ntot)
     prod = place_product([(g1_0.mat, (i,)) for i in range(1, ntot + 1)], ntot, d)
-    sym = symmetrizer_matrix(g1_0.stats, ntot, d)
     xc = ClusterSet.canonical(s, n)
-    seed = ManyBodyOperator(ntot, d, sym @ prod, g1_0.stats)
+    seed = ManyBodyOperator(ntot, d, group_average(g1_0.stats, prod, ntot, d), g1_0.stats)
     op = cumulant_apply(t, xc, seed, cache)
     return ClusterCorrelation(s, n, op, xc)
 

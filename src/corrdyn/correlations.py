@@ -18,11 +18,14 @@ Conventions fixed here once:
   computed on 1..|Q| and placed on sorted Q is the value on Q.  An order
   costs 2^(k-1) - 1 placements, not the Bell(k) - 1 of a partition sum.
 * The statistics group average is applied once per order, outside the
-  exponential formula, to the summed terms.  In the interaction sum of the
-  hierarchy the average is applied outside the commutators; applying it
-  between the commutator and the product breaks the Bose identity at three
-  particles, while the outer placement is exact for every statistics
-  (verified numerically down to rounding).
+  exponential formula, to the summed terms, through the isometry V of
+  ``hilbert.symmetric_isometry``: one-sided (``hilbert.group_average``) for
+  the transform pair, two-sided (``hilbert.group_compress``) for cluster
+  correlations.  In the interaction sum of the hierarchy the average is
+  applied outside the commutators; applying it between the commutator and
+  the product breaks the Bose identity at three particles, while the outer
+  placement is exact for every statistics (verified numerically down to
+  rounding).
 * The interaction sum is grouped by coupling support.  Each term of the
   hierarchy picks a multi-block partition p and a nonempty label subset in
   every block; the subsets join into the support Z of one k-body coupling.
@@ -84,6 +87,8 @@ from .hilbert import (
     OperatorSequence,
     Statistics,
     embed_matrix,
+    group_average,
+    group_compress,
     place_product,
     placement_index,
     symmetric_isometry,
@@ -173,7 +178,7 @@ def density_to_correlations(D: OperatorSequence) -> CorrelationSequence:
     for n in range(1, D.n_max + 1):
         split = _split_sum(tuple((l,) for l in range(1, n + 1)), lambda q: connected[len(q)], mats, d)
         connected[n] = mats[n] - split
-        out[n] = ManyBodyOperator(n, d, mats[n] - symmetrizer_matrix(stats, n, d) @ split, stats)
+        out[n] = ManyBodyOperator(n, d, mats[n] - group_average(stats, split, n, d), stats)
     return CorrelationSequence(d=d, stats=stats, n_max=D.n_max, f0=0j, components=out)
 
 
@@ -185,7 +190,7 @@ def correlations_to_density(g: OperatorSequence) -> OperatorSequence:
     """
     d, stats = g.d, g.stats
     whole = _reconstructions(_component_mats(g), g.n_max, d)
-    out = {n: ManyBodyOperator(n, d, symmetrizer_matrix(stats, n, d) @ r, stats) for n, r in whole.items()}
+    out = {n: ManyBodyOperator(n, d, group_average(stats, r, n, d), stats) for n, r in whole.items()}
     return OperatorSequence(d=d, stats=stats, n_max=g.n_max, f0=1.0 + 0j, components=out)
 
 
@@ -215,8 +220,7 @@ def cluster_correlation_matrix(g: OperatorSequence, elements: tuple) -> tuple[np
             memo[q] = whole[sum(map(len, q))] - _split_sum(q, connected, whole, d)
         return memo[q]
 
-    sym = symmetrizer_matrix(g.stats, m, d)
-    return sym @ connected(local) @ sym, labels
+    return group_compress(g.stats, connected(local), m, d), labels
 
 
 def clusterize(g: OperatorSequence, s: int, n: int) -> ClusterCorrelation:
@@ -324,7 +328,7 @@ class _OrderPlan:
     partition's blocks as (size, sorted labels) built once."""
 
     def __init__(self, n: int, stats: Statistics, spec: InteractionSpec):
-        self.n, self.d, self.hbar = n, spec.d, spec.hbar
+        self.n, self.d, self.hbar, self.stats = n, spec.d, spec.hbar, stats
         self.h = hamiltonian_matrix(n, spec)
         self.support = _SupportSum(set_partitions(range(1, n + 1)), spec, n, stats)
         self.blocks = [tuple((len(b), tuple(sorted(b))) for b in p.blocks) for p in self.support.parts]
@@ -432,14 +436,15 @@ class _TabulatedOrders:
             support = plan.support
             if not support.parts:
                 continue
-            sym = eye if support.v is None else support.v @ support.v.T
+            sym = symmetrizer_matrix(plan.stats, n, plan.d)
             coupling = support.incidence.T @ support.phi.reshape(len(support.incidence), -1)
             for sizes, members in sorted(plan.block_types().items(), reverse=True):
                 block = np.zeros((side**2, side**2), dtype=np.complex128)
                 for j, ordered in members:
                     b = coupling[j].reshape(side, side)
                     index = placement_index(tuple(labels for _, labels in ordered), n, plan.d)
-                    block[:, index] += (1j / plan.hbar) * (np.kron(sym, b.T) - np.kron(sym @ b, eye))
+                    s_b = group_average(plan.stats, b, n, plan.d)
+                    block[:, index] += (1j / plan.hbar) * (np.kron(sym, b.T) - np.kron(s_b, eye))
                 blocks.append((row, width, block))
                 self.monomials.append((width, [(bounds[k - 1], bounds[k]) for k in sizes]))
                 width += side**2

@@ -6,6 +6,14 @@ digit (numpy C order).  Kernel-side permutations, (anti)symmetrization and
 partial traces are index arithmetic on that digit decomposition.  Placing
 factors on labels (block products and embeddings alike) is one outer product
 plus one cached axis permutation, with no d^n x d^n matrix products.
+
+The statistics group average S_n is represented here only, as the
+occupation-number isometry V_n with S_n = V_n V_n^dagger
+(``symmetric_isometry``, rank r).  ``group_average`` applies it as
+V (V^dagger M) and ``group_compress`` as V (V^dagger M V) V^dagger, products
+with r rows or columns in place of the d^{3n} dense product with S_n.
+``symmetrizer_matrix`` builds S_n itself, for the callers that need it as a
+matrix.
 """
 
 from __future__ import annotations
@@ -20,9 +28,9 @@ import numpy as np
 
 from .errors import DomainError, ResourceCapError
 
-#: Largest particle number with a group average (isometry or projector).
-#: Past it the dense projector has at least 2^20 entries (d^n x d^n at d=2),
-#: beyond the d^n <= 256 regime the dense engine serves.
+#: Largest particle number with a group average.  Past it the operators it
+#: acts on have at least 2^20 entries (d^n x d^n at d=2), beyond the
+#: d^n <= 256 regime the dense engine serves.
 SYMMETRIZER_MAX_PARTICLES = 9
 
 #: Largest relative defect max|M - M^dagger| / max(1, max|M|) accepted as Hermitian.
@@ -283,10 +291,10 @@ def symmetric_isometry(stats: Statistics, n: int, d: int) -> np.ndarray | None:
     digits, each signed for FERMI by the parity of sorting its digits.  A
     FERMI pattern with a repeated digit has no column, so the rank is
     C(n+d-1, n) for BOSE and C(d, n) for FERMI, zero for n > d.  Entries
-    are real, so V^dagger = V.T.  None for BOLTZMANN and for n = 1, where
+    are real, so V^dagger = V.T.  None for BOLTZMANN and for n <= 1, where
     the group average is the identity.
     """
-    if stats is Statistics.BOLTZMANN or n == 1:
+    if stats is Statistics.BOLTZMANN or n <= 1:
         return None
     if n > SYMMETRIZER_MAX_PARTICLES:
         raise ResourceCapError(f"group average over {n} particles exceeds the particle cap")
@@ -321,12 +329,33 @@ def group_rank(stats: Statistics, n: int, d: int) -> int:
     return d**n
 
 
+def group_average(stats: Statistics, mat: np.ndarray, n: int, d: int) -> np.ndarray:
+    """Ket-side group average S M = V (V^dagger M) of an n-particle matrix.
+
+    ``mat`` itself for BOLTZMANN and n <= 1; zero for a FERMI order n > d.
+    """
+    v = symmetric_isometry(stats, n, d)
+    return mat if v is None else v @ (v.T @ mat)
+
+
+def group_compress(stats: Statistics, mat: np.ndarray, n: int, d: int) -> np.ndarray:
+    """Two-sided group average S M S = V (V^dagger M V) V^dagger.
+
+    ``mat`` itself for BOLTZMANN and n <= 1; zero for a FERMI order n > d.
+    """
+    v = symmetric_isometry(stats, n, d)
+    return mat if v is None else v @ (v.T @ mat @ v) @ v.T
+
+
 @lru_cache(maxsize=None)
 def symmetrizer_matrix(stats: Statistics, n: int, d: int) -> np.ndarray:
     """Group-average projection (1/n!) sum_pi sign(pi) P_pi on the ket side.
 
     The orthogonal projection onto the (anti)symmetric subspace, built as
     V V^dagger from ``symmetric_isometry``; the identity for BOLTZMANN.
+    Only callers that need S itself as a matrix use it: the tabulated
+    right-hand side (``correlations._TabulatedOrders``, S as a Kronecker
+    factor) and the traceless shift of ``random_state_component``.
     """
     v = symmetric_isometry(stats, n, d)
     out = np.eye(d**n, dtype=np.complex128) if v is None else v @ v.T
@@ -402,9 +431,7 @@ def permute_ket(p: Permutation, f: ManyBodyOperator) -> ManyBodyOperator:
 
 def symmetrize(stats: Statistics, f: ManyBodyOperator) -> ManyBodyOperator:
     """Apply the ket-side group average for the given statistics; idempotent."""
-    if f.n == 0:
-        return f
-    return f.with_mat(symmetrizer_matrix(stats, f.n, f.d) @ f.mat)
+    return f.with_mat(group_average(stats, f.mat, f.n, f.d))
 
 
 def trace_norm(f: ManyBodyOperator | np.ndarray) -> float:
@@ -446,28 +473,22 @@ def random_state_component(
     semidefinite with unit trace; ``traceless`` removes the trace inside the
     symmetric subspace.
     """
-    side = d**n
-    raw = random_hermitian(rng, side)
+    raw = random_hermitian(rng, d**n)
     if positive:
         raw = raw @ raw.conj().T
     if stats is Statistics.BOLTZMANN:
         out = permutation_average(raw, n, d)
     else:
-        sym = symmetrizer_matrix(stats, n, d)
-        out = sym @ raw @ sym
+        out = group_compress(stats, raw, n, d)
     if positive:
         tr = np.trace(out).real
         if abs(tr) < 1e-14:
             raise DomainError(f"positive component vanished (stats={stats}, n={n}, d={d})")
         out = out / tr
     if traceless:
-        if stats is Statistics.BOLTZMANN:
-            out = out - (np.trace(out) / side) * np.eye(side)
-        else:
-            sym = symmetrizer_matrix(stats, n, d)
-            tr_sym = np.trace(sym).real
-            if tr_sym > 1e-14:
-                out = out - (np.trace(out) / tr_sym) * sym
+        rank = group_rank(stats, n, d)
+        if rank > 0:
+            out = out - (np.trace(out) / rank) * symmetrizer_matrix(stats, n, d)
     return ManyBodyOperator(n, d, out, stats)
 
 

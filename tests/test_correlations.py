@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from corrdyn.bbgky import chaos_cluster_solution, cumulant_apply
 from corrdyn.combinatorics import ClusterSet
 from corrdyn.correlations import (
     ClusterCorrelation,
@@ -27,9 +28,11 @@ from corrdyn.hilbert import (
     OperatorSequence,
     Statistics,
     permutation_average,
+    place_product,
     random_hermitian,
     random_sequence,
     random_state_component,
+    symmetrize,
     symmetrizer_matrix,
     trace_norm,
 )
@@ -275,6 +278,60 @@ def test_transforms_enumerate_no_set_partitions(monkeypatch):
         assert np.array_equal(g2.component(n).mat, g.component(n).mat)
         assert np.array_equal(back2.component(n).mat, back.component(n).mat)
     assert np.array_equal(cluster2, cluster)
+
+
+@pytest.mark.parametrize("stats", QUANTUM, ids=str)
+@pytest.mark.parametrize("d, n_max", [(2, 4), (3, 3)])
+def test_group_average_applies_the_isometry(stats, d, n_max, monkeypatch):
+    # every group average outside the right-hand side goes through V, never
+    # through the dense projector, and equals the dense S M or S M S
+    from corrdyn import bbgky, correlations, hilbert
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense projector built")
+
+    for module in (hilbert, correlations, bbgky):
+        monkeypatch.setattr(module, "symmetrizer_matrix", refuse, raising=False)
+    s = {n: oracles.loop_group_average(stats, n, d) for n in range(1, n_max + 1)}
+
+    def close(got, want):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    rng = np.random.default_rng(35)
+    shapes = {n: (d**n, d**n) for n in range(1, n_max + 1)}
+    mats = {n: rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for n, shape in shapes.items()}
+
+    def sequence(t):
+        comps = {n: ManyBodyOperator(n, d, m, t) for n, m in mats.items()}
+        return OperatorSequence(d=d, stats=t, n_max=n_max, f0=1.0, components=comps)
+
+    # the same components under the given and under the identity group average
+    seq, plain = sequence(stats), sequence(Statistics.BOLTZMANN)
+    # g_n = D_n + S_n (M_n - D_n) and D_n = S_n R_n, M and R the identity-average results
+    g, connected = density_to_correlations(seq), density_to_correlations(plain)
+    back, whole = correlations_to_density(seq), correlations_to_density(plain)
+    for n in range(1, n_max + 1):
+        d_n = seq.component(n).mat
+        close(g.component(n).mat, d_n + s[n] @ (connected.component(n).mat - d_n))
+        close(back.component(n).mat, s[n] @ whole.component(n).mat)
+        close(symmetrize(stats, seq.component(n)).mat, s[n] @ d_n)
+    elements = ((1, 3), (2,), *((l,) for l in range(4, n_max + 1)))
+    cluster, plain_cluster = (cluster_correlation_matrix(x, elements)[0] for x in (seq, plain))
+    close(cluster, s[n_max] @ plain_cluster @ s[n_max])
+
+    drawn = random_sequence(np.random.default_rng(36), d, stats, n_max)
+    replay = np.random.default_rng(36)
+    for n in range(1, n_max + 1):
+        raw = random_hermitian(replay, d**n)
+        close(drawn.component(n).mat, s[n] @ raw @ s[n])
+
+    cache = EvolutionCache(mixed_spec(d=d))
+    g1 = ManyBodyOperator(1, d, random_hermitian(rng, d), stats)
+    prod = place_product([(g1.mat, (i,)) for i in range(1, n_max + 1)], n_max, d)
+    xc = ClusterSet.canonical(1, n_max - 1)
+    seed = ManyBodyOperator(n_max, d, s[n_max] @ prod, stats)
+    chaos = chaos_cluster_solution(g1, 0.7, 1, n_max - 1, cache)
+    close(chaos.op.mat, cumulant_apply(0.7, xc, seed, cache).mat)
 
 
 def test_cluster_correlation_container_invariants():

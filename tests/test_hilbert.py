@@ -5,14 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corrdyn.errors import DomainError
+from corrdyn.errors import DomainError, ResourceCapError
 from corrdyn.hilbert import (
+    SYMMETRIZER_MAX_PARTICLES,
     ManyBodyOperator,
     OperatorSequence,
     Permutation,
     Statistics,
     all_permutations,
     embed_operator,
+    group_average,
+    group_compress,
     partial_trace,
     permutation_conjugate,
     permute_ket,
@@ -275,7 +278,25 @@ def test_symmetric_isometry_factors_the_group_average(stats, d, n):
         assert np.abs(loop_permute_rows(v, images, n, d) - sign * v).max(initial=0.0) <= 1e-15
     # the loop oracle walks n! relabelings of d^n rows: 5.6 s at d=2, n=7
     if math.factorial(n) * d**n <= 10**5:
-        assert np.abs(v @ v.conj().T - loop_group_average(stats, n, d)).max() <= 1e-15
+        s = loop_group_average(stats, n, d)
+        assert np.abs(v @ v.conj().T - s).max() <= 1e-15
+    else:
+        s = v @ v.conj().T
+    # the helpers apply S through V on any matrix, Hermitian or not
+    rng = np.random.default_rng(100 * d + n)
+    side = d**n
+    m = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+    scale = np.abs(m).max()
+    assert np.abs(group_average(stats, m, n, d) - s @ m).max() <= 1e-13 * scale
+    assert np.abs(group_compress(stats, m, n, d) - s @ m @ s).max() <= 1e-13 * scale
+    # identity averages return the input; a Pauli-excluded order is zero
+    for apply in (group_average, group_compress):
+        assert np.array_equal(apply(Statistics.BOLTZMANN, m, n, d), m)
+        assert np.array_equal(apply(stats, m[:d, :d], 1, d), m[:d, :d])
+        assert not apply(Statistics.FERMI, np.ones((8, 8)), 3, 2).any()
+        # the cap fires before the matrix is read
+        with pytest.raises(ResourceCapError):
+            apply(stats, m, SYMMETRIZER_MAX_PARTICLES + 1, d)
 
 
 def test_symmetric_isometry_is_none_for_identity_averages():
@@ -284,9 +305,6 @@ def test_symmetric_isometry_is_none_for_identity_averages():
 
 
 def test_symmetrizer_particle_budget_guard():
-    from corrdyn.errors import ResourceCapError
-    from corrdyn.hilbert import SYMMETRIZER_MAX_PARTICLES
-
     with pytest.raises(ResourceCapError):
         symmetrizer_matrix(Statistics.BOSE, SYMMETRIZER_MAX_PARTICLES + 1, 2)
 
