@@ -4,7 +4,29 @@ chain of equations they satisfy, and the cumulant-series solution.
 The cumulant of order 1+n acts on an operator as a signed sum over
 partitions of the cluster set of products of block-wise unitary
 conjugations.  It is never materialized as a superoperator matrix: memory
-stays at one operator per partition term.
+stays at one operator per partition term, and each block size's propagator
+is built once per call.
+
+The series solution traces the cumulants over the satellites and needs no
+partitions.  Write Y = (1..s) for the atomic cluster and X = (s+1..s+n) for
+the satellites, and let Y u Z be the block of a partition P that holds Y.
+Two facts collapse the traced partition sum:
+
+- a partial trace over the legs of a satellite-only block B is invariant
+  under conjugation by U_B, so after Tr_X the term of P keeps only the
+  conjugation by U_{s+|Z|} on Y u Z;
+- the weights (-1)^(|P|-1) (|P|-1)! summed over the partitions of the
+  m = n - |Z| left-over satellites give sum_k S(m,k) (-1)^k k! = (-1)^m
+  (Stirling numbers of the second kind S(m,k)).
+
+Hence, for any data,
+
+    Tr_X A_{1+n}(t, {Y}, X) f
+        = sum_{Z <= X} (-1)^(n-|Z|) Tr_Z U_{s+|Z|}(t) [Tr_{X-Z} f] U_{s+|Z|}(t)^dagger,
+
+with the legs Y u Z kept in order.  Conjugation and the trace over Z see Z
+only through its size, so the subsets of one size k, over every satellite
+count n, are summed before one conjugation by U_{s+k}.
 """
 
 from __future__ import annotations
@@ -21,8 +43,6 @@ from .errors import DomainError, TruncationError
 from .hamiltonian import (
     EvolutionCache,
     InteractionSpec,
-    block_hamiltonian,
-    block_propagator,
     commutator_generator,
     hamiltonian_matrix,
 )
@@ -33,6 +53,7 @@ from .hilbert import (
     group_average,
     partial_trace_matrix,
     place_product,
+    trace_keeping,
     trace_norm,
 )
 from .correlations import CorrelationSequence, ClusterCorrelation, clusterize
@@ -81,16 +102,6 @@ class WeightedNormParams:
         return self.alpha > SERIES_CONVERGENCE_ALPHA
 
 
-def _cumulant_terms(t: float, cluster: ClusterSet, mat: np.ndarray, cache: EvolutionCache):
-    """Yield (weight, blocks, U_p mat U_p^dagger) for every partition p of
-    the cluster set, U_p being the product of per-block propagators."""
-    n = len(cluster.declusterize())
-    for p in cluster_partitions(cluster):
-        blocks = [block_labels(block) for block in p.blocks]
-        u = block_propagator(blocks, n, t, cache)
-        yield mobius_weight(p), blocks, u @ mat @ u.conj().T
-
-
 def cumulant_apply(
     t: float, cluster: ClusterSet, f: ManyBodyOperator, cache: EvolutionCache
 ) -> ManyBodyOperator:
@@ -103,9 +114,17 @@ def cumulant_apply(
     labels = cluster.declusterize()
     if f.n != len(labels):
         raise DomainError(f"operator has {f.n} particles, cluster set flattens to {len(labels)}")
+    props: dict[int, np.ndarray] = {}
     total = np.zeros_like(f.mat)
-    for weight, _, evolved in _cumulant_terms(t, cluster, f.mat, cache):
-        total += weight * evolved
+    for p in cluster_partitions(cluster):
+        factors = []
+        for block in p.blocks:
+            legs = block_labels(block)
+            if len(legs) not in props:
+                props[len(legs)] = cache.propagator(len(legs), t)
+            factors.append((props[len(legs)], legs))
+        u = place_product(factors, f.n, cache.spec.d)
+        total += mobius_weight(p) * (u @ f.mat @ u.conj().T)
     return f.with_mat(total)
 
 
@@ -158,23 +177,41 @@ def bbgky_rhs(F: MarginalSequence, s: int, spec: InteractionSpec) -> ManyBodyOpe
     return ManyBodyOperator(s, d, out, F.stats)
 
 
+def _evolved_subset_sums(F0: MarginalSequence, t: float, s: int, cache: EvolutionCache):
+    """Yield (k, U_{s+k}(t) G_k U_{s+k}(t)^dagger) for k = 0..n_max-s, where
+    G_k = sum_{n >= k} ((-1)^(n-k) / n!) sum_{|Z| = k} Tr_{X-Z} F0_{s+n}
+    on the legs Y u Z in order (see the module docstring)."""
+    if s > F0.n_max:
+        raise TruncationError(f"series order {s} exceeds n_max={F0.n_max}")
+    d = cache.spec.d
+    core = tuple(range(1, s + 1))
+    for k in range(0, F0.n_max - s + 1):
+        g = np.zeros((d ** (s + k), d ** (s + k)), dtype=np.complex128)
+        for n in range(k, F0.n_max - s + 1):
+            f = F0.component(s + n).mat
+            weight = (-1) ** (n - k) / math.factorial(n)
+            for z in itertools.combinations(range(s + 1, s + n + 1), k):
+                g += weight * trace_keeping(f, core + z, s + n, d)
+        u = cache.propagator(s + k, t)
+        yield k, u @ g @ u.conj().T
+
+
 def solve_bbgky_series(
     F0: MarginalSequence, t: float, s: int, cache: EvolutionCache
 ) -> ManyBodyOperator:
     """Solution of the chain at time t from initial marginals.
 
-    Finite sum over satellite counts of traced cumulants applied to the
-    initial marginals; with data supported on at most n_max particles the
-    truncation is exact, so this matches time integration to its own error.
+    Finite sum over satellite counts n of the traced cumulants
+    (1/n!) Tr_X A_{1+n}(t) F0_{s+n}, each taken in the subset form of the
+    module docstring: 2^(n_max-s+1) - 1 partial traces of the initial data
+    and one conjugation by U_{s+k}(t) per kept satellite count k.  With data
+    supported on at most n_max particles the truncation is exact, so this
+    matches time integration to its own error.
     """
-    if s > F0.n_max:
-        raise TruncationError(f"series order {s} exceeds n_max={F0.n_max}")
     d = cache.spec.d
     out = np.zeros((d**s, d**s), dtype=np.complex128)
-    for n in range(0, F0.n_max - s + 1):
-        xc = ClusterSet.canonical(s, n)
-        term = cumulant_apply(t, xc, F0.component(s + n), cache)
-        out += partial_trace_matrix(term.mat, s, s + n, d) / math.factorial(n)
+    for k, evolved in _evolved_subset_sums(F0, t, s, cache):
+        out += partial_trace_matrix(evolved, s, s + k, d)
     return ManyBodyOperator(s, d, out, F0.stats)
 
 
@@ -183,21 +220,16 @@ def solve_series_time_derivative(
 ) -> ManyBodyOperator:
     """Exact d/dt of ``solve_bbgky_series`` at time t.
 
-    Every partition term of every cumulant differentiates to minus the
-    commutator generator of its summed block Hamiltonians applied to the
-    block-evolved operator, so the derivative is computed term by term with
-    no finite differencing.
+    In the subset form only the conjugation by U_{s+k}(t) depends on t, so
+    each evolved subset sum differentiates to minus the commutator generator
+    of H_{s+k} applied to it, before the trace over the kept satellites; no
+    finite differencing.
     """
     d = cache.spec.d
     out = np.zeros((d**s, d**s), dtype=np.complex128)
-    for n in range(0, F0.n_max - s + 1):
-        ntot = s + n
-        term = np.zeros((d**ntot, d**ntot), dtype=np.complex128)
-        terms = _cumulant_terms(t, ClusterSet.canonical(s, n), F0.component(ntot).mat, cache)
-        for weight, blocks, evolved in terms:
-            hp = block_hamiltonian(blocks, ntot, cache)
-            term += weight * (-commutator_generator(evolved, hp, cache.spec.hbar))
-        out += partial_trace_matrix(term, s, ntot, d) / math.factorial(n)
+    for k, evolved in _evolved_subset_sums(F0, t, s, cache):
+        rate = -commutator_generator(evolved, cache.hamiltonian(s + k), cache.spec.hbar)
+        out += partial_trace_matrix(rate, s, s + k, d)
     return ManyBodyOperator(s, d, out, F0.stats)
 
 

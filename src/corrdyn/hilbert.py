@@ -282,6 +282,16 @@ def partial_trace_matrix(mat: np.ndarray, s: int, n: int, d: int) -> np.ndarray:
     return np.einsum("ajbj->ab", np.asarray(mat, dtype=np.complex128).reshape(ds, dm, ds, dm))
 
 
+def trace_keeping(mat: np.ndarray, keep: tuple[int, ...], n: int, d: int) -> np.ndarray:
+    """Trace out the particles of 1..n not in ``keep``; the kept particles
+    stay in ascending order."""
+    kept = [i for i in range(n) if i + 1 in keep]
+    cols = [n + i if i + 1 in keep else i for i in range(n)]
+    legs = np.asarray(mat, dtype=np.complex128).reshape((d,) * (2 * n))
+    out = np.einsum(legs, list(range(n)) + cols, kept + [n + i for i in kept])
+    return out.reshape(d ** len(kept), d ** len(kept))
+
+
 @lru_cache(maxsize=None)
 def symmetric_isometry(stats: Statistics, n: int, d: int) -> np.ndarray | None:
     """Isometry V onto the (anti)symmetric n-particle subspace, S = V V^dagger.

@@ -5,9 +5,11 @@ validate: tensor algebra is explicit index loops, evolution rebuilds its
 eigendecomposition per call, Bell numbers come from the triangle recurrence,
 correlations are the signed partition sum and cluster correlations the
 nested two-level partition sum, both over their own partition enumeration
-(the fast paths solve one exponential formula instead), and the
-reduced-operator sum is the direct grand-canonical definition.
-Clarity over speed throughout.
+(the fast paths solve one exponential formula instead), the traced
+cumulant series is the sum over the Bell(1+n) partitions of each cluster
+set with dense block propagators (the fast path sums subsets of the
+satellites), and the reduced-operator sum is the direct grand-canonical
+definition.  Clarity over speed throughout.
 """
 
 from __future__ import annotations
@@ -20,8 +22,15 @@ import numpy as np
 
 from .errors import DomainError
 from .hilbert import ManyBodyOperator, OperatorSequence, Statistics
-from .hamiltonian import InteractionSpec, hamiltonian_matrix
-from .combinatorics import mobius_weight, set_partitions
+from .hamiltonian import (
+    EvolutionCache,
+    InteractionSpec,
+    block_hamiltonian,
+    block_propagator,
+    commutator_generator,
+    hamiltonian_matrix,
+)
+from .combinatorics import ClusterSet, block_labels, cluster_partitions, mobius_weight, set_partitions
 from .bbgky import MarginalSequence
 
 
@@ -256,3 +265,40 @@ def density_from_marginals(F: MarginalSequence) -> OperatorSequence:
         s: ManyBodyOperator(s, d, mats[s], F.stats) for s in range(1, F.n_max + 1)
     }
     return OperatorSequence(d=d, stats=F.stats, n_max=F.n_max, f0=1.0 + 0j, components=comps)
+
+
+def _partition_terms(t: float, s: int, n: int, mat: np.ndarray, cache: EvolutionCache):
+    """(weight, blocks, U_P mat U_P^dagger) for every partition P of the
+    cluster set ({1..s}, s+1, ..., s+n), U_P the dense block propagator."""
+    for p in cluster_partitions(ClusterSet.canonical(s, n)):
+        blocks = [block_labels(block) for block in p.blocks]
+        u = block_propagator(blocks, s + n, t, cache)
+        yield mobius_weight(p), blocks, u @ mat @ u.conj().T
+
+
+def partition_series(F0: MarginalSequence, t: float, s: int, cache: EvolutionCache) -> ManyBodyOperator:
+    """The cumulant-series solution by its definition:
+    sum_n (1/n!) Tr_{s+1..s+n} A_{1+n}(t) F0_{s+n}, every cumulant the signed
+    sum over the partitions of its cluster set, traced by index loops."""
+    d = F0.d
+    out = np.zeros((d**s, d**s), dtype=np.complex128)
+    for n in range(0, F0.n_max - s + 1):
+        term = sum(w * evolved for w, _, evolved in _partition_terms(t, s, n, F0.component(s + n).mat, cache))
+        out += loop_partial_trace(term, s, s + n, d) / math.factorial(n)
+    return ManyBodyOperator(s, d, out, F0.stats)
+
+
+def partition_series_time_derivative(
+    F0: MarginalSequence, t: float, s: int, cache: EvolutionCache
+) -> ManyBodyOperator:
+    """d/dt of ``partition_series``: each partition term differentiates to
+    minus the commutator generator of its summed block Hamiltonians."""
+    d = F0.d
+    out = np.zeros((d**s, d**s), dtype=np.complex128)
+    for n in range(0, F0.n_max - s + 1):
+        term = np.zeros((d ** (s + n), d ** (s + n)), dtype=np.complex128)
+        for w, blocks, evolved in _partition_terms(t, s, n, F0.component(s + n).mat, cache):
+            h = block_hamiltonian(blocks, s + n, cache)
+            term += w * (-commutator_generator(evolved, h, cache.spec.hbar))
+        out += loop_partial_trace(term, s, s + n, d) / math.factorial(n)
+    return ManyBodyOperator(s, d, out, F0.stats)

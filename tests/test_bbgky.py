@@ -30,7 +30,9 @@ from corrdyn.hamiltonian import (
     EvolutionCache,
     InteractionSpec,
     build_hamiltonian,
+    commutator_generator,
     evolve_group,
+    hamiltonian_matrix,
     von_neumann_generator,
 )
 from corrdyn.hilbert import (
@@ -39,6 +41,7 @@ from corrdyn.hilbert import (
     Statistics,
     embed_operator,
     partial_trace,
+    permutation_average,
     random_hermitian,
     random_sequence,
     random_state_component,
@@ -114,6 +117,21 @@ def test_cumulant_free_collapse(t):
         f = rand_op(rng, s + n)
         out = cumulant_apply(t, ClusterSet.canonical(s, n), f, cache)
         assert trace_norm(out) <= 1e-12 * trace_norm(f)
+
+
+@pytest.mark.parametrize("s,n", [(1, 1), (1, 3), (1, 4), (2, 3)])
+def test_cumulant_builds_each_block_size_propagator_once(s, n):
+    spec = pair_spec()
+    cache = EvolutionCache(spec)
+    calls = []
+    build = cache.propagator
+    cache.propagator = lambda m, t: calls.append(m) or build(m, t)
+    f = rand_op(np.random.default_rng(78), s + n)
+    cumulant_apply(0.6, ClusterSet.canonical(s, n), f, cache)
+    # blocks hold the atomic cluster plus 0..n satellites, or 1..n
+    # satellites: 1+n sizes for s = 1, each built once
+    sizes = set(range(s, s + n + 1)) | set(range(1, n + 1))
+    assert sorted(calls) == sorted(sizes)
 
 
 def test_cumulant_products_invert_to_full_group():
@@ -320,6 +338,65 @@ def test_series_derivative_equals_chain_rhs(stats):
             lhs = solve_series_time_derivative(f0, t, s, cache)
             rhs = bbgky_rhs(f_t, s, spec)
             assert trace_norm(lhs - rhs) < 1e-10
+
+
+def _series_lane(geometry, couplings, data):
+    """Spec and initial marginals: ``data`` is a statistics name, with the
+    marginals of a random exchange-symmetric density sequence, or "raw", with
+    random Hermitian Boltzmann marginals that no permutation leaves fixed."""
+    d, n_max = geometry
+    rng = np.random.default_rng([d, n_max, len(couplings)])
+    pots = {k: permutation_average(random_hermitian(rng, d**k), k, d) for k in couplings}
+    spec = InteractionSpec(d=d, one_body=random_hermitian(rng, d), potentials=pots)
+    if data == "raw":
+        comps = {
+            m: ManyBodyOperator(m, d, random_hermitian(rng, d**m), Statistics.BOLTZMANN)
+            for m in range(1, n_max + 1)
+        }
+        return spec, MarginalSequence(d=d, stats=Statistics.BOLTZMANN, n_max=n_max, components=comps)
+    d0 = random_sequence(rng, d, Statistics(data), n_max, f0=1.0)
+    return spec, oracles.grand_marginals(d0)
+
+
+@pytest.mark.parametrize("data", ["bose", "fermi", "boltzmann", "raw"])
+@pytest.mark.parametrize("couplings", [(2,), (2, 3)], ids=["2body", "2+3body"])
+@pytest.mark.parametrize("geometry", [(2, 5), (3, 3)], ids=["d2n5", "d3n3"])
+def test_series_subset_form_matches_partition_and_density_references(geometry, couplings, data):
+    spec, f0 = _series_lane(geometry, couplings, data)
+    cache = EvolutionCache(spec)
+    n_max = f0.n_max
+    density = oracles.density_from_marginals(f0)
+
+    def close(lhs, ref):
+        # relative, except on references that vanish by statistics
+        # (two fermions at d=2 do not move)
+        assert trace_norm(lhs - ref) <= 1e-12 * max(1.0, trace_norm(ref))
+
+    for t in (0.0, 0.4, -1.3):
+        d_t = oracles.direct_density_evolution(density, t, spec)
+        rate = OperatorSequence(
+            d=f0.d,
+            stats=f0.stats,
+            n_max=n_max,
+            components={
+                m: op.with_mat(-commutator_generator(op.mat, hamiltonian_matrix(m, spec), spec.hbar))
+                for m, op in d_t.components.items()
+            },
+        )
+        f_t, df_t = oracles.grand_marginals(d_t), oracles.grand_marginals(rate)
+        for s in (1, 2):
+            series = solve_bbgky_series(f0, t, s, cache)
+            derivative = solve_series_time_derivative(f0, t, s, cache)
+            close(series, oracles.partition_series(f0, t, s, cache))
+            close(derivative, oracles.partition_series_time_derivative(f0, t, s, cache))
+            # the density route evolves the triangular inverse of the data,
+            # which equals the series only when the data is exchange symmetric
+            # or at most one satellite is traced
+            if data != "raw":
+                close(series, f_t.component(s))
+                close(derivative, df_t.component(s))
+            elif t != 0.0 and n_max - s >= 2:
+                assert trace_norm(series - f_t.component(s)) > 1e-3 * trace_norm(series)
 
 
 def test_series_hermiticity_preserved():

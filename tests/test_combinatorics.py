@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -94,6 +96,15 @@ def test_mobius_weight(size, weight):
 @pytest.mark.parametrize("m,total", [(1, 1), (2, 0), (3, 0), (5, 0), (7, 0)])
 def test_mobius_identity(m, total):
     assert exhaustive_mobius_identity(m) == total
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_signed_ordered_partition_count(m):
+    # sum_k S(m,k) (-1)^k k! = (-1)^m: summed over the left-over satellites,
+    # the cumulant weights collapse, which gives the subset form of the
+    # traced cumulant series
+    total = sum((-1) ** p.size * math.factorial(p.size) for p in set_partitions(range(m)))
+    assert total == (-1) ** m
 
 
 def test_nonempty_subsets_small():
