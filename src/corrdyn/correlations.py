@@ -68,8 +68,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
-from typing import Callable, Iterable
+from functools import cached_property, lru_cache, partial
+from typing import Callable, Hashable, Iterable
 
 import numpy as np
 
@@ -214,13 +214,17 @@ def cluster_correlation_matrix(g: OperatorSequence, elements: tuple) -> tuple[np
     mats = _component_mats(g)
     memo = {tuple((l,) for l in range(1, k + 1)): mats[k] for k in range(1, m + 1)}
     whole = {} if local in memo else _reconstructions(mats, m, d)  # all singletons: C = g_m
+    return group_compress(g.stats, _connected(local, memo, whole, d), m, d), labels
 
-    def connected(q: tuple) -> np.ndarray:
-        if q not in memo:
-            memo[q] = whole[sum(map(len, q))] - _split_sum(q, connected, whole, d)
-        return memo[q]
 
-    return group_compress(g.stats, connected(local), m, d), labels
+def _connected(q: tuple, memo: dict[tuple, np.ndarray], whole: dict[int, np.ndarray], d: int) -> np.ndarray:
+    """Connected part C(q) of the exponential formula with V = ``whole`` by
+    size, memoized in ``memo``.  A module function, not a closure over
+    itself, so that a call leaves no reference cycle holding the memo."""
+    if q not in memo:
+        connected = partial(_connected, memo=memo, whole=whole, d=d)
+        memo[q] = whole[sum(map(len, q))] - _split_sum(q, connected, whole, d)
+    return memo[q]
 
 
 def clusterize(g: OperatorSequence, s: int, n: int) -> ClusterCorrelation:
@@ -273,45 +277,122 @@ def coupling_supports(partitions: list[Partition], orders: Iterable[int]) -> lis
 class _SupportSum:
     """Projected interaction sum of one hierarchy order or cluster set.
 
-    Calling it with the block products of ``parts`` (in that order) returns
-    V^dagger acc, V the ``symmetric_isometry`` of the order (acc itself for
-    BOLTZMANN), with acc = (i/hbar) sum_Z [A_Z, Phi_Z] and A_Z the sum of the
-    products whose partition meets Z in every block.  Built once: the 0/1
-    incidence M of supports x partitions, the embedded Phi_Z stacked as one
-    (n_Z side) x side array, and U_p = sum_Z M[Z, p] V^dagger Phi_Z stacked
-    as r x (P side).  A call writes the P products into one preallocated
-    (P side) x side buffer and does two GEMMs with r rows.  ``parts`` is
-    empty when no support is reached or the rank r is zero, and then no
-    product need be built.
+    Returns V^dagger acc, V the ``symmetric_isometry`` of the order (acc
+    itself for BOLTZMANN), with acc = (i/hbar) sum_Z [A_Z, Phi_Z] and A_Z
+    the sum of the block products P_p whose partition meets Z in every
+    block.  With M the 0/1 incidence of supports x partitions and
+    U_p = sum_Z M[Z, p] V^dagger Phi_Z,
+
+        V^dagger acc = (i/hbar) (sum_Z (sum_p M[Z, p] V^dagger P_p) Phi_Z - sum_p U_p P_p).
+
+    ``arrange`` maps a partition to a group key and its factors' label
+    tuples.  The partitions of one key share their factors, in that order,
+    so their products differ only by a relabeling of legs: P_p = Q_p K Q_p^T
+    with K the Kronecker product of the factors and Q_p a permutation.
+    Hence X P_p = ((X Q_p) K) Q_p^T, and the rows X Q_p for X = V^dagger and
+    X = U_p are gathered once, on the first call.  A call builds K once per
+    group, multiplies it by the group's stacked rows in one GEMM and undoes
+    every member's column legs by one gather.  For BOLTZMANN (V = I) the
+    row block V^dagger P_p is P_p itself, gathered from K on both legs.
+    ``parts`` is empty when no support is reached or the rank r is zero,
+    and then no product need be built; it lists each group's members
+    contiguously.
     """
 
-    def __init__(self, partitions: list[Partition], spec: InteractionSpec, n: int, stats: Statistics):
-        d, self.hbar = spec.d, spec.hbar
-        self.side = side = d**n
-        self.v = symmetric_isometry(stats, n, d)
-        rank = side if self.v is None else self.v.shape[1]
-        supports = coupling_supports(partitions, spec.potentials) if rank else []
-        self.parts = list(dict.fromkeys(p for _, hits in supports for p in hits))
+    def __init__(
+        self,
+        partitions: list[Partition],
+        spec: InteractionSpec,
+        n: int,
+        stats: Statistics,
+        arrange: Callable[[Partition], tuple[Hashable, tuple[tuple[int, ...], ...]]],
+    ):
+        self.n, self.d, self.hbar = n, spec.d, spec.hbar
+        self.side = side = spec.d**n
+        self.v = symmetric_isometry(stats, n, spec.d)
+        self.rank = side if self.v is None else self.v.shape[1]
+        supports = coupling_supports(partitions, spec.potentials) if self.rank else []
+        grouped: dict[Hashable, list] = {}
+        for p in dict.fromkeys(p for _, hits in supports for p in hits):
+            key, legs = arrange(p)
+            grouped.setdefault(key, []).append((p, legs))
+        self.parts = [p for members in grouped.values() for p, _ in members]
         column = {p: j for j, p in enumerate(self.parts)}
+        #: per group key, each member's index in ``parts`` with its factors' labels
+        self.groups = {key: [(column[p], legs) for p, legs in members] for key, members in grouped.items()}
         self.incidence = np.zeros((len(supports), len(self.parts)), dtype=np.complex128)
         for i, (_, hits) in enumerate(supports):
             self.incidence[i, [column[p] for p in hits]] = 1.0
         self.phi = np.empty((len(supports) * side, side), dtype=np.complex128)
         for i, (z, _) in enumerate(supports):
-            self.phi[i * side:(i + 1) * side] = embed_matrix(spec.potentials[len(z)], z, n, d)
-        self.products = np.empty((len(self.parts) * side, side), dtype=np.complex128)
-        if self.parts:
-            self.u = _side_by_side(self.incidence.T, self._project(self.phi.reshape(-1, side, side)))
+            self.phi[i * side:(i + 1) * side] = embed_matrix(spec.potentials[len(z)], z, n, spec.d)
 
-    def _project(self, stacked: np.ndarray) -> np.ndarray:
-        return stacked if self.v is None else self.v.T @ stacked
+    @cached_property
+    def _layouts(self) -> list[tuple]:
+        """Per group: the factors' consecutive labels in K, the stacked rows
+        [V^dagger Q_p; U_p Q_p] (only U_p Q_p for BOLTZMANN), and the flat
+        indices that read every member's V^dagger P_p and U_p P_p, legs
+        undone, from the product of the rows with K (from K itself for the
+        BOLTZMANN V^dagger P_p)."""
+        side, rank, v = self.side, self.rank, self.v
+        projected = self.phi.reshape(-1, side, side)
+        if v is not None:
+            projected = v.T @ projected
+        u = (self.incidence.T @ projected.reshape(len(self.incidence), -1)).reshape(-1, rank, side)
+        layouts = []
+        for members in self.groups.values():
+            lo, hi = members[0][0], members[-1][0] + 1
+            gather, undo = _relabelings(tuple(legs for _, legs in members), self.n, self.d)
+            rows = u[lo:hi].take(_member_columns(gather, rank, rank))
+            if v is not None:
+                rows = np.concatenate([v.T[:, gather].transpose(1, 0, 2), rows], axis=1)
+            stride = rows.shape[1]  # per member: r rows of V^dagger Q_p (not for BOLTZMANN), then r of U_p Q_p
+            first = _member_columns(undo, stride, rank)
+            pick_u = first + (stride - rank) * side
+            pick_v = first if v is not None else undo[:, :, None] * side + undo[:, None, :]
+            legs = members[0][1]
+            ends = itertools.accumulate(map(len, legs))
+            canonical = [tuple(range(end - len(labels) + 1, end + 1)) for end, labels in zip(ends, legs)]
+            layouts.append((canonical, rows.reshape(-1, side), pick_v, pick_u))
+        return layouts
 
-    def __call__(self, products: Iterable[np.ndarray]) -> np.ndarray:
-        stacked = self.products.reshape(-1, self.side, self.side)
-        for i, product in enumerate(products):
-            stacked[i] = product
-        va = _side_by_side(self.incidence, self._project(stacked))
-        return (1j / self.hbar) * (va @ self.phi - self.u @ self.products)
+    def row_blocks(self, factors: Iterable[list[np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+        """V^dagger P_p and U_p P_p for every partition, in ``parts`` order,
+        as two (len(parts), r, side) arrays.  ``factors`` holds, per group in
+        ``groups`` order, the factor matrices in the order of the members'
+        label tuples."""
+        va, up = [], []
+        for (canonical, rows, pick_v, pick_u), mats in zip(self._layouts, factors):
+            k = place_product(list(zip(mats, canonical)), self.n, self.d)
+            y = rows @ k
+            va.append((k if self.v is None else y).take(pick_v))
+            up.append(y.take(pick_u))
+        return np.concatenate(va), np.concatenate(up)
+
+    def __call__(self, factors: Iterable[list[np.ndarray]]) -> np.ndarray:
+        va, up = self.row_blocks(factors)
+        return (1j / self.hbar) * (_side_by_side(self.incidence, va) @ self.phi - up.sum(axis=0))
+
+
+@lru_cache(maxsize=None)
+def _relabelings(members: tuple[tuple[tuple[int, ...], ...], ...], n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column index maps of the leg permutations Q of a group's members, one
+    row each: (X Q)[:, c] = X[:, gather[c]], the legs of c, in factor order,
+    taken to the labels the member's label tuples carry, and its inverse
+    ``undo``, (Y Q^T)[:, b] = Y[:, undo[b]]."""
+    digits = np.arange(d**n).reshape((d,) * n)
+    gather = np.stack([digits.transpose([l - 1 for labels in m for l in labels]).ravel() for m in members])
+    undo = np.argsort(gather, axis=1)
+    gather.flags.writeable = undo.flags.writeable = False
+    return gather, undo
+
+
+def _member_columns(index: np.ndarray, stride: int, count: int) -> np.ndarray:
+    """Flat indices into m stacked blocks of ``stride`` rows of length side
+    (m, side = index.shape): of block i, the first ``count`` rows, each
+    read at the columns index[i]; shape (m, count, side)."""
+    m, side = index.shape
+    return (np.arange(m)[:, None, None] * stride + np.arange(count)[:, None]) * side + index[:, None, :]
 
 
 def _side_by_side(weights: np.ndarray, stacked: np.ndarray) -> np.ndarray:
@@ -322,43 +403,47 @@ def _side_by_side(weights: np.ndarray, stacked: np.ndarray) -> np.ndarray:
     return sums.transpose(1, 0, 2).reshape(rank, -1)
 
 
+def _by_size(p: Partition) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Block-size type of a partition of labels (sizes descending) and its
+    blocks' sorted labels in that order (ties keep their order)."""
+    legs = tuple(sorted((tuple(sorted(b)) for b in p.blocks), key=lambda labels: -len(labels)))
+    return tuple(map(len, legs)), legs
+
+
+def _by_structure(p: Partition) -> tuple[tuple[tuple, ...], tuple[tuple[int, ...], ...]]:
+    """Blocks of a partition of cluster elements, each relabeled as by
+    ``_relabeled`` and sorted, and their sorted labels in that order.  A
+    block's cluster correlation depends only on its relabeled elements, so
+    partitions with the same sorted structures share their factors."""
+    relabeled = (_relabeled(tuple(block_labels((el,)) for el in b)) for b in p.blocks)
+    blocks = sorted(relabeled, key=lambda block: block[0])
+    return tuple(q for q, _ in blocks), tuple(labels for _, labels in blocks)
+
+
 class _OrderPlan:
     """Right-hand side of hierarchy order n on component matrices (orders <= n),
-    with the Hamiltonian, the projected support sum and each reached
-    partition's blocks as (size, sorted labels) built once."""
+    with the Hamiltonian and the projected support sum built once.  The
+    support's groups are the block-size types of ``_by_size``: one
+    Kronecker product of components per type and evaluation, and the
+    factor order of the type's monomial in ``_TabulatedOrders``."""
 
     def __init__(self, n: int, stats: Statistics, spec: InteractionSpec):
         self.n, self.d, self.hbar, self.stats = n, spec.d, spec.hbar, stats
         self.h = hamiltonian_matrix(n, spec)
-        self.support = _SupportSum(set_partitions(range(1, n + 1)), spec, n, stats)
-        self.blocks = [tuple((len(b), tuple(sorted(b))) for b in p.blocks) for p in self.support.parts]
+        self.support = _SupportSum(set_partitions(range(1, n + 1)), spec, n, stats, _by_size)
 
     def __call__(self, comps: dict[int, np.ndarray]) -> np.ndarray:
         out = -commutator_generator(comps[self.n], self.h, self.hbar)
         support = self.support
         if support.parts:
-            proj = support(
-                place_product([(comps[k], labels) for k, labels in blocks], self.n, self.d)
-                for blocks in self.blocks
-            )
+            proj = support([comps[k] for k in sizes] for sizes in support.groups)
             out += proj if support.v is None else support.v @ proj
         return out
-
-    def block_types(self) -> dict[tuple[int, ...], list[tuple[int, tuple]]]:
-        """The reached partitions grouped by block-size type (sizes descending):
-        per type, each partition's index in ``support.parts`` with its blocks
-        in that size order (ties keep their order), the factor order of the
-        type's monomial."""
-        types: dict[tuple[int, ...], list[tuple[int, tuple]]] = {}
-        for j, blocks in enumerate(self.blocks):
-            ordered = tuple(sorted(blocks, key=lambda block: -block[0]))
-            types.setdefault(tuple(k for k, _ in ordered), []).append((j, ordered))
-        return types
 
     def tabulated_entries(self) -> int:
         """Entries of this order's block of the tabulated right-hand side:
         side^2 x side^2 for the drift and for each block-size type."""
-        return self.h.size**2 * (1 + len(self.block_types()))
+        return self.h.size**2 * (1 + len(self.support.groups))
 
 
 def von_neumann_rhs(g: OperatorSequence, n: int, spec: InteractionSpec) -> ManyBodyOperator:
@@ -380,25 +465,23 @@ def generalized_rhs(
     Block factors are the cluster correlations of each sub-collection of
     elements (each carrying its own group average, then embedded); the
     atomic cluster is never split by the outer partitions, but coupling
-    supports range over the flattened labels.
+    supports range over the flattened labels.  A block's factor depends only
+    on its relabeled elements, so it is computed once per structure and the
+    partitions of one sorted block structure share one Kronecker product.
     """
     labels = cluster.declusterize()
     ntot = len(labels)
     if tuple(sorted(labels)) != tuple(range(1, ntot + 1)):
         raise DomainError("cluster set must flatten to labels 1..s+n")
-    d = spec.d
-
-    def embedded_product(p: Partition) -> np.ndarray:
-        return place_product([cluster_correlation_matrix(g, block) for block in p.blocks], ntot, d)
-
     own, _ = cluster_correlation_matrix(g, tuple(el.labels for el in cluster.elements))
     out = -commutator_generator(own, hamiltonian_matrix(ntot, spec), spec.hbar)
-    support = _SupportSum(cluster_partitions(cluster), spec, ntot, g.stats)
+    support = _SupportSum(cluster_partitions(cluster), spec, ntot, g.stats, _by_structure)
     if support.parts:
-        proj = support(embedded_product(p) for p in support.parts)
+        factors = {q: cluster_correlation_matrix(g, q)[0] for key in support.groups for q in key}
+        proj = support([factors[q] for q in key] for key in support.groups)
         v = support.v
         out += proj if v is None else v @ (proj @ v) @ v.T
-    return ManyBodyOperator(ntot, d, out, g.stats)
+    return ManyBodyOperator(ntot, spec.d, out, g.stats)
 
 
 # --------------------------------------------------------------------------
@@ -422,13 +505,14 @@ class _TabulatedOrders:
     of K_p = (i/hbar) sum_Z M[Z, p] (S (x) Phi_Z^T - S Phi_Z (x) I), with the
     columns of K_p scattered by the placement index of p.  A call applies W
     to the flat components of orders 1..m followed by one monomial per type,
-    the outer product of the raveled components of sizes lambda.
+    the outer product of the raveled components of sizes lambda; the
+    monomials of one degree are written by one product of gathers from the
+    state, with index arrays built once.
     """
 
     def __init__(self, plans: list[_OrderPlan], bounds: list[int]):
         self.length = width = bounds[len(plans)]
-        self.monomials: list[tuple[int, list[tuple[int, int]]]] = []
-        blocks = []
+        blocks, types = [], []
         for plan, row in zip(plans, bounds):
             side, n = plan.h.shape[0], plan.n
             eye = np.eye(side)
@@ -438,16 +522,27 @@ class _TabulatedOrders:
                 continue
             sym = symmetrizer_matrix(plan.stats, n, plan.d)
             coupling = support.incidence.T @ support.phi.reshape(len(support.incidence), -1)
-            for sizes, members in sorted(plan.block_types().items(), reverse=True):
+            for sizes, members in sorted(support.groups.items(), reverse=True):
                 block = np.zeros((side**2, side**2), dtype=np.complex128)
-                for j, ordered in members:
+                for j, legs in members:
                     b = coupling[j].reshape(side, side)
-                    index = placement_index(tuple(labels for _, labels in ordered), n, plan.d)
+                    index = placement_index(legs, n, plan.d)
                     s_b = group_average(plan.stats, b, n, plan.d)
                     block[:, index] += (1j / plan.hbar) * (np.kron(sym, b.T) - np.kron(s_b, eye))
-                blocks.append((row, width, block))
-                self.monomials.append((width, [(bounds[k - 1], bounds[k]) for k in sizes]))
-                width += side**2
+                types.append((row, [(bounds[k - 1], bounds[k]) for k in sizes], block))
+        # the monomials of one degree take one contiguous run of columns, so
+        # that a call writes them all with one product of gathered factors
+        self.monomials: list[tuple[int, int, list[np.ndarray]]] = []
+        for degree in sorted({len(spans) for _, spans, _ in types}):
+            start, gathers = width, [[] for _ in range(degree)]
+            for row, spans, block in types:
+                if len(spans) == degree:
+                    grid = np.indices([hi - lo for lo, hi in spans]).reshape(degree, -1)
+                    for gather, (lo, _), digits in zip(gathers, spans, grid):
+                        gather.append(lo + digits)
+                    blocks.append((row, width, block))
+                    width += block.shape[1]
+            self.monomials.append((start, width, [np.concatenate(gather) for gather in gathers]))
         self.w = np.zeros((self.length, width), dtype=np.complex128)
         for row, col, block in blocks:
             self.w[row:row + block.shape[0], col:col + block.shape[1]] = block
@@ -456,9 +551,10 @@ class _TabulatedOrders:
     def __call__(self, y: np.ndarray) -> np.ndarray:
         x = self.x
         x[:self.length] = y[:self.length]
-        for col, factors in self.monomials:
-            monomial = reduce(np.multiply.outer, [y[lo:hi] for lo, hi in factors]).ravel()
-            x[col:col + monomial.size] = monomial
+        for start, stop, (first, second, *more) in self.monomials:
+            out = np.multiply(y[first], y[second], out=x[start:stop])
+            for factor in more:
+                out *= y[factor]
         return self.w @ x
 
 

@@ -1,9 +1,13 @@
+import gc
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from corrdyn.bbgky import chaos_cluster_solution, cumulant_apply
-from corrdyn.combinatorics import ClusterSet
+from corrdyn import correlations
+from corrdyn.combinatorics import ClusterSet, set_partitions
 from corrdyn.correlations import (
     ClusterCorrelation,
     CorrelationSequence,
@@ -27,11 +31,13 @@ from corrdyn.hilbert import (
     ManyBodyOperator,
     OperatorSequence,
     Statistics,
+    group_rank,
     permutation_average,
     place_product,
     random_hermitian,
     random_sequence,
     random_state_component,
+    symmetric_isometry,
     symmetrize,
     symmetrizer_matrix,
     trace_norm,
@@ -228,6 +234,20 @@ def test_cluster_correlation_matrix_matches_nested_oracle(stats, d, elements):
     assert np.abs(fast - oracles.nested_cluster_correlation(g, elements)).max() <= 1e-12
 
 
+def test_cluster_correlation_matrix_leaves_no_garbage():
+    # the recursion's memo is freed when the call returns, not left in a
+    # reference cycle for the cyclic garbage collector
+    rng = np.random.default_rng(33)
+    g = density_to_correlations(random_sequence(rng, 2, Statistics.BOSE, 4))
+    gc.collect()
+    gc.disable()
+    try:
+        cluster_correlation_matrix(g, ((1, 2), (3,), (4,)))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize("stats", ALL_STATS, ids=str)
 @pytest.mark.parametrize("d, n", [(2, 4), (3, 3)])
 def test_correlations_to_density_matches_nested_oracle(stats, d, n):
@@ -395,6 +415,73 @@ def test_rhs_two_particle_term_enumeration(stats):
     prod = np.kron(g1, g1)
     interaction = sym @ (1j * (prod @ phi - phi @ prod))
     assert np.allclose(out.mat, drift + interaction, atol=1e-12)
+
+
+def _ascending_reversed_legs(p):
+    # blocks by ascending size, each block's labels in descending order: a
+    # factor and leg order unlike the plan's, so the relabeling is general
+    legs = tuple(sorted((tuple(sorted(b, reverse=True)) for b in p.blocks), key=len))
+    return tuple(map(len, legs)), legs
+
+
+@pytest.mark.parametrize("stats", ALL_STATS, ids=str)
+@pytest.mark.parametrize(
+    "d, n, couplings", [(2, 3, (2,)), (2, 4, (2,)), (2, 4, (2, 3)), (3, 3, (2, 3)), (3, 4, (2,)), (4, 4, (2,))]
+)
+@pytest.mark.parametrize("arrange", [correlations._by_size, _ascending_reversed_legs], ids=["sorted", "unsorted"])
+def test_support_row_blocks_match_placed_products(stats, d, n, couplings, arrange):
+    # one Kronecker product per group, relabeled per member, gives every
+    # reached partition's rows V^T P_p and U_p P_p as placing P_p does; the
+    # factors are not symmetric, so a wrong leg order shows
+    rng = np.random.default_rng(76)
+    pots = {k: permutation_average(random_hermitian(rng, d**k), k, d) for k in couplings}
+    spec = InteractionSpec(d=d, one_body=random_hermitian(rng, d), potentials=pots)
+    support = correlations._SupportSum(set_partitions(range(1, n + 1)), spec, n, stats, arrange)
+    rank = group_rank(stats, n, d)
+    assert bool(support.parts) == (rank > 0)  # Fermi at d=2, n>2 has rank 0
+    if not support.parts:
+        return
+    if n == 4:
+        assert len(support.groups[(2, 2)]) == 3  # a type with tied sizes
+    side = d**n
+    comps = {k: rng.normal(size=(d**k, d**k)) + 1j * rng.normal(size=(d**k, d**k)) for k in range(1, n)}
+    va, up = support.row_blocks([comps[k] for k in sizes] for sizes in support.groups)
+    v = symmetric_isometry(stats, n, d)
+    vt = np.eye(side) if v is None else v.T
+    u = np.einsum("zp,zrc->prc", support.incidence, vt @ support.phi.reshape(-1, side, side))
+    assert va.shape == up.shape == (len(support.parts), rank, side)
+    for members in support.groups.values():
+        for j, legs in members:
+            product = place_product([(comps[len(labels)], labels) for labels in legs], n, d)
+            for got, expected in ((va[j], vt @ product), (up[j], u[j] @ product)):
+                assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
+
+
+def test_generic_order_builds_one_product_per_block_size_type(monkeypatch):
+    # d=4 Fermi, n_max=4: order 4 (side 256) reaches 7 partitions of two
+    # block-size types, (3, 1) and (2, 2), and each of the 4 RK4 stages builds
+    # one Kronecker product per type, not one placement per partition; orders
+    # 2 and 3 reach one type each, and order 1 is tabulated
+    d, n_max = 4, 4
+    rng = np.random.default_rng(77)
+    pots = {2: permutation_average(random_hermitian(rng, d**2), 2, d)}
+    spec = InteractionSpec(d=d, one_body=random_hermitian(rng, d), potentials=pots)
+    fermi = Statistics.FERMI
+    comps = {
+        n: ManyBodyOperator(n, d, rng.normal(size=(d**n, d**n)) + 1j * rng.normal(size=(d**n, d**n)), fermi)
+        for n in range(1, n_max + 1)
+    }
+    g0 = CorrelationSequence(d=d, stats=fermi, n_max=n_max, components=comps)
+    sides = Counter()
+
+    def counting(factors, n, d):
+        out = place_product(factors, n, d)
+        sides[out.shape[0]] += 1
+        return out
+
+    monkeypatch.setattr(correlations, "place_product", counting)
+    integrate_hierarchy(g0, 0.1, 1, spec)
+    assert sides == {16: 4, 64: 4, 256: 8}
 
 
 @pytest.mark.parametrize("stats", ALL_STATS)
