@@ -35,19 +35,31 @@ Conventions fixed here once:
 
       sum_p sum_choices [prod_p, Phi_Z] = sum_Z [sum_{p: every block meets Z} prod_p, Phi_Z]
 
-  exactly (the commutator is linear), with each partition's block product
-  built once.
-* The group average is projected before multiplying.  With S = V V^dagger
-  (``hilbert.symmetric_isometry``, V of rank r) and A_Z the summed products
-  of one support,
+  exactly (the commutator is linear), with the block products built once
+  per evaluation, not once per support.
+* One Kronecker product per relabeling class.  With S = V V^dagger
+  (``hilbert.symmetric_isometry``, V of rank r), A_Z the summed products of
+  one support and U_p = sum_Z M[Z, p] V^dagger Phi_Z,
 
-      V^dagger [A_Z, Phi_Z] = (V^dagger A_Z) Phi_Z - (V^dagger Phi_Z) A_Z,
+      V^dagger sum_Z [A_Z, Phi_Z] = sum_Z (sum_p M[Z, p] V^dagger P_p) Phi_Z - sum_p U_p P_p,
 
-  so every product has r rows instead of d^n, and rank 0 costs nothing.
-  One helper (``_SupportSum``) returns V^dagger of the interaction sum for
-  every right-hand side: the hierarchy order lifts it as V (V^dagger acc),
-  ``generalized_rhs`` as V ((V^dagger acc) V) V^dagger.  The drift
-  -[g_n, H_n] stays dense, since inputs need not be symmetric on both sides.
+  so only the rows X P_p, X = V^dagger or U_p (r rows each), are needed,
+  and rank 0 costs nothing.  Partitions whose factors agree up to a
+  relabeling of particles (one block-size type of an order, one relabeled
+  block structure of a cluster set) have P_p = Q_p K Q_p^T, with K the
+  Kronecker product of the factors in a fixed order and Q_p a leg
+  permutation; then X P_p = ((X Q_p) K) Q_p^T (Van Loan, "The ubiquitous
+  Kronecker product", J. Comput. Appl. Math. 123, 2000).  The rows X Q_p
+  are gathered once per plan; an evaluation builds K once per class, does
+  one GEMM with the class's stacked rows and undoes each member's column
+  legs by one gather, and places no d^n x d^n product per partition.  For
+  BOLTZMANN (V = I) the row block V^dagger P_p is K with both legs
+  regathered.  One helper (``_SupportSum``) returns V^dagger of the
+  interaction sum for every right-hand side: the hierarchy order lifts it
+  as V (V^dagger acc), ``generalized_rhs`` as V ((V^dagger acc) V) V^dagger.
+  The drift -[g_n, H_n] stays dense, since inputs need not be symmetric on
+  both sides, and since leg-wise products lose to one dense GEMM at side
+  256.
 * Small orders of the RK4 right-hand side are tabulated.  With row-major
   vec, vec(A X B) = (A (x) B^T) vec X, so the drift is
   (i/hbar)(I (x) H^T - H (x) I) vec g_n, and the lifted interaction term of
@@ -57,8 +69,9 @@ Conventions fixed here once:
   order by size, read at p's placement index (``hilbert.placement_index``),
   so one order is linear in one monomial per block-size type.  Built once
   per ``integrate_hierarchy`` call, an order's block costs one GEMV per
-  stage where the generic plan costs a Python-level placement per
-  partition; the bound ``TABULATED_MAX_ENTRIES`` keeps tabulation where
+  stage, its monomials written one degree at a time as products of
+  gathers, where the generic plan costs a Kronecker product and a GEMM per
+  block-size type; the bound ``TABULATED_MAX_ENTRIES`` keeps tabulation where
   the GEMV is faster (orders 1-3 at d = 2, 1-2 at d = 3, order 1 at
   d = 4).  A single evaluation (``von_neumann_rhs``, ``generalized_rhs``)
   stays generic: building the block costs more than one generic call.
