@@ -82,8 +82,9 @@ def _pair_spec(config: ScenarioConfig) -> tuple[InteractionSpec, str]:
 
 
 def _synth_two_body_spec(config: ScenarioConfig, rng: np.random.Generator) -> tuple[InteractionSpec, str]:
+    """``_pair_spec``, with a seeded two-body coupling in place of none."""
     if 2 in config.potentials:
-        return config.interaction_spec({2: config.potentials[2]}), "scenario phi2"
+        return _pair_spec(config)
     return config.interaction_spec({2: _symmetrized_coupling(rng, 2, config.d)}), "seeded phi2"
 
 

@@ -11,6 +11,7 @@ Exit status is 0 exactly when every executed check passed.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -18,9 +19,9 @@ import numpy as np
 
 from .bbgky import marginals_from_correlations, solve_bbgky_series
 from .checks import run_checks
-from .combinatorics import bell_number, set_partitions
+from .combinatorics import bell_number
 from .config import ScenarioConfig, load_scenario
-from .correlations import CorrelationSequence, coupling_supports, density_to_correlations
+from .correlations import CorrelationSequence, density_to_correlations
 from .errors import ConfigError, CorrdynError
 from .hamiltonian import EvolutionCache
 from .hilbert import (
@@ -116,7 +117,8 @@ def cmd_info(args: argparse.Namespace) -> int:
     print()
     print("order  matrix side  partitions  hierarchy terms  group rank")
     for n in range(1, config.n_max + 1):
-        terms = len(coupling_supports(set_partitions(range(1, n + 1)), config.potentials))
+        # every k-subset, k >= 2, meets each block of some multi-block partition
+        terms = sum(math.comb(n, k) for k in config.potentials)
         rank = group_rank(config.stats, n, config.d)
         print(f"{n:5d}  {config.d**n:11d}  {bell_number(n):10d}  {terms:15d}  {rank:10d}")
     cache = EvolutionCache(config.interaction_spec())

@@ -4,7 +4,7 @@ Matrices are written as indented continuation rows of whitespace-separated
 complex literals (``a+bj``), or referenced by ``file = path`` pointing to a
 file in the operator serialization format.  Sections:
 
-    [system]      d, stats, n_max, hbar, seed, matrix_cap, strict_potentials
+    [system]      d, stats, n_max, hbar, seed, matrix_cap
     [one_body]    rows = ... | file = ...
     [potential.K] rows = ... | file = ...     (one section per k-body term)
     [initial]     kind = chaos|random|file, plus kind-specific keys
@@ -73,7 +73,6 @@ class ScenarioConfig:
     tolerances: dict[str, float]
     seed: int
     matrix_cap: int
-    strict_potentials: bool
     digest: str
 
     def tolerance(self, check: str) -> float:
@@ -87,7 +86,6 @@ class ScenarioConfig:
             potentials=self.potentials if potentials is None else potentials,
             hbar=self.hbar,
             matrix_side_cap=self.matrix_cap,
-            enforce_potential_symmetry=self.strict_potentials,
         )
 
 
@@ -154,7 +152,6 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         hbar = sys_sec.getfloat("hbar", 1.0)
         seed = sys_sec.getint("seed", 0)
         matrix_cap = sys_sec.getint("matrix_cap", 4096)
-        strict_pots = sys_sec.getboolean("strict_potentials", True)
     except ValueError as exc:
         raise ConfigError(f"{path}: bad [system] value: {exc}") from exc
     if d < 2:
@@ -251,6 +248,5 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         tolerances=tolerances,
         seed=seed,
         matrix_cap=matrix_cap,
-        strict_potentials=strict_pots,
         digest=digest,
     )

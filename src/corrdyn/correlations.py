@@ -26,52 +26,52 @@ Conventions fixed here once:
   the product breaks the Bose identity at three particles, while the outer
   placement is exact for every statistics (verified numerically down to
   rounding).
-* The interaction sum is grouped by coupling support.  Each term of the
-  hierarchy picks a multi-block partition p and a nonempty label subset in
-  every block; the subsets join into the support Z of one k-body coupling.
-  Conversely Z fixes the per-block subsets as its intersections with the
-  blocks, so choosing subsets block by block is the same as choosing one Z
-  that meets every block.  Hence
+* The interaction sum is one commutator per multi-block partition.  Each
+  term of the hierarchy picks a multi-block partition p and a nonempty label
+  subset in every block; the subsets join into the support Z of one k-body
+  coupling, and Z fixes the subsets as its intersections with the blocks.
+  Hence, with P_p the product of p's block factors,
 
-      sum_p sum_choices [prod_p, Phi_Z] = sum_Z [sum_{p: every block meets Z} prod_p, Phi_Z]
+      sum_p sum_choices [P_p, Phi_Z] = sum_p [P_p, Phi_p],   Phi_p = sum_{Z meets every block of p} Phi_Z,
 
-  exactly (the commutator is linear), with the block products built once
-  per evaluation, not once per support.
-* One Kronecker product per relabeling class.  With S = V V^dagger
-  (``hilbert.symmetric_isometry``, V of rank r), A_Z the summed products of
-  one support and U_p = sum_Z M[Z, p] V^dagger Phi_Z,
+  exactly (the commutator is linear).  Partitions whose factors agree up to
+  a relabeling of particles (one block-size type of an order, one relabeled
+  block structure of a cluster set) form a class.  With K the Kronecker
+  product of the class's factors on consecutive labels, Phi the class's
+  coupling on those labels, Q_p the leg permutation taking them to p's labels
+  and V the isometry of ``hilbert.symmetric_isometry`` (rank r),
 
-      V^dagger sum_Z [A_Z, Phi_Z] = sum_Z (sum_p M[Z, p] V^dagger P_p) Phi_Z - sum_p U_p P_p,
+      P_p = Q_p K Q_p^T,   Phi_p = Q_p Phi Q_p^T,   V^dagger Q_p = eps_p V^dagger:
 
-  so only the rows X P_p, X = V^dagger or U_p (r rows each), are needed,
-  and rank 0 costs nothing.  Partitions whose factors agree up to a
-  relabeling of particles (one block-size type of an order, one relabeled
-  block structure of a cluster set) have P_p = Q_p K Q_p^T, with K the
-  Kronecker product of the factors in a fixed order and Q_p a leg
-  permutation; then X P_p = ((X Q_p) K) Q_p^T (Van Loan, "The ubiquitous
-  Kronecker product", J. Comput. Appl. Math. 123, 2000).  The rows X Q_p
-  are gathered once per plan; an evaluation builds K once per class, does
-  one GEMM with the class's stacked rows and undoes each member's column
-  legs by one gather, and places no d^n x d^n product per partition.  For
-  BOLTZMANN (V = I) the row block V^dagger P_p is K with both legs
-  regathered.  One helper (``_SupportSum``) returns V^dagger of the
-  interaction sum for every right-hand side: the hierarchy order lifts it
-  as V (V^dagger acc), ``generalized_rhs`` as V ((V^dagger acc) V) V^dagger.
+  the first is Van Loan's ("The ubiquitous Kronecker product", J. Comput.
+  Appl. Math. 123, 2000), the second holds because the couplings are
+  exchange symmetric, and in the third eps_p is the parity sign of Q_p for
+  FERMI and 1 for BOSE.  So
+
+      V^dagger [P_p, Phi_p] = eps_p ((V^dagger K) Phi - (V^dagger Phi) K) Q_p^T,
+
+  and an evaluation builds K once per class, makes three r x side products
+  and undoes each member's column legs by one signed gather; no d^n x d^n
+  product or coupling is placed per partition, and rank 0 costs nothing.
+  For BOLTZMANN (V = I) a member is Q_p [K, Phi] Q_p^T, one gather on both
+  legs.  One helper (``_SupportSum``) returns V^dagger of the interaction
+  sum for every right-hand side: the hierarchy order lifts it as
+  V (V^dagger acc), ``generalized_rhs`` as V ((V^dagger acc) V) V^dagger.
   The drift -[g_n, H_n] stays dense, since inputs need not be symmetric on
   both sides, and since leg-wise products lose to one dense GEMM at side
   256.
 * Small orders of the RK4 right-hand side are tabulated.  With row-major
   vec, vec(A X B) = (A (x) B^T) vec X, so the drift is
   (i/hbar)(I (x) H^T - H (x) I) vec g_n, and the lifted interaction term of
-  a partition p is K_p vec P_p with
-  K_p = (i/hbar) sum_Z M[Z, p] (S (x) Phi_Z^T - S Phi_Z (x) I).  The block
+  a partition p is W_p vec P_p with W_p = (i/hbar)(S (x) Phi_p^T - S Phi_p (x) I),
+  Phi_p read as its class's relabeled coupling.  The block
   product P_p is the outer product of raveled components, in p's block
   order by size, read at p's placement index (``hilbert.placement_index``),
   so one order is linear in one monomial per block-size type.  Built once
   per ``integrate_hierarchy`` call, an order's block costs one GEMV per
   stage, its monomials written one degree at a time as products of
-  gathers, where the generic plan costs a Kronecker product and a GEMM per
-  block-size type; the bound ``TABULATED_MAX_ENTRIES`` keeps tabulation where
+  gathers, where the generic plan costs a Kronecker product and three
+  r x side products per block-size type; the bound ``TABULATED_MAX_ENTRIES`` keeps tabulation where
   the GEMV is faster (orders 1-3 at d = 2, 1-2 at d = 3, order 1 at
   d = 4).  A single evaluation (``von_neumann_rhs``, ``generalized_rhs``)
   stays generic: building the block costs more than one generic call.
@@ -98,6 +98,7 @@ from .hamiltonian import InteractionSpec, commutator_generator, hamiltonian_matr
 from .hilbert import (
     ManyBodyOperator,
     OperatorSequence,
+    Permutation,
     Statistics,
     embed_matrix,
     group_average,
@@ -259,57 +260,29 @@ def clusterize(g: OperatorSequence, s: int, n: int) -> ClusterCorrelation:
 # hierarchy right-hand sides
 # --------------------------------------------------------------------------
 
-CouplingSupport = tuple[tuple[int, ...], tuple[Partition, ...]]
-
-
-def coupling_supports(partitions: list[Partition], orders: Iterable[int]) -> list[CouplingSupport]:
-    """Coupling supports of the interaction sum, each with its partitions.
-
-    For every order k in ``orders`` and every k-subset Z of the labels the
-    partitions carry, lists the multi-block partitions whose every block
-    meets Z; supports that no partition reaches are dropped.  Pure label
-    bookkeeping: the number of supports is the number of embedded couplings
-    one hierarchy right-hand side sums over.
-    """
-    orders = sorted(orders)
-    # a partition with more blocks than the largest order meets no support
-    k_max = orders[-1] if orders else 0
-    multi = [(p, [set(block_labels(b)) for b in p.blocks]) for p in partitions if 2 <= p.size <= k_max]
-    labels = sorted(set().union(*multi[0][1])) if multi else []
-    out = []
-    for k in orders:
-        fits = [(p, blocks) for p, blocks in multi if len(blocks) <= k]
-        for z in itertools.combinations(labels, k):
-            zset = set(z)
-            hits = tuple(p for p, blocks in fits if all(b & zset for b in blocks))
-            if hits:
-                out.append((z, hits))
-    return out
-
 
 class _SupportSum:
     """Projected interaction sum of one hierarchy order or cluster set.
 
     Returns V^dagger acc, V the ``symmetric_isometry`` of the order (acc
-    itself for BOLTZMANN), with acc = (i/hbar) sum_Z [A_Z, Phi_Z] and A_Z
-    the sum of the block products P_p whose partition meets Z in every
-    block.  With M the 0/1 incidence of supports x partitions and
-    U_p = sum_Z M[Z, p] V^dagger Phi_Z,
+    itself for BOLTZMANN), with acc = (i/hbar) sum_p [P_p, Phi_p] over the
+    multi-block partitions p: P_p the product of p's block factors and
+    Phi_p the sum of the embedded k-body couplings whose support meets every
+    block of p.  Partitions that no support reaches are dropped.
 
-        V^dagger acc = (i/hbar) (sum_Z (sum_p M[Z, p] V^dagger P_p) Phi_Z - sum_p U_p P_p).
+    ``arrange`` maps a partition to a class key and its factors' label
+    tuples; the members of one class share their factors, in that order.
+    With K the Kronecker product of the factors on consecutive labels, Phi
+    the class's coupling on those labels and Q_p a member's leg permutation,
+    the three identities of the module docstring give
 
-    ``arrange`` maps a partition to a group key and its factors' label
-    tuples.  The partitions of one key share their factors, in that order,
-    so their products differ only by a relabeling of legs: P_p = Q_p K Q_p^T
-    with K the Kronecker product of the factors and Q_p a permutation.
-    Hence X P_p = ((X Q_p) K) Q_p^T, and the rows X Q_p for X = V^dagger and
-    X = U_p are gathered once, on the first call.  A call builds K once per
-    group, multiplies it by the group's stacked rows in one GEMM and undoes
-    every member's column legs by one gather.  For BOLTZMANN (V = I) the
-    row block V^dagger P_p is P_p itself, gathered from K on both legs.
-    ``parts`` is empty when no support is reached or the rank r is zero,
-    and then no product need be built; it lists each group's members
-    contiguously.
+        V^dagger [P_p, Phi_p] = eps_p ((V^dagger K) Phi - (V^dagger Phi) K) Q_p^T,
+
+    so a call builds K once per class, makes three r x side products and
+    undoes each member's column legs by one signed gather.  For BOLTZMANN
+    (V = I) a member is Q_p [K, Phi] Q_p^T, one gather on both legs.
+    ``groups`` is empty when no partition is reached or the rank r is zero,
+    and then no product need be built.
     """
 
     def __init__(
@@ -320,100 +293,89 @@ class _SupportSum:
         stats: Statistics,
         arrange: Callable[[Partition], tuple[Hashable, tuple[tuple[int, ...], ...]]],
     ):
-        self.n, self.d, self.hbar = n, spec.d, spec.hbar
+        self.n, self.d, self.hbar, self.stats = n, spec.d, spec.hbar, stats
         self.side = side = spec.d**n
         self.v = symmetric_isometry(stats, n, spec.d)
         self.rank = side if self.v is None else self.v.shape[1]
-        supports = coupling_supports(partitions, spec.potentials) if self.rank else []
         grouped: dict[Hashable, list] = {}
-        for p in dict.fromkeys(p for _, hits in supports for p in hits):
-            key, legs = arrange(p)
-            grouped.setdefault(key, []).append((p, legs))
-        self.parts = [p for members in grouped.values() for p, _ in members]
-        column = {p: j for j, p in enumerate(self.parts)}
-        #: per group key, each member's index in ``parts`` with its factors' labels
-        self.groups = {key: [(column[p], legs) for p, legs in members] for key, members in grouped.items()}
-        self.incidence = np.zeros((len(supports), len(self.parts)), dtype=np.complex128)
-        for i, (_, hits) in enumerate(supports):
-            self.incidence[i, [column[p] for p in hits]] = 1.0
-        self.phi = np.empty((len(supports) * side, side), dtype=np.complex128)
-        for i, (z, _) in enumerate(supports):
-            self.phi[i * side:(i + 1) * side] = embed_matrix(spec.potentials[len(z)], z, n, spec.d)
+        for p in partitions:
+            if self.rank and p.size >= 2:
+                key, legs = arrange(p)
+                grouped.setdefault(key, []).append(legs)
+        #: per class key, the members' factor label tuples
+        self.groups: dict[Hashable, tuple] = {}
+        #: per class key, Phi: the couplings on the consecutive labels of K
+        self.phi: dict[Hashable, np.ndarray] = {}
+        for key, members in grouped.items():
+            phi = _meeting_couplings(_consecutive(members[0]), spec, n)
+            if phi is not None:
+                self.groups[key], self.phi[key] = tuple(members), phi
 
     @cached_property
     def _layouts(self) -> list[tuple]:
-        """Per group: the factors' consecutive labels in K, the stacked rows
-        [V^dagger Q_p; U_p Q_p] (only U_p Q_p for BOLTZMANN), and the flat
-        indices that read every member's V^dagger P_p and U_p P_p, legs
-        undone, from the product of the rows with K (from K itself for the
-        BOLTZMANN V^dagger P_p)."""
-        side, rank, v = self.side, self.rank, self.v
-        projected = self.phi.reshape(-1, side, side)
-        if v is not None:
-            projected = v.T @ projected
-        u = (self.incidence.T @ projected.reshape(len(self.incidence), -1)).reshape(-1, rank, side)
+        """Per class: the consecutive labels of K, Phi, V^dagger Phi, and the
+        members' index maps and signs.  The maps undo the column legs (both
+        legs, flat, for BOLTZMANN, where V^dagger Phi and the signs are
+        None)."""
+        side, v = self.side, self.v
         layouts = []
-        for members in self.groups.values():
-            lo, hi = members[0][0], members[-1][0] + 1
-            gather, undo = _relabelings(tuple(legs for _, legs in members), self.n, self.d)
-            rows = u[lo:hi].take(_member_columns(gather, rank, rank))
-            if v is not None:
-                rows = np.concatenate([v.T[:, gather].transpose(1, 0, 2), rows], axis=1)
-            stride = rows.shape[1]  # per member: r rows of V^dagger Q_p (not for BOLTZMANN), then r of U_p Q_p
-            first = _member_columns(undo, stride, rank)
-            pick_u = first + (stride - rank) * side
-            pick_v = first if v is not None else undo[:, :, None] * side + undo[:, None, :]
-            legs = members[0][1]
-            ends = itertools.accumulate(map(len, legs))
-            canonical = [tuple(range(end - len(labels) + 1, end + 1)) for end, labels in zip(ends, legs)]
-            layouts.append((canonical, rows.reshape(-1, side), pick_v, pick_u))
+        for key, members in self.groups.items():
+            labels, phi = _consecutive(members[0]), self.phi[key]
+            undo, parity = _relabelings(members, self.n, self.d)
+            if v is None:
+                layouts.append((labels, phi, None, undo[:, :, None] * side + undo[:, None, :], None))
+            else:
+                signs = np.array([self.stats.permutation_sign(bit) for bit in parity])
+                layouts.append((labels, phi, v.T @ phi, undo, signs))
         return layouts
 
-    def row_blocks(self, factors: Iterable[list[np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-        """V^dagger P_p and U_p P_p for every partition, in ``parts`` order,
-        as two (len(parts), r, side) arrays.  ``factors`` holds, per group in
-        ``groups`` order, the factor matrices in the order of the members'
-        label tuples."""
-        va, up = [], []
-        for (canonical, rows, pick_v, pick_u), mats in zip(self._layouts, factors):
-            k = place_product(list(zip(mats, canonical)), self.n, self.d)
-            y = rows @ k
-            va.append((k if self.v is None else y).take(pick_v))
-            up.append(y.take(pick_u))
-        return np.concatenate(va), np.concatenate(up)
-
     def __call__(self, factors: Iterable[list[np.ndarray]]) -> np.ndarray:
-        va, up = self.row_blocks(factors)
-        return (1j / self.hbar) * (_side_by_side(self.incidence, va) @ self.phi - up.sum(axis=0))
+        """V^dagger acc.  ``factors`` holds, per class in ``groups`` order,
+        the factor matrices in the order of the members' label tuples."""
+        acc = np.zeros((self.rank, self.side), dtype=np.complex128)
+        for (labels, phi, v_phi, index, signs), mats in zip(self._layouts, factors):
+            k = place_product(list(zip(mats, labels)), self.n, self.d)
+            if v_phi is None:
+                acc += (k @ phi - phi @ k).take(index).sum(axis=0)
+            else:
+                acc += signs @ ((self.v.T @ k) @ phi - v_phi @ k)[:, index]
+        return (1j / self.hbar) * acc
+
+
+def _consecutive(legs: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
+    """Consecutive labels 1..n in runs of the lengths of ``legs``."""
+    ends = itertools.accumulate(map(len, legs))
+    return [tuple(range(end - len(labels) + 1, end + 1)) for end, labels in zip(ends, legs)]
+
+
+def _meeting_couplings(blocks: list[tuple[int, ...]], spec: InteractionSpec, n: int) -> np.ndarray | None:
+    """Sum of the embedded k-body couplings whose support meets every block
+    (label tuples covering 1..n), or None when no support does."""
+    terms = (
+        embed_matrix(phi, z, n, spec.d)
+        for k, phi in spec.potentials.items()
+        for z in itertools.combinations(range(1, n + 1), k)
+        if all(set(b).intersection(z) for b in blocks)
+    )
+    out = next(terms, None)
+    for term in terms:
+        out += term
+    return out
 
 
 @lru_cache(maxsize=None)
 def _relabelings(members: tuple[tuple[tuple[int, ...], ...], ...], n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Column index maps of the leg permutations Q of a group's members, one
-    row each: (X Q)[:, c] = X[:, gather[c]], the legs of c, in factor order,
-    taken to the labels the member's label tuples carry, and its inverse
-    ``undo``, (Y Q^T)[:, b] = Y[:, undo[b]]."""
+    """The leg permutations Q of a class's members, one row each: the column
+    index map ``undo``, (Y Q^T)[:, b] = Y[:, undo[b]], Q taking the legs of
+    consecutive labels, in factor order, to the labels the member's label
+    tuples carry; and the parity of each Q."""
     digits = np.arange(d**n).reshape((d,) * n)
-    gather = np.stack([digits.transpose([l - 1 for labels in m for l in labels]).ravel() for m in members])
+    images = [tuple(l for labels in m for l in labels) for m in members]
+    gather = np.stack([digits.transpose([l - 1 for l in image]).ravel() for image in images])
     undo = np.argsort(gather, axis=1)
-    gather.flags.writeable = undo.flags.writeable = False
-    return gather, undo
-
-
-def _member_columns(index: np.ndarray, stride: int, count: int) -> np.ndarray:
-    """Flat indices into m stacked blocks of ``stride`` rows of length side
-    (m, side = index.shape): of block i, the first ``count`` rows, each
-    read at the columns index[i]; shape (m, count, side)."""
-    m, side = index.shape
-    return (np.arange(m)[:, None, None] * stride + np.arange(count)[:, None]) * side + index[:, None, :]
-
-
-def _side_by_side(weights: np.ndarray, stacked: np.ndarray) -> np.ndarray:
-    """The sums sum_j weights[i, j] stacked[j] for every i, placed side by
-    side: one r x (len(weights) side) array from stacked of shape (m, r, side)."""
-    m, rank, side = stacked.shape
-    sums = (weights @ stacked.reshape(m, rank * side)).reshape(-1, rank, side)
-    return sums.transpose(1, 0, 2).reshape(rank, -1)
+    parity = np.array([Permutation(image).parity for image in images])
+    undo.flags.writeable = parity.flags.writeable = False
+    return undo, parity
 
 
 def _by_size(p: Partition) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
@@ -448,7 +410,7 @@ class _OrderPlan:
     def __call__(self, comps: dict[int, np.ndarray]) -> np.ndarray:
         out = -commutator_generator(comps[self.n], self.h, self.hbar)
         support = self.support
-        if support.parts:
+        if support.groups:
             proj = support([comps[k] for k in sizes] for sizes in support.groups)
             out += proj if support.v is None else support.v @ proj
         return out
@@ -462,10 +424,11 @@ class _OrderPlan:
 def von_neumann_rhs(g: OperatorSequence, n: int, spec: InteractionSpec) -> ManyBodyOperator:
     """Time derivative of the n-particle correlation component.
 
-    -N_n g_n plus the symmetrized sum over coupling supports Z of k-body
-    commutators acting on the summed products of lower components over the
-    multi-block partitions whose every block meets Z.  Couplings without a
-    matching Phi^(k) contribute zero.  For n = 1 this is just -N_1 g_1.
+    -N_n g_n plus the symmetrized sum over the multi-block partitions p of
+    the commutator of p's product of lower components with Phi_p, the sum of
+    the k-body couplings whose support meets every block of p.  Couplings
+    without a matching Phi^(k) contribute zero.  For n = 1 this is just
+    -N_1 g_1.
     """
     return ManyBodyOperator(n, spec.d, _OrderPlan(n, g.stats, spec)(_component_mats(g)), g.stats)
 
@@ -480,7 +443,8 @@ def generalized_rhs(
     atomic cluster is never split by the outer partitions, but coupling
     supports range over the flattened labels.  A block's factor depends only
     on its relabeled elements, so it is computed once per structure and the
-    partitions of one sorted block structure share one Kronecker product.
+    partitions of one sorted block structure share one Kronecker product and
+    one coupling.
     """
     labels = cluster.declusterize()
     ntot = len(labels)
@@ -489,7 +453,7 @@ def generalized_rhs(
     own, _ = cluster_correlation_matrix(g, tuple(el.labels for el in cluster.elements))
     out = -commutator_generator(own, hamiltonian_matrix(ntot, spec), spec.hbar)
     support = _SupportSum(cluster_partitions(cluster), spec, ntot, g.stats, _by_structure)
-    if support.parts:
+    if support.groups:
         factors = {q: cluster_correlation_matrix(g, q)[0] for key in support.groups for q in key}
         proj = support([factors[q] for q in key] for key in support.groups)
         v = support.v
@@ -515,8 +479,9 @@ class _TabulatedOrders:
 
     Row block n of W holds the drift (i/hbar)(I (x) H^T - H (x) I) on vec g_n
     and, per block-size type lambda of order n, the sum over its partitions p
-    of K_p = (i/hbar) sum_Z M[Z, p] (S (x) Phi_Z^T - S Phi_Z (x) I), with the
-    columns of K_p scattered by the placement index of p.  A call applies W
+    of W_p = (i/hbar)(S (x) Phi_p^T - S Phi_p (x) I), with the columns of W_p
+    scattered by the placement index of p; Phi_p = Q_p Phi Q_p^T is the
+    type's coupling relabeled to p's legs (``_SupportSum``).  A call applies W
     to the flat components of orders 1..m followed by one monomial per type,
     the outer product of the raveled components of sizes lambda; the
     monomials of one degree are written by one product of gathers from the
@@ -531,14 +496,14 @@ class _TabulatedOrders:
             eye = np.eye(side)
             blocks.append((row, row, (1j / plan.hbar) * (np.kron(eye, plan.h.T) - np.kron(plan.h, eye))))
             support = plan.support
-            if not support.parts:
+            if not support.groups:
                 continue
             sym = symmetrizer_matrix(plan.stats, n, plan.d)
-            coupling = support.incidence.T @ support.phi.reshape(len(support.incidence), -1)
             for sizes, members in sorted(support.groups.items(), reverse=True):
                 block = np.zeros((side**2, side**2), dtype=np.complex128)
-                for j, legs in members:
-                    b = coupling[j].reshape(side, side)
+                phi = support.phi[sizes]
+                for legs, undo in zip(members, _relabelings(members, n, plan.d)[0]):
+                    b = phi[np.ix_(undo, undo)]
                     index = placement_index(legs, n, plan.d)
                     s_b = group_average(plan.stats, b, n, plan.d)
                     block[:, index] += (1j / plan.hbar) * (np.kron(sym, b.T) - np.kron(s_b, eye))

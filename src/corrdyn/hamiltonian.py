@@ -54,9 +54,9 @@ class InteractionSpec:
     d : single-particle dimension.
     one_body : d x d Hermitian matrix (the kinetic stand-in).
     potentials : map k -> d^k x d^k Hermitian matrix, k >= 2.  Each matrix
-        must be invariant under two-sided conjugation by factor permutations
-        unless ``enforce_potential_symmetry`` is cleared (used by checks that
-        deliberately corrupt a coupling).
+        must be invariant under two-sided conjugation by factor permutations:
+        the hierarchy right-hand sides read the coupling of a relabeled
+        partition as the relabeled coupling.
     hbar : Planck constant over 2 pi; enters all generators as 1/hbar.
     matrix_side_cap : largest allowed d^n when building H_n.
     """
@@ -66,7 +66,6 @@ class InteractionSpec:
     potentials: dict[int, np.ndarray] = field(default_factory=dict)
     hbar: float = 1.0
     matrix_side_cap: int = 4096
-    enforce_potential_symmetry: bool = True
 
     def __post_init__(self):
         if self.d < 2:
@@ -89,15 +88,12 @@ class InteractionSpec:
             if mat.shape != (side, side):
                 raise DomainError(f"potential k={k} shape {mat.shape} != ({side}, {side})")
             _check_hermitian(f"potential k={k}", mat)
-            if self.enforce_potential_symmetry:
-                dev = max(
-                    float(np.abs(permutation_conjugate(perm, mat, self.d) - mat).max())
-                    for perm in all_permutations(k)
-                )
-                if dev > HERMITICITY_TOL * max(1.0, float(np.abs(mat).max())):
-                    raise DomainError(
-                        f"potential k={k} not factor-permutation symmetric: max dev {dev:.3e}"
-                    )
+            dev = max(
+                float(np.abs(permutation_conjugate(perm, mat, self.d) - mat).max())
+                for perm in all_permutations(k)
+            )
+            if dev > HERMITICITY_TOL * max(1.0, float(np.abs(mat).max())):
+                raise DomainError(f"potential k={k} not factor-permutation symmetric: max dev {dev:.3e}")
             mat = mat.copy()
             mat.flags.writeable = False
             pots[k] = mat

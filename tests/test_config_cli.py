@@ -10,7 +10,7 @@ from corrdyn.checks import run_checks
 from corrdyn.cli import main
 from corrdyn.config import load_scenario
 from corrdyn.errors import ConfigError, DomainError
-from corrdyn.hilbert import Statistics, read_operator
+from corrdyn.hilbert import Statistics, random_state_component, read_operator
 from corrdyn.report import CheckReport, parse_jsonl, render_jsonl, render_table
 
 REPO = Path(__file__).resolve().parents[1]
@@ -211,10 +211,18 @@ def info_column(capsys, path, column: int) -> list[int]:
     return [int(row[column]) for row in rows if row[0].isdigit()]
 
 
+# exchange symmetric three-body coupling at d=2: the count of occupied sites
+TRIPLE_POTENTIAL = "\n[potential.3]\nrows =\n" + "".join(
+    "    " + " ".join(f"{bin(i).count('1') if i == j else 0}+0j" for j in range(8)) + "\n" for i in range(8)
+)
+
+
 def test_cli_info_counts_commutators_per_order(tmp_path, capsys):
-    # one commutator per pair support: C(n, 2) at order n
+    # one commutator per coupling support: sum over the coupling orders k of C(n, k)
     base = MINIMAL.replace("n_max = 2", "n_max = 4")
     assert info_column(capsys, write_cfg(tmp_path, base + PAIR_POTENTIAL, "pair.cfg"), 3) == [0, 1, 3, 6]
+    mixed = write_cfg(tmp_path, base + PAIR_POTENTIAL + TRIPLE_POTENTIAL, "mixed.cfg")
+    assert info_column(capsys, mixed, 3) == [0, 1, 4, 10]
     assert info_column(capsys, write_cfg(tmp_path, base, "free.cfg"), 3) == [0, 0, 0, 0]
 
 
@@ -337,44 +345,17 @@ def test_initial_positive_accepts_boolean_words(tmp_path, word, positive):
     assert load_scenario(write_cfg(tmp_path, text)).initial.positive is positive
 
 
-def test_corrupted_potential_breaks_symmetry_check(tmp_path):
-    # Hermitian but not factor-swap symmetric; strict validation off lets it
-    # through to the checks, where the symmetry suite localizes the damage.
-    text = """
-[system]
-d = 2
-stats = bose
-n_max = 3
-seed = 5
-strict_potentials = false
-
-[one_body]
-rows =
-    0+0j 1+0j
-    1+0j 0+0j
-
-[potential.2]
-rows =
-    1+0j 0+0j 0+0j 0+0j
-    0+0j 0+0j 0.5+0j 0+0j
-    0+0j 0.5+0j -1+0j 0+0j
-    0+0j 0+0j 0+0j 0+0j
-
-[initial]
-kind = random
-seed = 5
-
-[run]
-checks = symmetry_preservation
-"""
-    path = write_cfg(tmp_path, text)
-    cfg = load_scenario(path)
-    report = run_checks(cfg)
-    assert not report.overall_pass
-    record = report.records[0]
-    assert record.name == "symmetry_preservation"
-    assert "evolved" in record.inputs  # locates the transform that broke it
-    assert main(["check", str(path)]) == 1
+def test_symmetry_violation_flags_swap_asymmetric_evolution():
+    # a Bose two-particle component evolved by a Hermitian H that is not swap
+    # symmetric loses its exchange symmetry, and the symmetry check sees it
+    rng = np.random.default_rng(5)
+    component = random_state_component(rng, 2, 2, Statistics.BOSE)
+    h = np.array([[1, 0, 0, 0], [0, 0, 0.5, 0], [0, 0.5, -1, 0], [0, 0, 0, 0]], dtype=complex)
+    energies, basis = np.linalg.eigh(h)
+    u = basis @ np.diag(np.exp(-0.6j * energies)) @ basis.conj().T
+    evolved = component.with_mat(u @ component.mat @ u.conj().T)
+    assert checks._symmetry_violation(component) < 1e-12
+    assert checks._symmetry_violation(evolved) > 1e-3
 
 
 def test_strict_validation_rejects_corrupted_potential(tmp_path):

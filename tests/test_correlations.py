@@ -1,4 +1,5 @@
 import gc
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -31,6 +32,7 @@ from corrdyn.hilbert import (
     ManyBodyOperator,
     OperatorSequence,
     Statistics,
+    embed_matrix,
     group_rank,
     permutation_average,
     place_product,
@@ -430,31 +432,41 @@ def _ascending_reversed_legs(p):
 )
 @pytest.mark.parametrize("arrange", [correlations._by_size, _ascending_reversed_legs], ids=["sorted", "unsorted"])
 def test_support_row_blocks_match_placed_products(stats, d, n, couplings, arrange):
-    # one Kronecker product per group, relabeled per member, gives every
-    # reached partition's rows V^T P_p and U_p P_p as placing P_p does; the
-    # factors are not symmetric, so a wrong leg order shows
+    # one Kronecker product and one coupling per class, relabeled per member,
+    # gives sum_p V^T [P_p, Phi_p] as a loop placing P_p and embedding every
+    # support that meets each block of p; the factors are not symmetric, so a
+    # wrong leg order shows, and odd leg permutations test the Fermi sign
     rng = np.random.default_rng(76)
     pots = {k: permutation_average(random_hermitian(rng, d**k), k, d) for k in couplings}
-    spec = InteractionSpec(d=d, one_body=random_hermitian(rng, d), potentials=pots)
-    support = correlations._SupportSum(set_partitions(range(1, n + 1)), spec, n, stats, arrange)
+    spec = InteractionSpec(d=d, one_body=random_hermitian(rng, d), potentials=pots, hbar=0.7)
+    partitions = set_partitions(range(1, n + 1))
+    support = correlations._SupportSum(partitions, spec, n, stats, arrange)
     rank = group_rank(stats, n, d)
-    assert bool(support.parts) == (rank > 0)  # Fermi at d=2, n>2 has rank 0
-    if not support.parts:
+    assert bool(support.groups) == (rank > 0)  # Fermi at d=2, n>2 has rank 0
+    if not support.groups:
         return
     if n == 4:
         assert len(support.groups[(2, 2)]) == 3  # a type with tied sizes
     side = d**n
     comps = {k: rng.normal(size=(d**k, d**k)) + 1j * rng.normal(size=(d**k, d**k)) for k in range(1, n)}
-    va, up = support.row_blocks([comps[k] for k in sizes] for sizes in support.groups)
+    got = support([comps[k] for k in sizes] for sizes in support.groups)
     v = symmetric_isometry(stats, n, d)
     vt = np.eye(side) if v is None else v.T
-    u = np.einsum("zp,zrc->prc", support.incidence, vt @ support.phi.reshape(-1, side, side))
-    assert va.shape == up.shape == (len(support.parts), rank, side)
-    for members in support.groups.values():
-        for j, legs in members:
-            product = place_product([(comps[len(labels)], labels) for labels in legs], n, d)
-            for got, expected in ((va[j], vt @ product), (up[j], u[j] @ product)):
-                assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
+    expected = np.zeros((rank, side), dtype=np.complex128)
+    for p in partitions[1:]:
+        legs = arrange(p)[1]
+        product = place_product([(comps[len(labels)], labels) for labels in legs], n, d)
+        phi = sum(
+            (
+                embed_matrix(pots[k], z, n, d)
+                for k in couplings
+                for z in itertools.combinations(range(1, n + 1), k)
+                if all(set(b) & set(z) for b in p.blocks)
+            ),
+            np.zeros((side, side)),
+        )
+        expected += (1j / spec.hbar) * vt @ (product @ phi - phi @ product)
+    assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
 
 
 def test_generic_order_builds_one_product_per_block_size_type(monkeypatch):

@@ -80,11 +80,6 @@ def test_spec_validation_rejects_asymmetric_pair_coupling():
     phi = random_hermitian(rng, 4)  # Hermitian but not swap symmetric
     with pytest.raises(DomainError, match="factor-permutation"):
         InteractionSpec(d=2, one_body=SZ, potentials={2: phi})
-    # the corruption escape hatch used by the symmetry check
-    spec = InteractionSpec(
-        d=2, one_body=SZ, potentials={2: phi}, enforce_potential_symmetry=False
-    )
-    assert 2 in spec.potentials
 
 
 def test_spec_validation_rejects_one_body_coupling_order():
