@@ -149,10 +149,10 @@ def marginals_from_correlations(g: CorrelationSequence) -> MarginalSequence:
 def bbgky_rhs(F: MarginalSequence, s: int, spec: InteractionSpec) -> ManyBodyOperator:
     """Right-hand side of the coupled chain for the s-particle marginal.
 
-    -N_s F_s plus, for each satellite count n >= 1 and nonempty subset Z of
-    the kept labels, the traced commutator with Phi^(|Z|+n) coupling Z to
-    all n satellites, weighted 1/n!.  Absent couplings terminate the sum;
-    a needed marginal above the truncation raises TruncationError.
+    -N_s F_s plus, per satellite count n >= 1, the traced commutator with
+    the sum over nonempty subsets Z of the kept labels of Phi^(|Z|+n)
+    coupling Z to all n satellites, weighted 1/n!.  Absent couplings
+    terminate the sum; a needed marginal above n_max raises TruncationError.
     """
     d = spec.d
     fs = F.component(s)
@@ -167,13 +167,13 @@ def bbgky_rhs(F: MarginalSequence, s: int, spec: InteractionSpec) -> ManyBodyOpe
             )
         big = F.component(s + n).mat
         sats = tuple(range(s + 1, s + n + 1))
-        acc = np.zeros_like(big)
-        for zsize in sizes:
-            phi = spec.potentials[zsize + n]
-            for zs in itertools.combinations(range(1, s + 1), zsize):
-                emb = embed_matrix(phi, tuple(sorted(zs + sats)), s + n, d)
-                acc += -commutator_generator(big, emb, spec.hbar)
-        out += partial_trace_matrix(acc, s, s + n, d) / math.factorial(n)
+        coupling = sum(
+            embed_matrix(spec.potentials[zsize + n], zs + sats, s + n, d)
+            for zsize in sizes
+            for zs in itertools.combinations(range(1, s + 1), zsize)
+        )
+        rate = commutator_generator(big, coupling, spec.hbar)
+        out -= partial_trace_matrix(rate, s, s + n, d) / math.factorial(n)
     return ManyBodyOperator(s, d, out, F.stats)
 
 

@@ -267,8 +267,8 @@ def check_definition_consistency(config: ScenarioConfig) -> list[CheckRecord]:
 
     Data uses traceless components, the finite surrogate of unit-normalized
     ensemble data; for BOLTZMANN the truncated identity is then exact.  For
-    BOSE/FERMI the two definitions differ at finite truncation by exchange
-    terms, so this check reports the genuine deviation.
+    BOSE/FERMI the two definitions differ by a gap that does not shrink as
+    n_max grows, of open cause (ROADMAP item 1); this check reports it.
     """
     tol = config.tolerance("definition_consistency")
     rng = _rng(config, 7)

@@ -35,11 +35,11 @@ Conventions fixed here once:
       sum_p sum_choices [P_p, Phi_Z] = sum_p [P_p, Phi_p],   Phi_p = sum_{Z meets every block of p} Phi_Z,
 
   exactly (the commutator is linear).  Partitions whose factors agree up to
-  a relabeling of particles (one block-size type of an order, one relabeled
-  block structure of a cluster set) form a class.  With K the Kronecker
-  product of the class's factors on consecutive labels, Phi the class's
-  coupling on those labels, Q_p the leg permutation taking them to p's labels
-  and V the isometry of ``hilbert.symmetric_isometry`` (rank r),
+  a relabeling of particles (one block-size type of an order) form a class.
+  With K the Kronecker product of the class's factors on consecutive labels,
+  Phi the class's coupling on those labels, Q_p the leg permutation taking
+  them to p's labels and V the isometry of ``hilbert.symmetric_isometry``
+  (rank r),
 
       P_p = Q_p K Q_p^T,   Phi_p = Q_p Phi Q_p^T,   V^dagger Q_p = eps_p V^dagger:
 
@@ -54,27 +54,22 @@ Conventions fixed here once:
   and undoes each member's column legs by one signed gather; no d^n x d^n
   product or coupling is placed per partition, and rank 0 costs nothing.
   For BOLTZMANN (V = I) a member is Q_p [K, Phi] Q_p^T, one gather on both
-  legs.  One helper (``_SupportSum``) returns V^dagger of the interaction
-  sum for every right-hand side: the hierarchy order lifts it as
-  V (V^dagger acc), ``generalized_rhs`` as V ((V^dagger acc) V) V^dagger.
-  The drift -[g_n, H_n] stays dense, since inputs need not be symmetric on
-  both sides, and since leg-wise products lose to one dense GEMM at side
-  256.
+  legs.  This class term (``_SupportSum.term``) is the only implementation
+  of the interaction sum: the hierarchy orders lift it as V (V^dagger acc),
+  the tabulated orders read their blocks off it, and ``generalized_rhs``
+  differentiates the cluster correlation by the product rule along the
+  orders' right-hand sides.  The drift -[g_n, H_n] stays dense, since
+  inputs need not be symmetric on both sides, and since leg-wise products
+  lose to one dense GEMM at side 256.
 * Small orders of the RK4 right-hand side are tabulated.  With row-major
-  vec, vec(A X B) = (A (x) B^T) vec X, so the drift is
-  (i/hbar)(I (x) H^T - H (x) I) vec g_n, and the lifted interaction term of
-  a partition p is W_p vec P_p with W_p = (i/hbar)(S (x) Phi_p^T - S Phi_p (x) I),
-  Phi_p read as its class's relabeled coupling.  The block
-  product P_p is the outer product of raveled components, in p's block
-  order by size, read at p's placement index (``hilbert.placement_index``),
-  so one order is linear in one monomial per block-size type.  Built once
-  per ``integrate_hierarchy`` call, an order's block costs one GEMV per
-  stage, its monomials written one degree at a time as products of
-  gathers, where the generic plan costs a Kronecker product and three
-  r x side products per block-size type; the bound ``TABULATED_MAX_ENTRIES`` keeps tabulation where
-  the GEMV is faster (orders 1-3 at d = 2, 1-2 at d = 3, order 1 at
-  d = 4).  A single evaluation (``von_neumann_rhs``, ``generalized_rhs``)
-  stays generic: building the block costs more than one generic call.
+  vec, vec(A X B) = (A (x) B^T) vec X, the drift is
+  (i/hbar)(I (x) H^T - H (x) I) vec g_n; a block-size type's term is linear
+  in its monomial (the outer product of its raveled components, which K
+  reads at ``hilbert.placement_index``), so its block of columns is the
+  class term of the K of the unit monomials, one batch, lifted by V.  Built
+  once per ``integrate_hierarchy`` call, an order's block costs one GEMV
+  per stage; ``TABULATED_MAX_ENTRIES`` keeps tabulation where the GEMV is
+  faster (orders 1-3 at d = 2, 1-2 at d = 3, order 1 at d = 4).
 """
 
 from __future__ import annotations
@@ -86,13 +81,7 @@ from typing import Callable, Hashable, Iterable
 
 import numpy as np
 
-from .combinatorics import (
-    ClusterSet,
-    Partition,
-    block_labels,
-    cluster_partitions,
-    set_partitions,
-)
+from .combinatorics import ClusterSet, Partition, block_labels, set_partitions
 from .errors import DomainError, IntegrationError, TruncationError
 from .hamiltonian import InteractionSpec, commutator_generator, hamiltonian_matrix
 from .hilbert import (
@@ -106,7 +95,6 @@ from .hilbert import (
     place_product,
     placement_index,
     symmetric_isometry,
-    symmetrizer_matrix,
 )
 
 
@@ -136,7 +124,10 @@ class ClusterCorrelation:
             raise DomainError("cluster set does not flatten to 1..s+n")
 
 
-def _component_mats(seq: OperatorSequence) -> dict[int, np.ndarray]:
+def _component_mats(seq: OperatorSequence, m: int) -> dict[int, np.ndarray]:
+    """Component matrices, of which orders 1..m must lie within the truncation."""
+    if m > seq.n_max:
+        raise TruncationError(f"component {m} lies above the truncation n_max={seq.n_max}")
     return {n: op.mat for n, op in seq.components.items()}
 
 
@@ -149,12 +140,15 @@ def _relabeled(elements: tuple) -> tuple[tuple, tuple[int, ...]]:
 
 
 def _split_sum(
-    elements: tuple, connected: Callable[[tuple], np.ndarray], whole: dict[int, np.ndarray], d: int
+    elements: tuple, terms: list[tuple[Callable[[tuple], np.ndarray], dict[int, np.ndarray]]], d: int
 ) -> np.ndarray:
     """The exponential formula less its Q = E term: the sum, over the proper
-    sub-tuples Q of ``elements`` that hold the first element, of connected(Q)
-    on Q's sorted labels times whole[size] on the rest's.  ``elements`` and
-    the argument of ``connected`` are relabeled as by ``_relabeled``."""
+    sub-tuples Q of ``elements`` that hold the first element and over the
+    pairs (connected, whole) of ``terms``, of connected(Q) on Q's sorted
+    labels times whole[size] on the rest's.  The pairs (C', V) and (C, V')
+    give the time derivative of the pair (C, V) by the product rule.
+    ``elements`` and the argument of ``connected`` are relabeled as by
+    ``_relabeled``."""
     first, others = elements[0], elements[1:]
     m = sum(map(len, elements))
     total = np.zeros((d**m, d**m), dtype=np.complex128)
@@ -162,7 +156,8 @@ def _split_sum(
         for chosen in itertools.combinations(others, r):
             q, q_labels = _relabeled((first, *chosen))
             rest = tuple(sorted(l for el in others if el not in chosen for l in el))
-            total += place_product([(connected(q), q_labels), (whole[len(rest)], rest)], m, d)
+            for connected, whole in terms:
+                total += place_product([(connected(q), q_labels), (whole[len(rest)], rest)], m, d)
     return total
 
 
@@ -172,8 +167,19 @@ def _reconstructions(mats: dict[int, np.ndarray], m: int, d: int) -> dict[int, n
     whole: dict[int, np.ndarray] = {}
     for n in range(1, m + 1):
         singletons = tuple((l,) for l in range(1, n + 1))
-        whole[n] = mats[n] + _split_sum(singletons, lambda q: mats[len(q)], whole, d)
+        whole[n] = mats[n] + _split_sum(singletons, [(lambda q: mats[len(q)], whole)], d)
     return whole
+
+
+def _reconstruction_rates(mats: dict, rates: dict, whole: dict, d: int) -> dict[int, np.ndarray]:
+    """Time derivatives of the reconstructions ``whole`` along the component
+    rates g'_n, by the product rule: R'_n = g'_n + split(g', R) + split(g, R')."""
+    whole_rates: dict[int, np.ndarray] = {}
+    for n in whole:
+        singletons = tuple((l,) for l in range(1, n + 1))
+        terms = [(lambda q: rates[len(q)], whole), (lambda q: mats[len(q)], whole_rates)]
+        whole_rates[n] = rates[n] + _split_sum(singletons, terms, d)
+    return whole_rates
 
 
 def density_to_correlations(D: OperatorSequence) -> CorrelationSequence:
@@ -186,11 +192,11 @@ def density_to_correlations(D: OperatorSequence) -> CorrelationSequence:
     the pair is an exact bijection on statistics-symmetric sequences.
     """
     d, stats = D.d, D.stats
-    mats = _component_mats(D)
+    mats = _component_mats(D, D.n_max)
     connected: dict[int, np.ndarray] = {}
     out = {}
     for n in range(1, D.n_max + 1):
-        split = _split_sum(tuple((l,) for l in range(1, n + 1)), lambda q: connected[len(q)], mats, d)
+        split = _split_sum(tuple((l,) for l in range(1, n + 1)), [(lambda q: connected[len(q)], mats)], d)
         connected[n] = mats[n] - split
         out[n] = ManyBodyOperator(n, d, mats[n] - group_average(stats, split, n, d), stats)
     return CorrelationSequence(d=d, stats=stats, n_max=D.n_max, f0=0j, components=out)
@@ -203,7 +209,7 @@ def correlations_to_density(g: OperatorSequence) -> OperatorSequence:
     the scalar part is set to one (its empty-set convention).
     """
     d, stats = g.d, g.stats
-    whole = _reconstructions(_component_mats(g), g.n_max, d)
+    whole = _reconstructions(_component_mats(g, g.n_max), g.n_max, d)
     out = {n: ManyBodyOperator(n, d, group_average(stats, r, n, d), stats) for n, r in whole.items()}
     return OperatorSequence(d=d, stats=stats, n_max=g.n_max, f0=1.0 + 0j, components=out)
 
@@ -225,7 +231,7 @@ def cluster_correlation_matrix(g: OperatorSequence, elements: tuple) -> tuple[np
     """
     local, labels = _relabeled(tuple(block_labels((el,)) for el in elements))
     m, d = len(labels), g.d
-    mats = _component_mats(g)
+    mats = _component_mats(g, m)
     memo = {tuple((l,) for l in range(1, k + 1)): mats[k] for k in range(1, m + 1)}
     whole = {} if local in memo else _reconstructions(mats, m, d)  # all singletons: C = g_m
     return group_compress(g.stats, _connected(local, memo, whole, d), m, d), labels
@@ -237,8 +243,19 @@ def _connected(q: tuple, memo: dict[tuple, np.ndarray], whole: dict[int, np.ndar
     itself, so that a call leaves no reference cycle holding the memo."""
     if q not in memo:
         connected = partial(_connected, memo=memo, whole=whole, d=d)
-        memo[q] = whole[sum(map(len, q))] - _split_sum(q, connected, whole, d)
+        memo[q] = whole[sum(map(len, q))] - _split_sum(q, [(connected, whole)], d)
     return memo[q]
+
+
+def _connected_rate(q: tuple, rates: dict, memo: dict, whole: dict, whole_rates: dict, d: int) -> np.ndarray:
+    """Time derivative of ``_connected`` by the product rule,
+    C'(q) = R'_|q| - split(C', R) - split(C, R') with R' = ``whole_rates``
+    by size, memoized in ``rates``."""
+    if q not in rates:
+        value = partial(_connected, memo=memo, whole=whole, d=d)
+        rate = partial(_connected_rate, rates=rates, memo=memo, whole=whole, whole_rates=whole_rates, d=d)
+        rates[q] = whole_rates[sum(map(len, q))] - _split_sum(q, [(rate, whole), (value, whole_rates)], d)
+    return rates[q]
 
 
 def clusterize(g: OperatorSequence, s: int, n: int) -> ClusterCorrelation:
@@ -249,8 +266,6 @@ def clusterize(g: OperatorSequence, s: int, n: int) -> ClusterCorrelation:
     """
     if s < 1:
         raise DomainError("cluster size s must be >= 1")
-    if s + n > g.n_max:
-        raise TruncationError(f"clusterize needs component {s + n} > n_max={g.n_max}")
     xc = ClusterSet.canonical(s, n)
     mat, _ = cluster_correlation_matrix(g, tuple(el.labels for el in xc.elements))
     return ClusterCorrelation(s, n, ManyBodyOperator(s + n, g.d, mat, g.stats), xc)
@@ -262,27 +277,18 @@ def clusterize(g: OperatorSequence, s: int, n: int) -> ClusterCorrelation:
 
 
 class _SupportSum:
-    """Projected interaction sum of one hierarchy order or cluster set.
+    """Projected interaction sum of one hierarchy order.
 
     Returns V^dagger acc, V the ``symmetric_isometry`` of the order (acc
     itself for BOLTZMANN), with acc = (i/hbar) sum_p [P_p, Phi_p] over the
-    multi-block partitions p: P_p the product of p's block factors and
-    Phi_p the sum of the embedded k-body couplings whose support meets every
-    block of p.  Partitions that no support reaches are dropped.
-
-    ``arrange`` maps a partition to a class key and its factors' label
-    tuples; the members of one class share their factors, in that order.
-    With K the Kronecker product of the factors on consecutive labels, Phi
-    the class's coupling on those labels and Q_p a member's leg permutation,
-    the three identities of the module docstring give
-
-        V^dagger [P_p, Phi_p] = eps_p ((V^dagger K) Phi - (V^dagger Phi) K) Q_p^T,
-
-    so a call builds K once per class, makes three r x side products and
-    undoes each member's column legs by one signed gather.  For BOLTZMANN
-    (V = I) a member is Q_p [K, Phi] Q_p^T, one gather on both legs.
-    ``groups`` is empty when no partition is reached or the rank r is zero,
-    and then no product need be built.
+    multi-block partitions p that some coupling support reaches.  ``arrange``
+    maps a partition to a class key and its factors' label tuples; the
+    members of one class share their factors, in that order.  ``term`` is a
+    class's share, the class term of the module docstring, for a Kronecker
+    product K of the factors on consecutive labels: a call builds K once per
+    class, and ``_TabulatedOrders`` evaluates the term on the K of every
+    unit monomial as one batch.  ``groups`` is empty when no partition is
+    reached or the rank r is zero, and then no product need be built.
     """
 
     def __init__(
@@ -312,33 +318,40 @@ class _SupportSum:
                 self.groups[key], self.phi[key] = tuple(members), phi
 
     @cached_property
-    def _layouts(self) -> list[tuple]:
-        """Per class: the consecutive labels of K, Phi, V^dagger Phi, and the
-        members' index maps and signs.  The maps undo the column legs (both
-        legs, flat, for BOLTZMANN, where V^dagger Phi and the signs are
+    def _layouts(self) -> dict[Hashable, tuple]:
+        """Per class key: the consecutive labels of K, Phi, V^dagger Phi, and
+        the members' index maps and signs.  The maps undo the column legs
+        (both legs, flat, for BOLTZMANN, where V^dagger Phi and the signs are
         None)."""
         side, v = self.side, self.v
-        layouts = []
+        layouts = {}
         for key, members in self.groups.items():
             labels, phi = _consecutive(members[0]), self.phi[key]
             undo, parity = _relabelings(members, self.n, self.d)
             if v is None:
-                layouts.append((labels, phi, None, undo[:, :, None] * side + undo[:, None, :], None))
+                layouts[key] = (labels, phi, None, undo[:, :, None] * side + undo[:, None, :], None)
             else:
                 signs = np.array([self.stats.permutation_sign(bit) for bit in parity])
-                layouts.append((labels, phi, v.T @ phi, undo, signs))
+                layouts[key] = (labels, phi, v.T @ phi, undo, signs)
         return layouts
+
+    def term(self, key: Hashable, k: np.ndarray) -> np.ndarray:
+        """Class ``key``'s share of V^dagger acc, less the factor i/hbar:
+        sum_p eps_p ((V^dagger K) Phi - (V^dagger Phi) K) Q_p^T over the
+        members, for the class's Kronecker product ``k`` on consecutive
+        labels (sum_p Q_p [K, Phi] Q_p^T for BOLTZMANN).  Leading axes of
+        ``k`` are batch axes."""
+        _, phi, v_phi, index, signs = self._layouts[key]
+        if v_phi is None:
+            return (k @ phi - phi @ k).reshape(*k.shape[:-2], -1)[..., index].sum(axis=-3)
+        return signs @ ((self.v.T @ k) @ phi - v_phi @ k)[..., index]
 
     def __call__(self, factors: Iterable[list[np.ndarray]]) -> np.ndarray:
         """V^dagger acc.  ``factors`` holds, per class in ``groups`` order,
         the factor matrices in the order of the members' label tuples."""
         acc = np.zeros((self.rank, self.side), dtype=np.complex128)
-        for (labels, phi, v_phi, index, signs), mats in zip(self._layouts, factors):
-            k = place_product(list(zip(mats, labels)), self.n, self.d)
-            if v_phi is None:
-                acc += (k @ phi - phi @ k).take(index).sum(axis=0)
-            else:
-                acc += signs @ ((self.v.T @ k) @ phi - v_phi @ k)[:, index]
+        for (key, (labels, *_)), mats in zip(self._layouts.items(), factors):
+            acc += self.term(key, place_product(list(zip(mats, labels)), self.n, self.d))
         return (1j / self.hbar) * acc
 
 
@@ -385,16 +398,6 @@ def _by_size(p: Partition) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]
     return tuple(map(len, legs)), legs
 
 
-def _by_structure(p: Partition) -> tuple[tuple[tuple, ...], tuple[tuple[int, ...], ...]]:
-    """Blocks of a partition of cluster elements, each relabeled as by
-    ``_relabeled`` and sorted, and their sorted labels in that order.  A
-    block's cluster correlation depends only on its relabeled elements, so
-    partitions with the same sorted structures share their factors."""
-    relabeled = (_relabeled(tuple(block_labels((el,)) for el in b)) for b in p.blocks)
-    blocks = sorted(relabeled, key=lambda block: block[0])
-    return tuple(q for q, _ in blocks), tuple(labels for _, labels in blocks)
-
-
 class _OrderPlan:
     """Right-hand side of hierarchy order n on component matrices (orders <= n),
     with the Hamiltonian and the projected support sum built once.  The
@@ -430,7 +433,7 @@ def von_neumann_rhs(g: OperatorSequence, n: int, spec: InteractionSpec) -> ManyB
     without a matching Phi^(k) contribute zero.  For n = 1 this is just
     -N_1 g_1.
     """
-    return ManyBodyOperator(n, spec.d, _OrderPlan(n, g.stats, spec)(_component_mats(g)), g.stats)
+    return ManyBodyOperator(n, spec.d, _OrderPlan(n, g.stats, spec)(_component_mats(g, n)), g.stats)
 
 
 def generalized_rhs(
@@ -438,27 +441,29 @@ def generalized_rhs(
 ) -> ManyBodyOperator:
     """Time derivative of a cluster correlation, driven by the base sequence.
 
-    Block factors are the cluster correlations of each sub-collection of
-    elements (each carrying its own group average, then embedded); the
-    atomic cluster is never split by the outer partitions, but coupling
-    supports range over the flattened labels.  A block's factor depends only
-    on its relabeled elements, so it is computed once per structure and the
-    partitions of one sorted block structure share one Kronecker product and
-    one coupling.
+    The product rule on the exponential formula of
+    ``cluster_correlation_matrix``, along the right-hand sides g'_n of the
+    hierarchy orders n <= |X| (``_OrderPlan``): the reconstructions move as
+    R'_n = g'_n + split(g', R) + split(g, R') and the connected parts as
+    C'(q) = R'_|q| - split(C', R) - split(C, R'), memoized per relabeled
+    sub-tuple, with the two-sided group average outermost.  The interaction
+    sum is thus the order plans' alone.  The group averages inside g'_n need
+    no undoing: they act on the ket side of label subsets Q, and the outer
+    average absorbs them, S_m (S_Q (x) I) = S_m.
     """
     labels = cluster.declusterize()
-    ntot = len(labels)
-    if tuple(sorted(labels)) != tuple(range(1, ntot + 1)):
+    m, d = len(labels), g.d
+    if tuple(sorted(labels)) != tuple(range(1, m + 1)):
         raise DomainError("cluster set must flatten to labels 1..s+n")
-    own, _ = cluster_correlation_matrix(g, tuple(el.labels for el in cluster.elements))
-    out = -commutator_generator(own, hamiltonian_matrix(ntot, spec), spec.hbar)
-    support = _SupportSum(cluster_partitions(cluster), spec, ntot, g.stats, _by_structure)
-    if support.groups:
-        factors = {q: cluster_correlation_matrix(g, q)[0] for key in support.groups for q in key}
-        proj = support([factors[q] for q in key] for key in support.groups)
-        v = support.v
-        out += proj if v is None else v @ (proj @ v) @ v.T
-    return ManyBodyOperator(ntot, spec.d, out, g.stats)
+    local, _ = _relabeled(tuple(el.labels for el in cluster.elements))
+    mats = _component_mats(g, m)
+    rates = {n: _OrderPlan(n, g.stats, spec)(mats) for n in range(1, m + 1)}
+    singletons = [tuple((l,) for l in range(1, k + 1)) for k in range(1, m + 1)]
+    memo, memo_rates = {q: mats[len(q)] for q in singletons}, {q: rates[len(q)] for q in singletons}
+    whole = {} if local in memo else _reconstructions(mats, m, d)  # all singletons: C' = g'_m
+    whole_rates = _reconstruction_rates(mats, rates, whole, d)
+    rate = _connected_rate(local, memo_rates, memo, whole, whole_rates, d)
+    return ManyBodyOperator(m, d, group_compress(g.stats, rate, m, d), g.stats)
 
 
 # --------------------------------------------------------------------------
@@ -478,36 +483,28 @@ class _TabulatedOrders:
     """Right-hand side of orders 1..m as one matrix W on the flat state.
 
     Row block n of W holds the drift (i/hbar)(I (x) H^T - H (x) I) on vec g_n
-    and, per block-size type lambda of order n, the sum over its partitions p
-    of W_p = (i/hbar)(S (x) Phi_p^T - S Phi_p (x) I), with the columns of W_p
-    scattered by the placement index of p; Phi_p = Q_p Phi Q_p^T is the
-    type's coupling relabeled to p's legs (``_SupportSum``).  A call applies W
-    to the flat components of orders 1..m followed by one monomial per type,
-    the outer product of the raveled components of sizes lambda; the
-    monomials of one degree are written by one product of gathers from the
-    state, with index arrays built once.
+    and, per block-size type lambda of order n, the type's lifted class term
+    (i/hbar) V ``_SupportSum.term`` as a linear map of its monomial, the
+    outer product of the raveled components of sizes lambda: column c is
+    the term at the Kronecker product of unit monomial c, all columns one
+    batch.  A call applies W to the flat components of orders 1..m followed
+    by one monomial per type; the monomials of one degree are written by one
+    product of gathers from the state, with index arrays built once.
     """
 
     def __init__(self, plans: list[_OrderPlan], bounds: list[int]):
         self.length = width = bounds[len(plans)]
         blocks, types = [], []
         for plan, row in zip(plans, bounds):
-            side, n = plan.h.shape[0], plan.n
+            side, support = plan.h.shape[0], plan.support
             eye = np.eye(side)
             blocks.append((row, row, (1j / plan.hbar) * (np.kron(eye, plan.h.T) - np.kron(plan.h, eye))))
-            support = plan.support
-            if not support.groups:
-                continue
-            sym = symmetrizer_matrix(plan.stats, n, plan.d)
             for sizes, members in sorted(support.groups.items(), reverse=True):
-                block = np.zeros((side**2, side**2), dtype=np.complex128)
-                phi = support.phi[sizes]
-                for legs, undo in zip(members, _relabelings(members, n, plan.d)[0]):
-                    b = phi[np.ix_(undo, undo)]
-                    index = placement_index(legs, n, plan.d)
-                    s_b = group_average(plan.stats, b, n, plan.d)
-                    block[:, index] += (1j / plan.hbar) * (np.kron(sym, b.T) - np.kron(s_b, eye))
-                types.append((row, [(bounds[k - 1], bounds[k]) for k in sizes], block))
+                # row c: the Kronecker product K of the type's unit monomial c
+                index = placement_index(tuple(_consecutive(members[0])), plan.n, plan.d)
+                term = support.term(sizes, np.eye(side**2)[:, index].reshape(-1, side, side))
+                lifted = (1j / plan.hbar) * (term if support.v is None else support.v @ term)
+                types.append((row, [(bounds[k - 1], bounds[k]) for k in sizes], lifted.reshape(side**2, -1).T))
         # the monomials of one degree take one contiguous run of columns, so
         # that a call writes them all with one product of gathered factors
         self.monomials: list[tuple[int, int, list[np.ndarray]]] = []

@@ -12,8 +12,8 @@ occupation-number isometry V_n with S_n = V_n V_n^dagger
 (``symmetric_isometry``, rank r).  ``group_average`` applies it as
 V (V^dagger M) and ``group_compress`` as V (V^dagger M V) V^dagger, products
 with r rows or columns in place of the d^{3n} dense product with S_n.
-``symmetrizer_matrix`` builds S_n itself, for the callers that need it as a
-matrix.
+``symmetrizer_matrix`` builds S_n itself, used only for the traceless shift
+of the state sampler and read by the benchmark's cache counters.
 """
 
 from __future__ import annotations
@@ -363,9 +363,8 @@ def symmetrizer_matrix(stats: Statistics, n: int, d: int) -> np.ndarray:
 
     The orthogonal projection onto the (anti)symmetric subspace, built as
     V V^dagger from ``symmetric_isometry``; the identity for BOLTZMANN.
-    Only callers that need S itself as a matrix use it: the tabulated
-    right-hand side (``correlations._TabulatedOrders``, S as a Kronecker
-    factor) and the traceless shift of ``random_state_component``.
+    Only the traceless shift of ``random_state_component`` needs S itself
+    as a matrix; ``corrbench`` counts this cache's hits and misses.
     """
     v = symmetric_isometry(stats, n, d)
     out = np.eye(d**n, dtype=np.complex128) if v is None else v @ v.T

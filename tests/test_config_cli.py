@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -414,6 +415,9 @@ def test_cli_evolve_from_sequence_file(tmp_path):
 
 def test_determinism_scenario_reports_are_byte_identical(tmp_path):
     scenario = SCENARIOS / "determinism.cfg"
+    # the child process imports corrdyn from this checkout, installed or not
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
     outputs = []
     for tag in ("a", "b"):
         out = tmp_path / f"{tag}.jsonl"
@@ -422,6 +426,7 @@ def test_determinism_scenario_reports_are_byte_identical(tmp_path):
              "--format", "jsonl", "--out", str(out)],
             capture_output=True,
             cwd=REPO,
+            env=env,
         )
         assert proc.returncode == 0, proc.stderr.decode()
         outputs.append(out.read_bytes())

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from corrdyn.bbgky import chaos_cluster_solution, cumulant_apply
 from corrdyn import correlations
-from corrdyn.combinatorics import ClusterSet, set_partitions
+from corrdyn.combinatorics import ClusterElement, ClusterSet, block_labels, cluster_partitions, set_partitions
 from corrdyn.correlations import (
     ClusterCorrelation,
     CorrelationSequence,
@@ -33,6 +33,7 @@ from corrdyn.hilbert import (
     OperatorSequence,
     Statistics,
     embed_matrix,
+    group_compress,
     group_rank,
     permutation_average,
     place_product,
@@ -208,6 +209,18 @@ def test_clusterize_truncation_guard():
     g = density_to_correlations(random_sequence(rng, 2, Statistics.BOSE, 2))
     with pytest.raises(TruncationError):
         clusterize(g, 2, 1)
+
+
+def test_truncation_guard_on_rhs_and_cluster_correlation():
+    # an order or a cluster above n_max is a truncation error, not a missing key
+    rng = np.random.default_rng(60)
+    g = density_to_correlations(random_sequence(rng, 2, Statistics.BOSE, 2))
+    with pytest.raises(TruncationError):
+        von_neumann_rhs(g, 3, pair_spec())
+    with pytest.raises(TruncationError):
+        generalized_rhs(g, ClusterSet.canonical(2, 1), pair_spec())
+    with pytest.raises(TruncationError):
+        cluster_correlation_matrix(g, ((1, 2), (3,)))
 
 
 @pytest.mark.parametrize("stats", ALL_STATS, ids=str)
@@ -569,6 +582,57 @@ def test_generalized_hierarchy_residual_richardson(stats):
             assert trace_norm(deriv - rhs) < 1e-8
 
 
+def _partition_loop_generalized_rhs(g, cluster, spec):
+    # -[C_X, H] plus the two-sided average of sum_p (i/hbar) [P_p, Phi_p] over
+    # the multi-block partitions p of the cluster elements: P_p the placed
+    # product of the blocks' cluster correlations, Phi_p every embedded
+    # coupling whose support meets each block's labels
+    d, m = g.d, len(cluster.declusterize())
+    own, _ = cluster_correlation_matrix(g, tuple(el.labels for el in cluster.elements))
+    out = -commutator_generator(own, hamiltonian_matrix(m, spec), spec.hbar)
+    acc = np.zeros_like(out)
+    for p in cluster_partitions(cluster):
+        if p.size < 2:
+            continue
+        factors = [cluster_correlation_matrix(g, tuple(el.labels for el in b)) for b in p.blocks]
+        product = place_product(factors, m, d)
+        blocks = [block_labels(b) for b in p.blocks]
+        for k, phi in spec.potentials.items():
+            for z in itertools.combinations(range(1, m + 1), k):
+                if all(set(b) & set(z) for b in blocks):
+                    coupling = embed_matrix(phi, z, m, d)
+                    acc += (1j / spec.hbar) * (product @ coupling - coupling @ product)
+    return out + group_compress(g.stats, acc, m, d)
+
+
+@pytest.mark.parametrize("stats", ALL_STATS, ids=str)
+@pytest.mark.parametrize("d, n_max", [(2, 4), (3, 4), (4, 3)])
+@pytest.mark.parametrize("couplings", [(2,), (2, 3)], ids=["2-body", "2+3-body"])
+@pytest.mark.parametrize("raw", [False, True], ids=["symmetric", "raw"])
+def test_generalized_rhs_matches_partition_loop(stats, d, n_max, couplings, raw):
+    # the product rule on the exponential formula gives the interaction sum
+    # over the partitions of the cluster elements, on canonical and on
+    # reordered or paired cluster sets, for data symmetric or not
+    rng = np.random.default_rng(78)
+    pots = {k: permutation_average(random_hermitian(rng, d**k), k, d) for k in couplings}
+    spec = InteractionSpec(d=d, one_body=random_hermitian(rng, d), potentials=pots, hbar=0.7)
+    if raw:
+        shapes = {n: (d**n, d**n) for n in range(1, n_max + 1)}
+        mats = {n: rng.normal(size=sh) + 1j * rng.normal(size=sh) for n, sh in shapes.items()}
+        comps = {n: ManyBodyOperator(n, d, mat, stats) for n, mat in mats.items()}
+        g = OperatorSequence(d=d, stats=stats, n_max=n_max, components=comps)
+    else:
+        g = density_to_correlations(random_sequence(rng, d, stats, n_max))
+    clusters = [ClusterSet.canonical(s, m - s) for m in range(1, n_max + 1) for s in range(1, m + 1)]
+    clusters.append(ClusterSet((ClusterElement((1, 3)), ClusterElement((2,)))))
+    if n_max >= 4:
+        clusters.append(ClusterSet((ClusterElement((1, 2)), ClusterElement((3, 4)))))
+    for cluster in clusters:
+        expected = _partition_loop_generalized_rhs(g, cluster, spec)
+        got = generalized_rhs(g, cluster, spec).mat
+        assert np.linalg.norm(got - expected) <= 1e-13 * max(1.0, np.linalg.norm(expected))
+
+
 def test_generalized_rhs_free_coupling():
     free = InteractionSpec(d=2, one_body=pair_spec().one_body)
     rng = np.random.default_rng(67)
@@ -619,6 +683,26 @@ def test_integrate_rejects_bad_step_count():
     g0 = CorrelationSequence(d=2, stats=Statistics.BOSE, n_max=2)
     with pytest.raises(DomainError):
         integrate_hierarchy(g0, 1.0, 0, spec)
+
+
+@pytest.mark.parametrize("stats", QUANTUM, ids=str)
+def test_integrate_builds_no_dense_projector(stats, monkeypatch):
+    # the tabulated orders (1-3 at d=2) read their blocks off the class term
+    # and never build the dense group average S
+    from corrdyn import hilbert
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense projector built")
+
+    rng = np.random.default_rng(79)
+    g0 = density_to_correlations(random_sequence(rng, 2, stats, 3))
+    spec = mixed_spec()
+    expected, _ = reference_rk4(g0, 0.1, 2, spec)
+    for module in (hilbert, correlations):
+        monkeypatch.setattr(module, "symmetrizer_matrix", refuse, raising=False)
+    out = integrate_hierarchy(g0, 0.1, 2, spec)
+    for n in (1, 2, 3):
+        assert np.linalg.norm(out.component(n).mat - expected[n]) <= 1e-13 * np.linalg.norm(expected[n])
 
 
 def reference_rk4(g0, t_final, steps, spec):
