@@ -18,10 +18,9 @@ from corrdyn import (
     EvolutionCache,
     InteractionSpec,
     Statistics,
+    BBGKYSeries,
     integrate_hierarchy,
-    marginal_from_clusters,
     marginals_from_correlations,
-    solve_bbgky_series,
     trace_norm,
 )
 from corrdyn.hilbert import random_hermitian, random_state_component
@@ -52,25 +51,24 @@ def main() -> None:
     g1 = random_state_component(rng, 1, 2, stats, positive=True)
     g0 = CorrelationSequence(d=2, stats=stats, n_max=args.n_max, components={1: g1})
     f0 = marginals_from_correlations(g0)
+    series = {s: BBGKYSeries(f0, s, cache) for s in range(1, args.n_max + 1)}
 
     print(f"stats={stats}  n_max={args.n_max}  seed={args.seed}")
     print("\n t      n_0      n_1      |coherence|")
     for k in range(9):
         t = args.t_final * k / 8
-        f1 = solve_bbgky_series(f0, t, 1, cache).mat
+        f1 = series[1].at(t).mat
         print(f"{t:5.3f}  {f1[0, 0].real:7.4f}  {f1[1, 1].real:7.4f}  {abs(f1[0, 1]):11.4f}")
 
     print("\nseries vs RK4 integration of the hierarchy (max gap over orders)")
     print("steps/unit   gap          order")
     t = args.t_final
+    reference = {s: series[s].at(t) for s in series}
     previous = None
     for steps_per_unit in (125, 250, 500, 1000):
         steps = max(1, round(steps_per_unit * t))
-        g_t = integrate_hierarchy(g0, t, steps, spec)
-        gap = max(
-            trace_norm(marginal_from_clusters(g_t, s) - solve_bbgky_series(f0, t, s, cache))
-            for s in range(1, args.n_max + 1)
-        )
+        f_t = marginals_from_correlations(integrate_hierarchy(g0, t, steps, spec))
+        gap = max(trace_norm(f_t.component(s) - reference[s]) for s in series)
         order = "" if previous is None or gap == 0 else f"{math.log2(previous / gap):5.2f}"
         print(f"{steps_per_unit:10d}   {gap:.3e}   {order}")
         previous = gap

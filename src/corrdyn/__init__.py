@@ -49,6 +49,7 @@ from .correlations import (
     von_neumann_rhs,
 )
 from .bbgky import (
+    BBGKYSeries,
     CumulantBoundReport,
     MarginalSequence,
     WeightedNormParams,

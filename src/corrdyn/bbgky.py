@@ -26,7 +26,15 @@ Hence, for any data,
 
 with the legs Y u Z kept in order.  Conjugation and the trace over Z see Z
 only through its size, so the subsets of one size k, over every satellite
-count n, are summed before one conjugation by U_{s+k}.
+count n, are summed before one conjugation by U_{s+k}.  These subset sums
+do not depend on t: ``BBGKYSeries`` builds them once per (F0, s), and each
+time point, of the solution or of its derivative, costs only the
+conjugations.
+
+The reduced operators of a correlation sequence trace its cluster
+correlations; every satellite count and every order of one call shares one
+memo of the sequence's reconstructions and connected parts
+(``correlations._ClusterMemo``), dropped when the call returns.
 """
 
 from __future__ import annotations
@@ -56,7 +64,7 @@ from .hilbert import (
     trace_keeping,
     trace_norm,
 )
-from .correlations import CorrelationSequence, ClusterCorrelation, clusterize
+from .correlations import CorrelationSequence, ClusterCorrelation, _ClusterMemo
 
 SERIES_CONVERGENCE_ALPHA = math.e
 
@@ -130,20 +138,30 @@ def cumulant_apply(
 
 def marginal_from_clusters(g: CorrelationSequence, s: int) -> ManyBodyOperator:
     """Reduced s-particle operator: sum over satellite counts of the traced
-    cluster correlations with 1/n! weights, truncated at s+n <= n_max."""
+    cluster correlations with 1/n! weights, truncated at s+n <= n_max.  The
+    satellite counts share one cluster-correlation memo."""
+    return _marginal(_ClusterMemo(g), s)
+
+
+def marginals_from_correlations(g: CorrelationSequence) -> MarginalSequence:
+    """Reduced operators of every order 1..n_max, all orders sharing one
+    cluster-correlation memo."""
+    clusters = _ClusterMemo(g)
+    comps = {s: _marginal(clusters, s) for s in range(1, g.n_max + 1)}
+    return MarginalSequence(d=g.d, stats=g.stats, n_max=g.n_max, components=comps)
+
+
+def _marginal(clusters: _ClusterMemo, s: int) -> ManyBodyOperator:
+    """``marginal_from_clusters`` of the memo's sequence."""
+    g = clusters.g
     if s > g.n_max:
         raise TruncationError(f"marginal order {s} exceeds n_max={g.n_max}")
     d = g.d
     out = np.zeros((d**s, d**s), dtype=np.complex128)
     for n in range(0, g.n_max - s + 1):
-        cc = clusterize(g, s, n)
+        cc = clusters.clusterize(s, n)
         out += partial_trace_matrix(cc.op.mat, s, s + n, d) / math.factorial(n)
     return ManyBodyOperator(s, d, out, g.stats)
-
-
-def marginals_from_correlations(g: CorrelationSequence) -> MarginalSequence:
-    comps = {s: marginal_from_clusters(g, s) for s in range(1, g.n_max + 1)}
-    return MarginalSequence(d=g.d, stats=g.stats, n_max=g.n_max, components=comps)
 
 
 def bbgky_rhs(F: MarginalSequence, s: int, spec: InteractionSpec) -> ManyBodyOperator:
@@ -177,60 +195,79 @@ def bbgky_rhs(F: MarginalSequence, s: int, spec: InteractionSpec) -> ManyBodyOpe
     return ManyBodyOperator(s, d, out, F.stats)
 
 
-def _evolved_subset_sums(F0: MarginalSequence, t: float, s: int, cache: EvolutionCache):
-    """Yield (k, U_{s+k}(t) G_k U_{s+k}(t)^dagger) for k = 0..n_max-s, where
-    G_k = sum_{n >= k} ((-1)^(n-k) / n!) sum_{|Z| = k} Tr_{X-Z} F0_{s+n}
-    on the legs Y u Z in order (see the module docstring)."""
-    if s > F0.n_max:
-        raise TruncationError(f"series order {s} exceeds n_max={F0.n_max}")
-    d = cache.spec.d
-    core = tuple(range(1, s + 1))
-    for k in range(0, F0.n_max - s + 1):
-        g = np.zeros((d ** (s + k), d ** (s + k)), dtype=np.complex128)
-        for n in range(k, F0.n_max - s + 1):
-            f = F0.component(s + n).mat
-            weight = (-1) ** (n - k) / math.factorial(n)
-            for z in itertools.combinations(range(s + 1, s + n + 1), k):
-                g += weight * trace_keeping(f, core + z, s + n, d)
-        u = cache.propagator(s + k, t)
-        yield k, u @ g @ u.conj().T
+class BBGKYSeries:
+    """Cumulant-series solution of the chain for the s-particle marginal
+    from initial marginals ``F0``.
+
+    Finite sum over satellite counts n of the traced cumulants
+    (1/n!) Tr_X A_{1+n}(t) F0_{s+n}, each taken in the subset form of the
+    module docstring.  Only the conjugation depends on t, so the subset sums
+
+        G_k = sum_{n >= k} ((-1)^(n-k) / n!) sum_{|Z| = k} Tr_{X-Z} F0_{s+n},
+
+    k = 0..n_max-s, on the legs Y u Z in order, are built once, at
+    construction (2^(n_max-s+1) - 1 partial traces of the initial data), and
+    a time point costs one conjugation by U_{s+k}(t) per k.  With data
+    supported on at most n_max particles the truncation is exact, so the
+    series matches time integration to its own error.
+    """
+
+    def __init__(self, F0: MarginalSequence, s: int, cache: EvolutionCache):
+        if s > F0.n_max:
+            raise TruncationError(f"series order {s} exceeds n_max={F0.n_max}")
+        self.s, self.stats, self.cache = s, F0.stats, cache
+        d = cache.spec.d
+        core = tuple(range(1, s + 1))
+        self.sums: list[np.ndarray] = []
+        for k in range(0, F0.n_max - s + 1):
+            g = np.zeros((d ** (s + k), d ** (s + k)), dtype=np.complex128)
+            for n in range(k, F0.n_max - s + 1):
+                f = F0.component(s + n).mat
+                weight = (-1) ** (n - k) / math.factorial(n)
+                for z in itertools.combinations(range(s + 1, s + n + 1), k):
+                    g += weight * trace_keeping(f, core + z, s + n, d)
+            self.sums.append(g)
+
+    def _evolved(self, t: float):
+        """Yield (k, U_{s+k}(t) G_k U_{s+k}(t)^dagger) for each k."""
+        for k, g in enumerate(self.sums):
+            u = self.cache.propagator(self.s + k, t)
+            yield k, u @ g @ u.conj().T
+
+    def at(self, t: float) -> ManyBodyOperator:
+        """The s-particle marginal at time t."""
+        s, d = self.s, self.cache.spec.d
+        out = np.zeros((d**s, d**s), dtype=np.complex128)
+        for k, evolved in self._evolved(t):
+            out += partial_trace_matrix(evolved, s, s + k, d)
+        return ManyBodyOperator(s, d, out, self.stats)
+
+    def rate(self, t: float) -> ManyBodyOperator:
+        """Exact d/dt of ``at``: each evolved subset sum differentiates to
+        minus the commutator generator of H_{s+k} applied to it, before the
+        trace over the kept satellites; no finite differencing."""
+        s, cache = self.s, self.cache
+        d = cache.spec.d
+        out = np.zeros((d**s, d**s), dtype=np.complex128)
+        for k, evolved in self._evolved(t):
+            rate = -commutator_generator(evolved, cache.hamiltonian(s + k), cache.spec.hbar)
+            out += partial_trace_matrix(rate, s, s + k, d)
+        return ManyBodyOperator(s, d, out, self.stats)
 
 
 def solve_bbgky_series(
     F0: MarginalSequence, t: float, s: int, cache: EvolutionCache
 ) -> ManyBodyOperator:
-    """Solution of the chain at time t from initial marginals.
-
-    Finite sum over satellite counts n of the traced cumulants
-    (1/n!) Tr_X A_{1+n}(t) F0_{s+n}, each taken in the subset form of the
-    module docstring: 2^(n_max-s+1) - 1 partial traces of the initial data
-    and one conjugation by U_{s+k}(t) per kept satellite count k.  With data
-    supported on at most n_max particles the truncation is exact, so this
-    matches time integration to its own error.
-    """
-    d = cache.spec.d
-    out = np.zeros((d**s, d**s), dtype=np.complex128)
-    for k, evolved in _evolved_subset_sums(F0, t, s, cache):
-        out += partial_trace_matrix(evolved, s, s + k, d)
-    return ManyBodyOperator(s, d, out, F0.stats)
+    """Solution of the chain at time t from initial marginals: one time
+    point of ``BBGKYSeries``."""
+    return BBGKYSeries(F0, s, cache).at(t)
 
 
 def solve_series_time_derivative(
     F0: MarginalSequence, t: float, s: int, cache: EvolutionCache
 ) -> ManyBodyOperator:
-    """Exact d/dt of ``solve_bbgky_series`` at time t.
-
-    In the subset form only the conjugation by U_{s+k}(t) depends on t, so
-    each evolved subset sum differentiates to minus the commutator generator
-    of H_{s+k} applied to it, before the trace over the kept satellites; no
-    finite differencing.
-    """
-    d = cache.spec.d
-    out = np.zeros((d**s, d**s), dtype=np.complex128)
-    for k, evolved in _evolved_subset_sums(F0, t, s, cache):
-        rate = -commutator_generator(evolved, cache.hamiltonian(s + k), cache.spec.hbar)
-        out += partial_trace_matrix(rate, s, s + k, d)
-    return ManyBodyOperator(s, d, out, F0.stats)
+    """Exact d/dt of ``solve_bbgky_series`` at time t: ``BBGKYSeries.rate``."""
+    return BBGKYSeries(F0, s, cache).rate(t)
 
 
 def chaos_cluster_solution(

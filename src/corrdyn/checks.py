@@ -22,14 +22,13 @@ import numpy as np
 
 from . import oracles
 from .bbgky import (
+    BBGKYSeries,
     MarginalSequence,
     cumulant_apply,
     cumulant_norm_bound_check,
     marginal_from_clusters,
     marginals_from_correlations,
     bbgky_rhs,
-    solve_bbgky_series,
-    solve_series_time_derivative,
 )
 from .combinatorics import ClusterSet
 from .config import ScenarioConfig
@@ -236,16 +235,17 @@ def check_bbgky_residual(config: ScenarioConfig) -> list[CheckRecord]:
             d=config.d, stats=config.stats, n_max=n_max, f0=1.0, components=d0_comps
         )
         f0 = oracles.grand_marginals(d0)
+        series = {s: BBGKYSeries(f0, s, cache) for s in range(1, n_max + 1)}
         worst = 0.0
         for t in (0.1, 0.7):
             f_t = MarginalSequence(
                 d=config.d,
                 stats=config.stats,
                 n_max=n_max,
-                components={s: solve_bbgky_series(f0, t, s, cache) for s in range(1, n_max + 1)},
+                components={s: series[s].at(t) for s in range(1, n_max + 1)},
             )
             for s in (1, 2):
-                lhs = solve_series_time_derivative(f0, t, s, cache)
+                lhs = series[s].rate(t)
                 rhs = bbgky_rhs(f_t, s, spec)
                 worst = max(worst, trace_norm(lhs - rhs))
         lane = "two-body" if make is _synth_two_body_spec else "two+three-body"
@@ -316,15 +316,12 @@ def check_solution_vs_integrator(config: ScenarioConfig) -> list[CheckRecord]:
         d=config.d, stats=config.stats, n_max=n_max, f0=0j, components={1: g1}
     )
     f0 = marginals_from_correlations(g0)
-    reference = {s: solve_bbgky_series(f0, t, s, cache) for s in range(1, n_max + 1)}
+    reference = {s: BBGKYSeries(f0, s, cache).at(t) for s in range(1, n_max + 1)}
 
     def gap(steps_per_unit: int) -> float:
         steps = max(1, round(steps_per_unit * t))
-        g_t = integrate_hierarchy(g0, t, steps, spec)
-        return max(
-            trace_norm(marginal_from_clusters(g_t, s) - reference[s])
-            for s in range(1, n_max + 1)
-        )
+        f_t = marginals_from_correlations(integrate_hierarchy(g0, t, steps, spec))
+        return max(trace_norm(f_t.component(s) - reference[s]) for s in range(1, n_max + 1))
 
     residual = gap(2000)
     e_coarse, e_fine = gap(250), gap(500)

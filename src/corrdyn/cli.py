@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bbgky import marginals_from_correlations, solve_bbgky_series
+from .bbgky import BBGKYSeries, marginals_from_correlations
 from .checks import run_checks
 from .combinatorics import bell_number
 from .config import ScenarioConfig, load_scenario
@@ -93,12 +93,11 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     # the series needs H_{n_max}: refuse an oversized run before any d^n_max allocation
     spec.check_side(config.n_max)
     g0 = _initial_correlations(config)
-    f0 = marginals_from_correlations(g0)
-    cache = EvolutionCache(spec)
+    series = BBGKYSeries(marginals_from_correlations(g0), s, EvolutionCache(spec))
     out = sys.stdout if not args.out else Path(args.out).open("w")
     try:
         for t in config.times:
-            f_t = solve_bbgky_series(f0, t, s, cache)
+            f_t = series.at(t)
             out.write(f"time {t:.17g}\n")
             write_operator(f_t, out)
     finally:

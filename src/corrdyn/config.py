@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .hamiltonian import InteractionSpec
-from .hilbert import HERMITICITY_TOL, Statistics, hermiticity_defect, read_operator
+from .hilbert import Statistics, read_operator, require_hermitian
 
 KNOWN_CHECKS = (
     "mobius_roundtrip",
@@ -123,12 +123,6 @@ def _load_matrix(section: configparser.SectionProxy, side: int, base: Path, wher
     raise ConfigError(f"{where}: missing rows or file")
 
 
-def _require_hermitian(name: str, mat: np.ndarray) -> None:
-    defect = hermiticity_defect(mat)
-    if defect > HERMITICITY_TOL:
-        raise ConfigError(f"{name} is not Hermitian: max relative deviation {defect:.6e}")
-
-
 def load_scenario(path: str | Path) -> ScenarioConfig:
     """Parse and validate a scenario file; every invariant is enforced here
     so downstream code can trust the config."""
@@ -168,7 +162,7 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     if "one_body" not in parser:
         raise ConfigError(f"{path}: missing [one_body] section")
     one_body = _load_matrix(parser["one_body"], d, base, "[one_body]")
-    _require_hermitian("one_body", one_body)
+    require_hermitian("one_body", one_body, ConfigError)
 
     potentials: dict[int, np.ndarray] = {}
     for name in parser.sections():
@@ -181,14 +175,14 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         if k < 2:
             raise ConfigError(f"{path}: potential order must be >= 2, got [{name}]")
         mat = _load_matrix(parser[name], d**k, base, f"[{name}]")
-        _require_hermitian(f"potential k={k}", mat)
+        require_hermitian(f"potential k={k}", mat, ConfigError)
         potentials[k] = mat
 
     init_sec = parser["initial"] if "initial" in parser else {"kind": "random"}
     kind = init_sec.get("kind", "random").lower()
     if kind == "chaos":
         g1 = _load_matrix(parser["initial"], d, base, "[initial]")
-        _require_hermitian("initial g1", g1)
+        require_hermitian("initial g1", g1, ConfigError)
         initial = InitialData(kind="chaos", g1=g1, seed=seed)
     elif kind == "random":
         try:

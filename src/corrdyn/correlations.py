@@ -17,6 +17,11 @@ Conventions fixed here once:
   partitions to partitions with the same sorted block labels, so a value
   computed on 1..|Q| and placed on sorted Q is the value on Q.  An order
   costs 2^(k-1) - 1 placements, not the Bell(k) - 1 of a partition sum.
+  The same fact lets every cluster set of one sequence share its work:
+  one memo (``_ClusterMemo``) holds the reconstructions R_1..R_k, grown
+  only up to the largest cluster asked for, and the connected parts by
+  relabeled sub-tuple.  It lives for one public call, so nothing is cached
+  across calls or keyed on a sequence.
 * The statistics group average is applied once per order, outside the
   exponential formula, to the summed terms, through the isometry V of
   ``hilbert.symmetric_isometry``: one-sided (``hilbert.group_average``) for
@@ -161,11 +166,11 @@ def _split_sum(
     return total
 
 
-def _reconstructions(mats: dict[int, np.ndarray], m: int, d: int) -> dict[int, np.ndarray]:
+def _reconstructions(mats: dict[int, np.ndarray], m: int, d: int, whole: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
     """Unsymmetrized density reconstructions R_1..R_m of correlation
-    components: the exponential formula over singletons with C = g by size."""
-    whole: dict[int, np.ndarray] = {}
-    for n in range(1, m + 1):
+    components, the exponential formula over singletons with C = g by size:
+    ``whole``, holding R_1..R_k, is extended in place to R_1..R_m."""
+    for n in range(len(whole) + 1, m + 1):
         singletons = tuple((l,) for l in range(1, n + 1))
         whole[n] = mats[n] + _split_sum(singletons, [(lambda q: mats[len(q)], whole)], d)
     return whole
@@ -209,7 +214,7 @@ def correlations_to_density(g: OperatorSequence) -> OperatorSequence:
     the scalar part is set to one (its empty-set convention).
     """
     d, stats = g.d, g.stats
-    whole = _reconstructions(_component_mats(g, g.n_max), g.n_max, d)
+    whole = _reconstructions(_component_mats(g, g.n_max), g.n_max, d, {})
     out = {n: ManyBodyOperator(n, d, group_average(stats, r, n, d), stats) for n, r in whole.items()}
     return OperatorSequence(d=d, stats=stats, n_max=g.n_max, f0=1.0 + 0j, components=out)
 
@@ -229,12 +234,41 @@ def cluster_correlation_matrix(g: OperatorSequence, elements: tuple) -> tuple[np
     this coincides with the one-sided average, and on cluster-structured
     sums it is the variant that keeps Hermitian inputs Hermitian.
     """
-    local, labels = _relabeled(tuple(block_labels((el,)) for el in elements))
-    m, d = len(labels), g.d
-    mats = _component_mats(g, m)
-    memo = {tuple((l,) for l in range(1, k + 1)): mats[k] for k in range(1, m + 1)}
-    whole = {} if local in memo else _reconstructions(mats, m, d)  # all singletons: C = g_m
-    return group_compress(g.stats, _connected(local, memo, whole, d), m, d), labels
+    return _ClusterMemo(g).matrix(elements)
+
+
+class _ClusterMemo:
+    """Cluster correlations of one sequence on shared work: the
+    reconstructions R_1..R_k in ``whole`` (grown only up to the largest
+    cluster asked for) and the connected parts in ``memo``, keyed by
+    relabeled sub-tuple and seeded with the components as the connected
+    parts of the singletons.  C(q) is a function of q alone, so one memo
+    serves every cluster set of the sequence.  A memo lives for one public
+    call (``clusterize``, ``cluster_correlation_matrix``,
+    ``bbgky.marginal_from_clusters``, ``bbgky.marginals_from_correlations``)
+    and refers to nothing that refers back to it, so it is freed when the
+    call returns."""
+
+    def __init__(self, g: OperatorSequence):
+        self.g = g
+        self.whole: dict[int, np.ndarray] = {}
+        self.memo = {tuple((l,) for l in range(1, n + 1)): op.mat for n, op in g.components.items()}
+
+    def matrix(self, elements: tuple) -> tuple[np.ndarray, tuple[int, ...]]:
+        """``cluster_correlation_matrix`` of the memo's sequence."""
+        local, labels = _relabeled(tuple(block_labels((el,)) for el in elements))
+        m, d = len(labels), self.g.d
+        if local not in self.memo:  # no key exceeds n_max, so this also guards the truncation
+            _reconstructions(_component_mats(self.g, m), m, d, self.whole)
+        return group_compress(self.g.stats, _connected(local, self.memo, self.whole, d), m, d), labels
+
+    def clusterize(self, s: int, n: int) -> ClusterCorrelation:
+        """``clusterize`` of the memo's sequence."""
+        if s < 1:
+            raise DomainError("cluster size s must be >= 1")
+        xc = ClusterSet.canonical(s, n)
+        mat, _ = self.matrix(tuple(el.labels for el in xc.elements))
+        return ClusterCorrelation(s, n, ManyBodyOperator(s + n, self.g.d, mat, self.g.stats), xc)
 
 
 def _connected(q: tuple, memo: dict[tuple, np.ndarray], whole: dict[int, np.ndarray], d: int) -> np.ndarray:
@@ -264,11 +298,7 @@ def clusterize(g: OperatorSequence, s: int, n: int) -> ClusterCorrelation:
     The exponential formula over the cluster set solved for its cluster
     correlation, the two-sided group-average compression outermost.
     """
-    if s < 1:
-        raise DomainError("cluster size s must be >= 1")
-    xc = ClusterSet.canonical(s, n)
-    mat, _ = cluster_correlation_matrix(g, tuple(el.labels for el in xc.elements))
-    return ClusterCorrelation(s, n, ManyBodyOperator(s + n, g.d, mat, g.stats), xc)
+    return _ClusterMemo(g).clusterize(s, n)
 
 
 # --------------------------------------------------------------------------
@@ -320,16 +350,16 @@ class _SupportSum:
     @cached_property
     def _layouts(self) -> dict[Hashable, tuple]:
         """Per class key: the consecutive labels of K, Phi, V^dagger Phi, and
-        the members' index maps and signs.  The maps undo the column legs
-        (both legs, flat, for BOLTZMANN, where V^dagger Phi and the signs are
-        None)."""
-        side, v = self.side, self.v
+        the members' index maps ``undo`` and signs.  The maps undo the column
+        legs (both legs for BOLTZMANN, where V^dagger Phi and the signs are
+        None), one m x side row block per class."""
+        v = self.v
         layouts = {}
         for key, members in self.groups.items():
             labels, phi = _consecutive(members[0]), self.phi[key]
             undo, parity = _relabelings(members, self.n, self.d)
             if v is None:
-                layouts[key] = (labels, phi, None, undo[:, :, None] * side + undo[:, None, :], None)
+                layouts[key] = (labels, phi, None, undo, None)
             else:
                 signs = np.array([self.stats.permutation_sign(bit) for bit in parity])
                 layouts[key] = (labels, phi, v.T @ phi, undo, signs)
@@ -341,10 +371,10 @@ class _SupportSum:
         members, for the class's Kronecker product ``k`` on consecutive
         labels (sum_p Q_p [K, Phi] Q_p^T for BOLTZMANN).  Leading axes of
         ``k`` are batch axes."""
-        _, phi, v_phi, index, signs = self._layouts[key]
+        _, phi, v_phi, undo, signs = self._layouts[key]
         if v_phi is None:
-            return (k @ phi - phi @ k).reshape(*k.shape[:-2], -1)[..., index].sum(axis=-3)
-        return signs @ ((self.v.T @ k) @ phi - v_phi @ k)[..., index]
+            return (k @ phi - phi @ k)[..., undo[:, :, None], undo[:, None, :]].sum(axis=-3)
+        return signs @ ((self.v.T @ k) @ phi - v_phi @ k)[..., undo]
 
     def __call__(self, factors: Iterable[list[np.ndarray]]) -> np.ndarray:
         """V^dagger acc.  ``factors`` holds, per class in ``groups`` order,
@@ -460,7 +490,7 @@ def generalized_rhs(
     rates = {n: _OrderPlan(n, g.stats, spec)(mats) for n in range(1, m + 1)}
     singletons = [tuple((l,) for l in range(1, k + 1)) for k in range(1, m + 1)]
     memo, memo_rates = {q: mats[len(q)] for q in singletons}, {q: rates[len(q)] for q in singletons}
-    whole = {} if local in memo else _reconstructions(mats, m, d)  # all singletons: C' = g'_m
+    whole = {} if local in memo else _reconstructions(mats, m, d, {})  # all singletons: C' = g'_m
     whole_rates = _reconstruction_rates(mats, rates, whole, d)
     rate = _connected_rate(local, memo_rates, memo, whole, whole_rates, d)
     return ManyBodyOperator(m, d, group_compress(g.stats, rate, m, d), g.stats)

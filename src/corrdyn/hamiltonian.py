@@ -23,9 +23,9 @@ from .hilbert import (
     ManyBodyOperator,
     all_permutations,
     embed_matrix,
-    hermiticity_defect,
     permutation_conjugate,
     place_product,
+    require_hermitian,
 )
 
 
@@ -37,12 +37,6 @@ def periodic_laplacian(d: int) -> np.ndarray:
         lap[i, (i + 1) % d] -= 1.0
         lap[i, (i - 1) % d] -= 1.0
     return lap.astype(np.complex128)
-
-
-def _check_hermitian(name: str, mat: np.ndarray) -> None:
-    defect = hermiticity_defect(mat)
-    if defect > HERMITICITY_TOL:
-        raise DomainError(f"{name} is not Hermitian: relative max |M - M^dagger| = {defect:.3e}")
 
 
 @dataclass(frozen=True)
@@ -75,7 +69,7 @@ class InteractionSpec:
         ob = np.asarray(self.one_body, dtype=np.complex128)
         if ob.shape != (self.d, self.d):
             raise DomainError(f"one_body shape {ob.shape} != ({self.d}, {self.d})")
-        _check_hermitian("one_body", ob)
+        require_hermitian("one_body", ob, DomainError)
         ob = ob.copy()
         ob.flags.writeable = False
         object.__setattr__(self, "one_body", ob)
@@ -87,7 +81,7 @@ class InteractionSpec:
             side = self.d**k
             if mat.shape != (side, side):
                 raise DomainError(f"potential k={k} shape {mat.shape} != ({side}, {side})")
-            _check_hermitian(f"potential k={k}", mat)
+            require_hermitian(f"potential k={k}", mat, DomainError)
             dev = max(
                 float(np.abs(permutation_conjugate(perm, mat, self.d) - mat).max())
                 for perm in all_permutations(k)

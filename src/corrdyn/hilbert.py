@@ -26,7 +26,7 @@ from typing import IO, Iterable, Mapping
 
 import numpy as np
 
-from .errors import DomainError, ResourceCapError
+from .errors import CorrdynError, DomainError, ResourceCapError
 
 #: Largest particle number with a group average.  Past it the operators it
 #: acts on have at least 2^20 entries (d^n x d^n at d=2), beyond the
@@ -391,6 +391,14 @@ def hermiticity_defect(mat: np.ndarray) -> float:
     """max |M - M^dagger| relative to max(1, max |M|)."""
     mat = np.asarray(mat)
     return float(np.abs(mat - mat.conj().T).max()) / max(1.0, float(np.abs(mat).max()))
+
+
+def require_hermitian(name: str, mat: np.ndarray, error: type[CorrdynError]) -> None:
+    """Raise ``error`` when ``mat`` (called ``name`` in the message) has a
+    ``hermiticity_defect`` above ``HERMITICITY_TOL``."""
+    defect = hermiticity_defect(mat)
+    if defect > HERMITICITY_TOL:
+        raise error(f"{name} is not Hermitian: max relative deviation |M - M^dagger| = {defect:.3e}")
 
 
 # --------------------------------------------------------------------------

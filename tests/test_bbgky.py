@@ -1,9 +1,13 @@
+import gc
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from corrdyn import bbgky, cli, correlations
 from corrdyn.bbgky import (
+    BBGKYSeries,
     CumulantBoundReport,
     MarginalSequence,
     WeightedNormParams,
@@ -41,15 +45,19 @@ from corrdyn.hilbert import (
     Statistics,
     embed_operator,
     partial_trace,
+    partial_trace_matrix,
     permutation_average,
+    place_product,
     random_hermitian,
     random_sequence,
     random_state_component,
     symmetrizer_matrix,
+    trace_keeping,
     trace_norm,
 )
 from corrdyn import oracles
 
+REPO = Path(__file__).resolve().parents[1]
 ALL_STATS = [Statistics.BOSE, Statistics.FERMI, Statistics.BOLTZMANN]
 QUANTUM = [Statistics.BOSE, Statistics.FERMI]
 
@@ -209,6 +217,63 @@ def test_marginals_hermitian(stats):
         assert marg.component(s).is_hermitian()
 
 
+def _correlation_lane(stats, d, n_max, raw):
+    rng = np.random.default_rng([d, n_max, raw])
+    if raw:
+        comps = {n: ManyBodyOperator(n, d, random_hermitian(rng, d**n), stats) for n in range(1, n_max + 1)}
+        return CorrelationSequence(d=d, stats=stats, n_max=n_max, components=comps)
+    return density_to_correlations(random_sequence(rng, d, stats, n_max))
+
+
+@pytest.mark.parametrize("raw", [False, True], ids=["symmetric", "raw"])
+@pytest.mark.parametrize(
+    "stats, d, n_max",
+    [(stats, d, n_max) for stats in ALL_STATS for d, n_max in ((2, 5), (3, 3))] + [(Statistics.FERMI, 4, 4)],
+    ids=str,
+)
+def test_memoized_marginals_match_one_cluster_set_per_call(stats, d, n_max, raw):
+    # one memo across every order and satellite count gives what one
+    # clusterize call per cluster set gives, with the arithmetic unchanged
+    g = _correlation_lane(stats, d, n_max, raw)
+    marginals = marginals_from_correlations(g)
+    for s in range(1, n_max + 1):
+        expected = sum(
+            partial_trace_matrix(clusterize(g, s, n).op.mat, s, s + n, d) / math.factorial(n)
+            for n in range(0, n_max - s + 1)
+        )
+        assert np.array_equal(marginals.component(s).mat, expected)
+        assert np.array_equal(marginal_from_clusters(g, s).mat, expected)
+
+
+@pytest.mark.parametrize("n_max, placements", [(5, 42), (6, 99), (7, 219)])
+def test_marginals_build_each_reconstruction_once(monkeypatch, n_max, placements):
+    # R_1..R_n_max once (2^(n-1) - 1 placements each) plus the connected
+    # parts of the cluster sets; one memo per cluster set took 168 / 495 / 1314
+    g = density_to_correlations(random_sequence(np.random.default_rng(87), 2, Statistics.BOSE, n_max))
+    calls = []
+
+    def counting(factors, n, d):
+        calls.append(n)
+        return place_product(factors, n, d)
+
+    monkeypatch.setattr(correlations, "place_product", counting)
+    marginals_from_correlations(g)
+    assert len(calls) == placements
+
+
+def test_marginals_leave_no_garbage():
+    # the shared memo is freed when the call returns, not left in a
+    # reference cycle for the cyclic garbage collector
+    g = density_to_correlations(random_sequence(np.random.default_rng(88), 2, Statistics.BOSE, 4))
+    gc.collect()
+    gc.disable()
+    try:
+        marginals_from_correlations(g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 # ---------------------------------------------------------------- chain rhs
 
 def test_bbgky_rhs_free_is_pure_drift():
@@ -366,6 +431,7 @@ def test_series_subset_form_matches_partition_and_density_references(geometry, c
     cache = EvolutionCache(spec)
     n_max = f0.n_max
     density = oracles.density_from_marginals(f0)
+    built = {s: BBGKYSeries(f0, s, cache) for s in (1, 2)}
 
     def close(lhs, ref):
         # relative, except on references that vanish by statistics
@@ -387,6 +453,9 @@ def test_series_subset_form_matches_partition_and_density_references(geometry, c
         for s in (1, 2):
             series = solve_bbgky_series(f0, t, s, cache)
             derivative = solve_series_time_derivative(f0, t, s, cache)
+            # one series object serves every time point
+            assert np.array_equal(built[s].at(t).mat, series.mat)
+            assert np.array_equal(built[s].rate(t).mat, derivative.mat)
             close(series, oracles.partition_series(f0, t, s, cache))
             close(derivative, oracles.partition_series_time_derivative(f0, t, s, cache))
             # the density route evolves the triangular inverse of the data,
@@ -397,6 +466,25 @@ def test_series_subset_form_matches_partition_and_density_references(geometry, c
                 close(derivative, df_t.component(s))
             elif t != 0.0 and n_max - s >= 2:
                 assert trace_norm(series - f_t.component(s)) > 1e-3 * trace_norm(series)
+
+
+def test_evolve_builds_the_subset_sums_once(tmp_path, capsys, monkeypatch):
+    # d=2 Bose n_max=6, s=1: G_0..G_5 take sum_n 2^n = 63 partial traces for
+    # the whole run, not 63 per time point
+    text = (REPO / "scenarios" / "interacting_bose.cfg").read_text()
+    text = text.replace("n_max = 3", "n_max = 6").replace("times = 0.0 0.5 1.0", "times = 0.0 0.3 0.6 0.9")
+    path = tmp_path / "evolve.cfg"
+    path.write_text(text)
+    calls = []
+
+    def counting(mat, keep, n, d):
+        calls.append(keep)
+        return trace_keeping(mat, keep, n, d)
+
+    monkeypatch.setattr(bbgky, "trace_keeping", counting)
+    assert cli.main(["evolve", str(path), "--s", "1"]) == 0
+    assert capsys.readouterr().out.count("time ") == 4
+    assert len(calls) == 63
 
 
 def test_series_hermiticity_preserved():

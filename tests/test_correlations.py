@@ -482,6 +482,20 @@ def test_support_row_blocks_match_placed_products(stats, d, n, couplings, arrang
     assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
 
 
+def test_boltzmann_layouts_keep_one_row_per_member():
+    # the BOLTZMANN class term gathers both legs by broadcasting one m x side
+    # map; a flat two-sided index (m x side^2 per class) took 47.7 MB here
+    d, n = 2, 7
+    rng = np.random.default_rng(78)
+    pots = {k: permutation_average(random_hermitian(rng, d**k), k, d) for k in (2, 3)}
+    spec = InteractionSpec(d=d, one_body=random_hermitian(rng, d), potentials=pots)
+    support = correlations._OrderPlan(n, Statistics.BOLTZMANN, spec).support
+    assert support.groups
+    for key, members in support.groups.items():
+        arrays = [x for x in support._layouts[key] if isinstance(x, np.ndarray) and x is not support.phi[key]]
+        assert [x.shape for x in arrays] == [(len(members), d**n)]
+
+
 def test_generic_order_builds_one_product_per_block_size_type(monkeypatch):
     # d=4 Fermi, n_max=4: order 4 (side 256) reaches 7 partitions of two
     # block-size types, (3, 1) and (2, 2), and each of the 4 RK4 stages builds
