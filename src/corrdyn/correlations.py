@@ -60,21 +60,32 @@ Conventions fixed here once:
   product or coupling is placed per partition, and rank 0 costs nothing.
   For BOLTZMANN (V = I) a member is Q_p [K, Phi] Q_p^T, one gather on both
   legs.  This class term (``_SupportSum.term``) is the only implementation
-  of the interaction sum: the hierarchy orders lift it as V (V^dagger acc),
-  the tabulated orders read their blocks off it, and ``generalized_rhs``
-  differentiates the cluster correlation by the product rule along the
-  orders' right-hand sides.  The drift -[g_n, H_n] stays dense, since
-  inputs need not be symmetric on both sides, and since leg-wise products
-  lose to one dense GEMM at side 256.
-* Small orders of the RK4 right-hand side are tabulated.  With row-major
-  vec, vec(A X B) = (A (x) B^T) vec X, the drift is
-  (i/hbar)(I (x) H^T - H (x) I) vec g_n; a block-size type's term is linear
-  in its monomial (the outer product of its raveled components, which K
-  reads at ``hilbert.placement_index``), so its block of columns is the
-  class term of the K of the unit monomials, one batch, lifted by V.  Built
-  once per ``integrate_hierarchy`` call, an order's block costs one GEMV
-  per stage; ``TABULATED_MAX_ENTRIES`` keeps tabulation where the GEMV is
-  faster (orders 1-3 at d = 2, 1-2 at d = 3, order 1 at d = 4).
+  of the interaction sum: ``von_neumann_rhs`` lifts it as V (V^dagger acc),
+  the integrator adds it to its rows as is, the tabulated orders read their
+  blocks off it, and ``generalized_rhs`` differentiates the cluster
+  correlation by the product rule along the orders' right-hand sides.
+* The drift.  For data of any symmetry (``von_neumann_rhs``,
+  ``generalized_rhs``) -[g_n, H_n] is one dense commutator.  The
+  integrator requires BOSE and FERMI components in the range of the group
+  average on the ket side, S_n g_n = g_n (checked on entry; the bra side
+  is free), and the order-n equation keeps that range.  It carries the
+  rows y_n = V^dagger g_n, r x side, and since H_n commutes with S_n,
+  V^dagger [g_n, H_n] = y_n H_n - H~_n y_n with H~_n = V^dagger H_n V
+  built once per plan: r x side products in place of two side x side
+  GEMMs, nothing at rank 0.  g_n = V y_n is rebuilt only where a
+  Kronecker product reads it and on output.
+* Small orders of the RK4 right-hand side are tabulated on the same rows.
+  With row-major vec, vec(A X B) = (A (x) B^T) vec X, the drift is
+  (i/hbar)(I_r (x) H^T - H~ (x) I) vec y_n; a block-size type's term is
+  linear in its monomial (the outer product of its raveled components,
+  which K reads at ``hilbert.placement_index``), so its block of columns
+  is the class term of the K of the unit monomials, one batch, not lifted
+  (it is already V^dagger acc), times (x)_k (V_k (x) I), which maps the
+  monomial of the rows to that of the components, vec g_k =
+  (V_k (x) I) vec y_k.  Built once per ``integrate_hierarchy`` call, an
+  order's block costs one GEMV per stage; ``TABULATED_MAX_ENTRIES``, counted
+  in the full layout, keeps tabulation where the GEMV is faster (orders
+  1-3 at d = 2, 1-2 at d = 3, order 1 at d = 4).
 """
 
 from __future__ import annotations
@@ -90,6 +101,7 @@ from .combinatorics import ClusterSet, Partition, block_labels, set_partitions
 from .errors import DomainError, IntegrationError, TruncationError
 from .hamiltonian import InteractionSpec, commutator_generator, hamiltonian_matrix
 from .hilbert import (
+    HERMITICITY_TOL,
     ManyBodyOperator,
     OperatorSequence,
     Permutation,
@@ -440,17 +452,42 @@ class _OrderPlan:
         self.h = hamiltonian_matrix(n, spec)
         self.support = _SupportSum(set_partitions(range(1, n + 1)), spec, n, stats, _by_size)
 
-    def __call__(self, comps: dict[int, np.ndarray]) -> np.ndarray:
-        out = -commutator_generator(comps[self.n], self.h, self.hbar)
+    @cached_property
+    def h_rows(self) -> np.ndarray:
+        """H projected on the ket side, V^dagger H V (H itself when V is None)."""
+        v = self.support.v
+        return self.h if v is None else v.T @ self.h @ v
+
+    def _interaction(self, comps: dict[int, np.ndarray]) -> np.ndarray:
         support = self.support
-        if support.groups:
-            proj = support([comps[k] for k in sizes] for sizes in support.groups)
-            out += proj if support.v is None else support.v @ proj
+        return support([comps[k] for k in sizes] for sizes in support.groups)
+
+    def __call__(self, comps: dict[int, np.ndarray]) -> np.ndarray:
+        """g'_n for components of any symmetry."""
+        out = -commutator_generator(comps[self.n], self.h, self.hbar)
+        if self.support.groups:
+            proj = self._interaction(comps)
+            out += proj if self.support.v is None else self.support.v @ proj
+        return out
+
+    def rows(self, y: np.ndarray, comps: dict[int, np.ndarray]) -> np.ndarray:
+        """V^dagger g'_n for a component g_n = V y in the range of S_n, given
+        its rows ``y`` and the lower components ``comps``.  H commutes with
+        S_n, so V^dagger [g_n, H] = y H - (V^dagger H V) y: the drift costs
+        r x side products, and the support sum already returns V^dagger acc.
+        For V None the rows are g_n and this is ``__call__``."""
+        if self.support.v is None:
+            out = -commutator_generator(y, self.h, self.hbar)
+        else:
+            out = (1j / self.hbar) * (y @ self.h - self.h_rows @ y)
+        if self.support.groups:
+            out += self._interaction(comps)
         return out
 
     def tabulated_entries(self) -> int:
-        """Entries of this order's block of the tabulated right-hand side:
-        side^2 x side^2 for the drift and for each block-size type."""
+        """Entries of this order's block of the tabulated right-hand side,
+        counted in the full layout: side^2 x side^2 for the drift and for
+        each block-size type, whatever the rank of the rows."""
         return self.h.size**2 * (1 + len(self.support.groups))
 
 
@@ -501,25 +538,30 @@ def generalized_rhs(
 # --------------------------------------------------------------------------
 
 #: Largest block, side^2 x side^2 (1 + T_n) entries, that an order's
-#: right-hand side is tabulated in (T_n its block-size types).  Per
-#: evaluation (Bose, two-body coupling, one BLAS thread, 2-vCPU x86 host) the
-#: GEMV wins up to here (side 4, 8 and 9: 4.0-8.8 us against 22-38 us for
-#: the generic plan) and loses above it (side 16 at d = 4 and at d = 2:
-#: 57 and 117 us against 31 and 94 us; side 27: 647 us against 98 us).
+#: right-hand side is tabulated in (T_n its block-size types).  The count is
+#: taken in the full layout, not on the rows y_n = V^dagger g_n the state
+#: carries, so the rank does not move an order across it.  Per evaluation
+#: (Bose, two-body coupling, one BLAS thread, 2-vCPU x86 host) the GEMV wins
+#: up to here (side 4, 8 and 9: 4.0-8.8 us against 22-38 us for the generic
+#: plan) and loses above it (side 16 at d = 4 and at d = 2: 57 and 117 us
+#: against 31 and 94 us; side 27: 647 us against 98 us).
 TABULATED_MAX_ENTRIES = 2**14
 
 
 class _TabulatedOrders:
-    """Right-hand side of orders 1..m as one matrix W on the flat state.
+    """Right-hand side of orders 1..m as one matrix W on the flat state of
+    rows y_n = V_n^dagger g_n (g_n itself where V_n is None).
 
-    Row block n of W holds the drift (i/hbar)(I (x) H^T - H (x) I) on vec g_n
-    and, per block-size type lambda of order n, the type's lifted class term
-    (i/hbar) V ``_SupportSum.term`` as a linear map of its monomial, the
-    outer product of the raveled components of sizes lambda: column c is
-    the term at the Kronecker product of unit monomial c, all columns one
-    batch.  A call applies W to the flat components of orders 1..m followed
-    by one monomial per type; the monomials of one degree are written by one
-    product of gathers from the state, with index arrays built once.
+    Row block n of W holds the drift (i/hbar)(I_r (x) H^T - H~ (x) I) on
+    vec y_n, H~ = V^dagger H V, and, per block-size type lambda of order n,
+    the type's class term (i/hbar) ``_SupportSum.term`` (already V^dagger
+    acc, so not lifted) as a linear map of its monomial, the outer product
+    of the raveled rows of sizes lambda: the term at the Kronecker product
+    of every unit monomial of the components, all columns one batch, times
+    (x)_k (V_k (x) I), since vec g_k = (V_k (x) I) vec y_k.  A call applies
+    W to the flat rows of orders 1..m followed by one monomial per type;
+    the monomials of one degree are written by one product of gathers from
+    the state, with index arrays built once.
     """
 
     def __init__(self, plans: list[_OrderPlan], bounds: list[int]):
@@ -527,14 +569,21 @@ class _TabulatedOrders:
         blocks, types = [], []
         for plan, row in zip(plans, bounds):
             side, support = plan.h.shape[0], plan.support
-            eye = np.eye(side)
-            blocks.append((row, row, (1j / plan.hbar) * (np.kron(eye, plan.h.T) - np.kron(plan.h, eye))))
+            drift = np.kron(np.eye(support.rank), plan.h.T) - np.kron(plan.h_rows, np.eye(side))
+            blocks.append((row, row, (1j / plan.hbar) * drift))
             for sizes, members in sorted(support.groups.items(), reverse=True):
                 # row c: the Kronecker product K of the type's unit monomial c
                 index = placement_index(tuple(_consecutive(members[0])), plan.n, plan.d)
                 term = support.term(sizes, np.eye(side**2)[:, index].reshape(-1, side, side))
-                lifted = (1j / plan.hbar) * (term if support.v is None else support.v @ term)
-                types.append((row, [(bounds[k - 1], bounds[k]) for k in sizes], lifted.reshape(side**2, -1).T))
+                block = (1j / plan.hbar) * term.reshape(side**2, -1).T
+                lifts = [plans[k - 1].support.v for k in sizes]
+                if any(v is not None for v in lifts):
+                    lift = np.ones((1, 1))
+                    for k, v in zip(sizes, lifts):
+                        eye = np.eye(plan.d**k)
+                        lift = np.kron(lift, np.kron(eye if v is None else v, eye))
+                    block = block @ lift
+                types.append((row, [(bounds[k - 1], bounds[k]) for k in sizes], block))
         # the monomials of one degree take one contiguous run of columns, so
         # that a call writes them all with one product of gathered factors
         self.monomials: list[tuple[int, int, list[np.ndarray]]] = []
@@ -563,6 +612,22 @@ class _TabulatedOrders:
         return self.w @ x
 
 
+def _ket_rows(op: ManyBodyOperator, v: np.ndarray | None) -> np.ndarray:
+    """Rows V^dagger g of a component g in the range of S_n (g itself for V
+    None).  Raises DomainError when the ket-side defect
+    max |g - V (V^dagger g)| exceeds ``HERMITICITY_TOL`` max(1, max |g|)."""
+    if v is None:
+        return op.mat
+    rows = v.T @ op.mat
+    defect = float(np.abs(op.mat - v @ rows).max()) / max(1.0, float(np.abs(op.mat).max()))
+    if defect > HERMITICITY_TOL:
+        raise DomainError(
+            f"{op.stats} correlation component {op.n} is not in the range of the group average: "
+            f"max relative deviation |g - S g| = {defect:.3e}"
+        )
+    return rows
+
+
 def integrate_hierarchy(
     g0: OperatorSequence,
     t_final: float,
@@ -571,32 +636,48 @@ def integrate_hierarchy(
 ) -> CorrelationSequence:
     """Classical fixed-step RK4 for the coupled correlation hierarchy.
 
-    ``steps`` uniform steps from 0 to t_final on one flat state: the
-    components raveled and concatenated by order.  The right-hand side of
-    component n only reads orders <= n.  The leading orders whose block fits
+    ``steps`` uniform steps from 0 to t_final on one flat state: the ket-side
+    rows y_n = V_n^dagger g_n (r_n x d^n, V_n the ``symmetric_isometry`` of
+    the order) raveled and concatenated by order, with y_n = g_n for
+    BOLTZMANN and n = 1.  Each BOSE or FERMI component of ``g0`` must lie in
+    the range of the group average on the ket side, S_n g_n = g_n, its bra
+    side being arbitrary; a component that does not raises DomainError.
+    The order-n equation keeps that range, so g_n = V_n y_n throughout and
+    no drift is evaluated at side d^n x d^n.  The right-hand side of order
+    n only reads orders <= n.  The leading orders whose block fits
     ``TABULATED_MAX_ENTRIES`` are one matrix built once per call
     (``_TabulatedOrders``), so each stage costs them one GEMV; the orders
-    above keep their ``_OrderPlan`` on views of the state.  Raises
-    IntegrationError with the step index if values stop being finite.
+    above evaluate ``_OrderPlan.rows`` on views of the state, with each
+    lower component rebuilt once per stage as V_k y_k for its Kronecker
+    products.  Raises IntegrationError with the step index if values stop
+    being finite.
     """
     if steps < 1:
         raise DomainError("steps must be >= 1")
     d, n_max = g0.d, g0.n_max
+    isometries = {n: symmetric_isometry(g0.stats, n, d) for n in range(1, n_max + 1)}
+    y = np.concatenate([_ket_rows(g0.component(n), isometries[n]).ravel() for n in range(1, n_max + 1)])
     plans = [_OrderPlan(n, g0.stats, spec) for n in range(1, n_max + 1)]
     m = next((i for i, plan in enumerate(plans) if plan.tabulated_entries() > TABULATED_MAX_ENTRIES), n_max)
-    bounds = [0, *itertools.accumulate(d ** (2 * n) for n in range(1, n_max + 1))]
+    bounds = [0, *itertools.accumulate(plan.support.rank * d**plan.n for plan in plans)]
     table = _TabulatedOrders(plans[:m], bounds)
 
-    def rhs(y: np.ndarray) -> np.ndarray:
-        out = np.empty_like(y)
-        out[:table.length] = table(y)
+    def rows(state: np.ndarray, n: int) -> np.ndarray:
+        return state[bounds[n - 1]:bounds[n]].reshape(-1, d**n)
+
+    def component(state: np.ndarray, n: int) -> np.ndarray:
+        v = isometries[n]
+        return rows(state, n) if v is None else v @ rows(state, n)
+
+    def rhs(state: np.ndarray) -> np.ndarray:
+        out = np.empty_like(state)
+        out[:table.length] = table(state)
         if m < n_max:
-            comps = {n: y[bounds[n - 1]:bounds[n]].reshape(d**n, d**n) for n in range(1, n_max + 1)}
+            comps = {n: component(state, n) for n in range(1, n_max)}
             for plan in plans[m:]:
-                out[bounds[plan.n - 1]:bounds[plan.n]] = plan(comps).ravel()
+                out[bounds[plan.n - 1]:bounds[plan.n]] = plan.rows(rows(state, plan.n), comps).ravel()
         return out
 
-    y = np.concatenate([g0.component(n).mat.ravel() for n in range(1, n_max + 1)])
     h = t_final / steps
     for step in range(steps):
         k1 = rhs(y)
@@ -606,8 +687,5 @@ def integrate_hierarchy(
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.isfinite(y).all():
             raise IntegrationError("hierarchy integration diverged", step)
-    comps = {
-        n: ManyBodyOperator(n, d, y[bounds[n - 1]:bounds[n]].reshape(d**n, d**n), g0.stats)
-        for n in range(1, n_max + 1)
-    }
+    comps = {n: ManyBodyOperator(n, d, component(y, n), g0.stats) for n in range(1, n_max + 1)}
     return CorrelationSequence(d=d, stats=g0.stats, n_max=n_max, f0=0j, components=comps)

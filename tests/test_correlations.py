@@ -33,6 +33,7 @@ from corrdyn.hilbert import (
     OperatorSequence,
     Statistics,
     embed_matrix,
+    group_average,
     group_compress,
     group_rank,
     permutation_average,
@@ -65,6 +66,16 @@ def mixed_spec(seed=22, d=2):
     rng = np.random.default_rng(seed)
     pots = {k: permutation_average(random_hermitian(rng, d**k), k, d) for k in (2, 3)}
     return InteractionSpec(d=d, one_body=random_hermitian(rng, d), potentials=pots)
+
+
+def ket_symmetric_sequence(rng, d, stats, n_max):
+    # Gaussian components, (anti)symmetric on the ket side (raw for
+    # BOLTZMANN), with a raw bra side: neither Hermitian nor exchange invariant
+    comps = {}
+    for n in range(1, n_max + 1):
+        raw = rng.normal(size=(d**n, d**n)) + 1j * rng.normal(size=(d**n, d**n))
+        comps[n] = ManyBodyOperator(n, d, group_average(stats, raw, n, d), stats)
+    return CorrelationSequence(d=d, stats=stats, n_max=n_max, components=comps)
 
 
 def max_component_gap(a, b, n_max):
@@ -500,17 +511,14 @@ def test_generic_order_builds_one_product_per_block_size_type(monkeypatch):
     # d=4 Fermi, n_max=4: order 4 (side 256) reaches 7 partitions of two
     # block-size types, (3, 1) and (2, 2), and each of the 4 RK4 stages builds
     # one Kronecker product per type, not one placement per partition; orders
-    # 2 and 3 reach one type each, and order 1 is tabulated
+    # 2 and 3 reach one type each, and order 1 is tabulated.  The components
+    # are ket-side antisymmetric, as the integrator requires, and raw on the
+    # bra side
     d, n_max = 4, 4
     rng = np.random.default_rng(77)
     pots = {2: permutation_average(random_hermitian(rng, d**2), 2, d)}
     spec = InteractionSpec(d=d, one_body=random_hermitian(rng, d), potentials=pots)
-    fermi = Statistics.FERMI
-    comps = {
-        n: ManyBodyOperator(n, d, rng.normal(size=(d**n, d**n)) + 1j * rng.normal(size=(d**n, d**n)), fermi)
-        for n in range(1, n_max + 1)
-    }
-    g0 = CorrelationSequence(d=d, stats=fermi, n_max=n_max, components=comps)
+    g0 = ket_symmetric_sequence(rng, d, Statistics.FERMI, n_max)
     sides = Counter()
 
     def counting(factors, n, d):
@@ -749,20 +757,25 @@ def reference_rk4(g0, t_final, steps, spec):
 @pytest.mark.parametrize("stats", ALL_STATS)
 @pytest.mark.parametrize(
     "d, n_max, couplings, generic",
-    [(2, 4, (2,), {4}), (2, 4, (2, 3), {4}), (3, 3, (2,), {3}), (4, 2, (2,), {2})],
+    [
+        (2, 4, (2,), {4}),
+        (2, 4, (2, 3), {4}),
+        (3, 3, (2,), {3}),
+        (4, 2, (2,), {2}),
+        (4, 3, (2,), {2, 3}),
+        (4, 4, (2,), {2, 3, 4}),
+    ],
 )
 def test_integrate_matches_reference_rk4(stats, d, n_max, couplings, generic, monkeypatch):
     # the tabulated leading orders and the generic plans above them step like
     # RK4 over the one-order right-hand side, on components that are not
-    # symmetric; only the generic orders evaluate a dense drift commutator
+    # Hermitian: raw for BOLTZMANN, ket-side (anti)symmetric with a raw bra
+    # side for BOSE and FERMI.  Tabulated orders evaluate no drift, and no
+    # BOSE or FERMI order evaluates a dense drift commutator
     rng = np.random.default_rng(74)
     pots = {k: permutation_average(random_hermitian(rng, d**k), k, d) for k in couplings}
     spec = InteractionSpec(d=d, one_body=random_hermitian(rng, d), potentials=pots)
-    comps = {
-        n: ManyBodyOperator(n, d, rng.normal(size=(d**n, d**n)) + 1j * rng.normal(size=(d**n, d**n)), stats)
-        for n in range(1, n_max + 1)
-    }
-    g0 = CorrelationSequence(d=d, stats=stats, n_max=n_max, components=comps)
+    g0 = ket_symmetric_sequence(rng, d, stats, n_max)
     expected, diverged = reference_rk4(g0, 0.1, 3, spec)
     assert diverged is None
 
@@ -775,10 +788,63 @@ def test_integrate_matches_reference_rk4(stats, d, n_max, couplings, generic, mo
 
     monkeypatch.setattr(correlations, "commutator_generator", counting)
     out = integrate_hierarchy(g0, 0.1, 3, spec)
-    assert set(sides) == {d**n for n in generic}
+    assert set(sides) == ({d**n for n in generic} if stats is Statistics.BOLTZMANN else set())
     for n in range(1, n_max + 1):
+        if not group_rank(stats, n, d):  # FERMI above d: the rows are empty
+            assert not out.component(n).mat.any()
         gap = np.linalg.norm(out.component(n).mat - expected[n])
         assert gap <= 1e-13 * np.linalg.norm(expected[n])
+
+
+def test_integrate_evaluates_no_dense_drift(monkeypatch):
+    # d=4 Fermi n_max=4: orders 2-4 (side 16, 64, 256; rank 6, 4, 1) carry
+    # their rows V^dagger g_n, so no side-d^n drift commutator is formed
+    rng = np.random.default_rng(81)
+    pots = {2: permutation_average(random_hermitian(rng, 16), 2, 4)}
+    spec = InteractionSpec(d=4, one_body=random_hermitian(rng, 4), potentials=pots)
+    g0 = ket_symmetric_sequence(rng, 4, Statistics.FERMI, 4)
+    expected, _ = reference_rk4(g0, 0.1, 1, spec)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense drift commutator evaluated")
+
+    monkeypatch.setattr(correlations, "commutator_generator", refuse)
+    out = integrate_hierarchy(g0, 0.1, 1, spec)
+    for n in range(1, 5):
+        assert np.linalg.norm(out.component(n).mat - expected[n]) <= 1e-13 * np.linalg.norm(expected[n])
+
+
+@pytest.mark.parametrize("stats", QUANTUM, ids=str)
+def test_integrate_rejects_components_outside_the_group_average_range(stats):
+    # a raw order-2 component is not (anti)symmetric on the ket side; the
+    # error names the order and the relative defect max |g - S g|
+    d, n_max = 3, 3
+    rng = np.random.default_rng(82)
+    g0 = ket_symmetric_sequence(rng, d, stats, n_max)
+    raw = rng.normal(size=(d**2, d**2)) + 1j * rng.normal(size=(d**2, d**2))
+    comps = {**g0.components, 2: ManyBodyOperator(2, d, raw, stats)}
+    g0 = CorrelationSequence(d=d, stats=stats, n_max=n_max, components=comps)
+    defect = np.abs(raw - group_average(stats, raw, 2, d)).max() / max(1.0, np.abs(raw).max())
+    with pytest.raises(DomainError, match=f"component 2 .* = {defect:.3e}$"):
+        integrate_hierarchy(g0, 0.1, 1, mixed_spec(d=d))
+
+
+@pytest.mark.parametrize("stats", QUANTUM, ids=str)
+def test_integrate_accepts_ket_symmetric_data_with_any_bra_side(stats):
+    # the domain is S_n g_n = g_n alone: neither Hermiticity nor a symmetric
+    # bra side is required
+    d, n_max = 3, 3
+    rng = np.random.default_rng(83)
+    g0 = ket_symmetric_sequence(rng, d, stats, n_max)
+    for n in (2, 3):
+        mat = g0.component(n).mat
+        assert np.abs(mat - mat.conj().T).max() > 0.1
+        assert np.abs(mat - group_average(stats, mat.T, n, d).T).max() > 0.1
+    spec = mixed_spec(d=d)
+    expected, _ = reference_rk4(g0, 0.1, 2, spec)
+    out = integrate_hierarchy(g0, 0.1, 2, spec)
+    for n in range(1, n_max + 1):
+        assert np.linalg.norm(out.component(n).mat - expected[n]) <= 1e-13 * np.linalg.norm(expected[n])
 
 
 def test_integrate_reports_divergence_step():
