@@ -57,7 +57,7 @@ from .hamiltonian import (
 from .hilbert import (
     ManyBodyOperator,
     Statistics,
-    embed_matrix,
+    add_embedded,
     group_average,
     partial_trace_matrix,
     place_product,
@@ -185,11 +185,10 @@ def bbgky_rhs(F: MarginalSequence, s: int, spec: InteractionSpec) -> ManyBodyOpe
             )
         big = F.component(s + n).mat
         sats = tuple(range(s + 1, s + n + 1))
-        coupling = sum(
-            embed_matrix(spec.potentials[zsize + n], zs + sats, s + n, d)
-            for zsize in sizes
-            for zs in itertools.combinations(range(1, s + 1), zsize)
-        )
+        coupling = np.zeros((d ** (s + n), d ** (s + n)), dtype=np.complex128)
+        for zsize in sizes:
+            for zs in itertools.combinations(range(1, s + 1), zsize):
+                add_embedded(coupling, spec.potentials[zsize + n], zs + sats, s + n, d)
         rate = commutator_generator(big, coupling, spec.hbar)
         out -= partial_trace_matrix(rate, s, s + n, d) / math.factorial(n)
     return ManyBodyOperator(s, d, out, F.stats)

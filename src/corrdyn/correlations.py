@@ -55,11 +55,17 @@ Conventions fixed here once:
 
       V^dagger [P_p, Phi_p] = eps_p ((V^dagger K) Phi - (V^dagger Phi) K) Q_p^T,
 
-  and an evaluation builds K once per class, makes three r x side products
-  and undoes each member's column legs by one signed gather; no d^n x d^n
-  product or coupling is placed per partition, and rank 0 costs nothing.
-  For BOLTZMANN (V = I) a member is Q_p [K, Phi] Q_p^T, one gather on both
-  legs.  This class term (``_SupportSum.term``) is the only implementation
+  and an evaluation applies K to the 2r rows V^dagger and V^dagger Phi
+  factor by factor (``_times_kron``: X (A (x) B) is computed without forming
+  A (x) B, after Van Loan), makes one r x side product with Phi and undoes
+  each member's column legs by one signed gather.  No Kronecker product,
+  d^n x d^n product or coupling is placed per partition or per class, and
+  rank 0 costs nothing.  For BOLTZMANN (V = I) a member is
+  Q_p [K, Phi] Q_p^T, one gather on both legs, with Phi K and
+  K Phi = (Phi^T K^T)^T again factor by factor.  Phi itself is built once
+  per plan by adding each coupling on the entries its embedding reaches
+  (``hilbert.add_embedded``), as is H_n.  This class term
+  (``_SupportSum.term``) is the only implementation
   of the interaction sum: ``von_neumann_rhs`` lifts it as V (V^dagger acc),
   the integrator adds it to its rows as is, the tabulated orders read their
   blocks off it, and ``generalized_rhs`` differentiates the cluster
@@ -77,10 +83,12 @@ Conventions fixed here once:
 * Small orders of the RK4 right-hand side are tabulated on the same rows.
   With row-major vec, vec(A X B) = (A (x) B^T) vec X, the drift is
   (i/hbar)(I_r (x) H^T - H~ (x) I) vec y_n; a block-size type's term is
-  linear in its monomial (the outer product of its raveled components,
-  which K reads at ``hilbert.placement_index``), so its block of columns
-  is the class term of the K of the unit monomials, one batch, not lifted
-  (it is already V^dagger acc), times (x)_k (V_k (x) I), which maps the
+  linear in its monomial (the outer product of its raveled components), so
+  its block of columns is the class term of the unit monomials, one batch:
+  factor j runs through its unit matrices along batch axis j, and the
+  C-order flattening of the batch is the monomial's order.  The block is
+  not lifted (it is already V^dagger acc) and is multiplied by
+  (x)_k (V_k (x) I), which maps the
   monomial of the rows to that of the components, vec g_k =
   (V_k (x) I) vec y_k.  Built once per ``integrate_hierarchy`` call, an
   order's block costs one GEMV per stage; ``TABULATED_MAX_ENTRIES``, counted
@@ -106,11 +114,10 @@ from .hilbert import (
     OperatorSequence,
     Permutation,
     Statistics,
-    embed_matrix,
+    add_embedded,
     group_average,
     group_compress,
     place_product,
-    placement_index,
     symmetric_isometry,
 )
 
@@ -326,11 +333,12 @@ class _SupportSum:
     multi-block partitions p that some coupling support reaches.  ``arrange``
     maps a partition to a class key and its factors' label tuples; the
     members of one class share their factors, in that order.  ``term`` is a
-    class's share, the class term of the module docstring, for a Kronecker
-    product K of the factors on consecutive labels: a call builds K once per
-    class, and ``_TabulatedOrders`` evaluates the term on the K of every
-    unit monomial as one batch.  ``groups`` is empty when no partition is
-    reached or the rank r is zero, and then no product need be built.
+    class's share, the class term of the module docstring, for the class's
+    factor matrices: a call passes each class its components, and
+    ``_TabulatedOrders`` passes the unit matrices of every factor as one
+    broadcast batch.  No Kronecker product of the factors is formed.
+    ``groups`` is empty when no partition is reached or the rank r is zero,
+    and then no term need be evaluated.
     """
 
     def __init__(
@@ -361,40 +369,61 @@ class _SupportSum:
 
     @cached_property
     def _layouts(self) -> dict[Hashable, tuple]:
-        """Per class key: the consecutive labels of K, Phi, V^dagger Phi, and
+        """Per class key: Phi, the 2r rows V^dagger over V^dagger Phi, and
         the members' index maps ``undo`` and signs.  The maps undo the column
-        legs (both legs for BOLTZMANN, where V^dagger Phi and the signs are
+        legs (both legs for BOLTZMANN, where the rows and the signs are
         None), one m x side row block per class."""
         v = self.v
         layouts = {}
         for key, members in self.groups.items():
-            labels, phi = _consecutive(members[0]), self.phi[key]
+            phi = self.phi[key]
             undo, parity = _relabelings(members, self.n, self.d)
             if v is None:
-                layouts[key] = (labels, phi, None, undo, None)
+                layouts[key] = (phi, None, undo, None)
             else:
                 signs = np.array([self.stats.permutation_sign(bit) for bit in parity])
-                layouts[key] = (labels, phi, v.T @ phi, undo, signs)
+                layouts[key] = (phi, np.concatenate([v.T, v.T @ phi]), undo, signs)
         return layouts
 
-    def term(self, key: Hashable, k: np.ndarray) -> np.ndarray:
+    def term(self, key: Hashable, mats: list[np.ndarray]) -> np.ndarray:
         """Class ``key``'s share of V^dagger acc, less the factor i/hbar:
         sum_p eps_p ((V^dagger K) Phi - (V^dagger Phi) K) Q_p^T over the
-        members, for the class's Kronecker product ``k`` on consecutive
-        labels (sum_p Q_p [K, Phi] Q_p^T for BOLTZMANN).  Leading axes of
-        ``k`` are batch axes."""
-        _, phi, v_phi, undo, signs = self._layouts[key]
-        if v_phi is None:
-            return (k @ phi - phi @ k)[..., undo[:, :, None], undo[:, None, :]].sum(axis=-3)
-        return signs @ ((self.v.T @ k) @ phi - v_phi @ k)[..., undo]
+        members (sum_p Q_p [K, Phi] Q_p^T for BOLTZMANN), K the Kronecker
+        product of the class's factor matrices ``mats`` on consecutive
+        labels.  K is never formed: ``_times_kron`` applies it to the rows
+        V^dagger and V^dagger Phi in one pass, and for BOLTZMANN to Phi and,
+        as K Phi = (Phi^T K^T)^T, to Phi^T.  Leading axes of the factors are
+        batch axes, broadcast against each other."""
+        phi, rows, undo, signs = self._layouts[key]
+        if rows is None:
+            k_phi = _times_kron(phi.T, [m.swapaxes(-1, -2) for m in mats]).swapaxes(-1, -2)
+            return (k_phi - _times_kron(phi, mats))[..., undo[:, :, None], undo[:, None, :]].sum(axis=-3)
+        y = _times_kron(rows, mats)
+        return signs @ (y[..., : self.rank, :] @ phi - y[..., self.rank :, :])[..., undo]
 
     def __call__(self, factors: Iterable[list[np.ndarray]]) -> np.ndarray:
         """V^dagger acc.  ``factors`` holds, per class in ``groups`` order,
         the factor matrices in the order of the members' label tuples."""
         acc = np.zeros((self.rank, self.side), dtype=np.complex128)
-        for (key, (labels, *_)), mats in zip(self._layouts.items(), factors):
-            acc += self.term(key, place_product(list(zip(mats, labels)), self.n, self.d))
+        for key, mats in zip(self._layouts, factors):
+            acc += self.term(key, mats)
         return (1j / self.hbar) * acc
+
+
+def _times_kron(x: np.ndarray, mats: list[np.ndarray]) -> np.ndarray:
+    """x (mats[0] (x) mats[1] (x) ...) on the rows of ``x`` (..., rows,
+    side), without forming the Kronecker product: factor by factor, the
+    columns are viewed as (left, s, right) and the s legs multiplied by
+    the factor, one reshape and one matmul by its transpose each (Van
+    Loan, 2000).  Leading axes of the factors broadcast as batch axes."""
+    *_, rows, side = x.shape
+    right = side
+    for m in mats:
+        s = m.shape[-1]
+        right //= s
+        x = np.matmul(m.swapaxes(-1, -2)[..., None, :, :], x.reshape(*x.shape[:-2], -1, s, right))
+        x = x.reshape(*x.shape[:-3], rows, side)
+    return x
 
 
 def _consecutive(legs: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
@@ -406,15 +435,13 @@ def _consecutive(legs: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
 def _meeting_couplings(blocks: list[tuple[int, ...]], spec: InteractionSpec, n: int) -> np.ndarray | None:
     """Sum of the embedded k-body couplings whose support meets every block
     (label tuples covering 1..n), or None when no support does."""
-    terms = (
-        embed_matrix(phi, z, n, spec.d)
-        for k, phi in spec.potentials.items()
-        for z in itertools.combinations(range(1, n + 1), k)
-        if all(set(b).intersection(z) for b in blocks)
-    )
-    out = next(terms, None)
-    for term in terms:
-        out += term
+    out = None
+    for k, phi in spec.potentials.items():
+        for z in itertools.combinations(range(1, n + 1), k):
+            if all(set(b).intersection(z) for b in blocks):
+                if out is None:
+                    out = np.zeros((spec.d**n, spec.d**n), dtype=np.complex128)
+                add_embedded(out, phi, z, n, spec.d)
     return out
 
 
@@ -443,9 +470,9 @@ def _by_size(p: Partition) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]
 class _OrderPlan:
     """Right-hand side of hierarchy order n on component matrices (orders <= n),
     with the Hamiltonian and the projected support sum built once.  The
-    support's groups are the block-size types of ``_by_size``: one
-    Kronecker product of components per type and evaluation, and the
-    factor order of the type's monomial in ``_TabulatedOrders``."""
+    support's groups are the block-size types of ``_by_size``: one class
+    term per type and evaluation, and the factor order of the type's
+    monomial in ``_TabulatedOrders``."""
 
     def __init__(self, n: int, stats: Statistics, spec: InteractionSpec):
         self.n, self.d, self.hbar, self.stats = n, spec.d, spec.hbar, stats
@@ -541,10 +568,12 @@ def generalized_rhs(
 #: right-hand side is tabulated in (T_n its block-size types).  The count is
 #: taken in the full layout, not on the rows y_n = V^dagger g_n the state
 #: carries, so the rank does not move an order across it.  Per evaluation
-#: (Bose, two-body coupling, one BLAS thread, 2-vCPU x86 host) the GEMV wins
-#: up to here (side 4, 8 and 9: 4.0-8.8 us against 22-38 us for the generic
-#: plan) and loses above it (side 16 at d = 4 and at d = 2: 57 and 117 us
-#: against 31 and 94 us; side 27: 647 us against 98 us).
+#: of one order (Bose, two-body coupling, one BLAS thread, 2-vCPU x86 host;
+#: the order's share of the GEMV against ``_OrderPlan.rows``), the GEMV wins
+#: up to here (side 4, 8 and 9: 2.4-7.8 us against 32-55 us for the
+#: generic plan) and still at side 16 (d = 4 and d = 2: 34-39 and 23-24 us
+#: against 68-69 and 65-104 us), which this bound leaves generic; it loses
+#: at side 27 (221-238 us against 52-99 us).
 TABULATED_MAX_ENTRIES = 2**14
 
 
@@ -556,9 +585,11 @@ class _TabulatedOrders:
     vec y_n, H~ = V^dagger H V, and, per block-size type lambda of order n,
     the type's class term (i/hbar) ``_SupportSum.term`` (already V^dagger
     acc, so not lifted) as a linear map of its monomial, the outer product
-    of the raveled rows of sizes lambda: the term at the Kronecker product
-    of every unit monomial of the components, all columns one batch, times
-    (x)_k (V_k (x) I), since vec g_k = (V_k (x) I) vec y_k.  A call applies
+    of the raveled rows of sizes lambda: the term at every unit monomial of
+    the components, all columns one batch whose factor j holds its unit
+    matrices along batch axis j (shapes (N_1, 1, s_1, s_1),
+    (1, N_2, s_2, s_2), ...), times (x)_k (V_k (x) I), since
+    vec g_k = (V_k (x) I) vec y_k.  A call applies
     W to the flat rows of orders 1..m followed by one monomial per type;
     the monomials of one degree are written by one product of gathers from
     the state, with index arrays built once.
@@ -571,11 +602,15 @@ class _TabulatedOrders:
             side, support = plan.h.shape[0], plan.support
             drift = np.kron(np.eye(support.rank), plan.h.T) - np.kron(plan.h_rows, np.eye(side))
             blocks.append((row, row, (1j / plan.hbar) * drift))
-            for sizes, members in sorted(support.groups.items(), reverse=True):
-                # row c: the Kronecker product K of the type's unit monomial c
-                index = placement_index(tuple(_consecutive(members[0])), plan.n, plan.d)
-                term = support.term(sizes, np.eye(side**2)[:, index].reshape(-1, side, side))
-                block = (1j / plan.hbar) * term.reshape(side**2, -1).T
+            for sizes in sorted(support.groups, reverse=True):
+                # factor j's unit matrices along batch axis j: the C-order
+                # flattening of the batch is the order of the type's monomial
+                units = []
+                for j, k in enumerate(sizes):
+                    batch = [1] * len(sizes)
+                    batch[j] = -1
+                    units.append(np.eye(plan.d ** (2 * k)).reshape(*batch, plan.d**k, plan.d**k))
+                block = (1j / plan.hbar) * support.term(sizes, units).reshape(side**2, -1).T
                 lifts = [plans[k - 1].support.v for k in sizes]
                 if any(v is not None for v in lifts):
                     lift = np.ones((1, 1))

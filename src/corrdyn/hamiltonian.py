@@ -21,6 +21,7 @@ from .errors import DomainError, ResourceCapError
 from .hilbert import (
     HERMITICITY_TOL,
     ManyBodyOperator,
+    add_embedded,
     all_permutations,
     embed_matrix,
     permutation_conjugate,
@@ -113,12 +114,12 @@ def hamiltonian_matrix(n: int, spec: InteractionSpec) -> np.ndarray:
     d = spec.d
     out = np.zeros((d**n, d**n), dtype=np.complex128)
     for i in range(1, n + 1):
-        out += embed_matrix(spec.one_body, (i,), n, d)
+        add_embedded(out, spec.one_body, (i,), n, d)
     for k, phi in spec.potentials.items():
         if k > n:
             continue
         for combo in itertools.combinations(range(1, n + 1), k):
-            out += embed_matrix(phi, combo, n, d)
+            add_embedded(out, phi, combo, n, d)
     return out
 
 
@@ -223,5 +224,5 @@ def block_hamiltonian(blocks: list[tuple[int, ...]], n: int, cache: EvolutionCac
     """Sum over blocks of the block Hamiltonians embedded at their labels."""
     h = np.zeros((cache.spec.d**n, cache.spec.d**n), dtype=np.complex128)
     for block in blocks:
-        h += embed_matrix(cache.hamiltonian(len(block)), tuple(sorted(block)), n, cache.spec.d)
+        add_embedded(h, cache.hamiltonian(len(block)), tuple(sorted(block)), n, cache.spec.d)
     return h

@@ -4,8 +4,10 @@ An n-particle operator is a d^n x d^n complex matrix.  Row and column
 indices factor into n base-d digits with particle 1 as the most significant
 digit (numpy C order).  Kernel-side permutations, (anti)symmetrization and
 partial traces are index arithmetic on that digit decomposition.  Placing
-factors on labels (block products and embeddings alike) is one outer product
-plus one cached axis permutation, with no d^n x d^n matrix products.
+factors on labels as a block product is one outer product plus one cached
+axis permutation, with no d^n x d^n matrix products.  An embedding, one
+factor tensored with identity legs, is added in place on the d^(n+k)
+entries it reaches (``add_embedded``), so no identity is ever placed.
 
 The statistics group average S_n is represented here only, as the
 occupation-number isometry V_n with S_n = V_n V_n^dagger
@@ -259,19 +261,38 @@ def place_product(factors: list[tuple[np.ndarray, tuple[int, ...]]], n: int, d: 
     return np.array(out.transpose(axes), order="C").reshape(d**n, d**n)
 
 
-def placement_index(label_tuples: tuple[tuple[int, ...], ...], n: int, d: int) -> np.ndarray:
-    """Flat index map of ``place_product``: the raveled product equals the
-    outer product of the raveled factors, in the order of ``label_tuples``,
-    taken at these indices."""
-    axes = _placement_axes(label_tuples, n)
-    return np.arange(d ** (2 * n)).reshape((d,) * (2 * n)).transpose(axes).ravel()
+@lru_cache(maxsize=None)
+def _embedding_subscripts(positions: tuple[int, ...], n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``np.einsum`` sublists taking the (d,)*2n legs of an n-particle
+    matrix to its entries that an embedding at ``positions`` can reach: the
+    row legs of the other particles, each tied to its column leg, then the
+    row and the column legs of ``positions`` in their order."""
+    if len(set(positions)) != len(positions) or not set(positions) <= set(range(1, n + 1)):
+        raise DomainError(f"positions {positions} are not distinct labels of 1..{n}")
+    cols = [n + p - 1 if p in positions else p - 1 for p in range(1, n + 1)]
+    rest = [p - 1 for p in range(1, n + 1) if p not in positions]
+    kept = [p - 1 for p in positions] + [n + p - 1 for p in positions]
+    return (*range(n), *cols), (*rest, *kept)
+
+
+def add_embedded(out: np.ndarray, a: np.ndarray, positions: tuple[int, ...], n: int, d: int) -> None:
+    """Add ``a`` tensored with the identity on the other particles, its
+    factors acting at ``positions``, to the C-ordered d^n x d^n ``out`` in
+    place.  Only the d^(n+k) entries the embedding reaches are written,
+    through the writable ``np.einsum`` diagonal view of out's legs; the
+    identity's zeros are never added."""
+    if not out.flags.c_contiguous:
+        raise DomainError("an embedding adds into a C-ordered matrix only")
+    legs, reached = _embedding_subscripts(tuple(positions), n)
+    view = np.einsum(out.reshape((d,) * (2 * n)), legs, reached)
+    view += np.asarray(a).reshape((d,) * (2 * len(positions)))
 
 
 def embed_matrix(a: np.ndarray, positions: tuple[int, ...], n: int, d: int) -> np.ndarray:
     """Embed matrix ``a`` so its factors act at ``positions`` (identity elsewhere)."""
-    rest = tuple(p for p in range(1, n + 1) if p not in positions)
-    # with nothing left, the identity is 1x1 on no labels and multiplies by one
-    return place_product([(a, tuple(positions)), (np.eye(d ** len(rest)), rest)], n, d)
+    out = np.zeros((d**n, d**n), dtype=np.complex128)
+    add_embedded(out, a, positions, n, d)
+    return out
 
 
 def partial_trace_matrix(mat: np.ndarray, s: int, n: int, d: int) -> np.ndarray:

@@ -1,3 +1,4 @@
+import functools
 import gc
 import itertools
 from collections import Counter
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from corrdyn.bbgky import chaos_cluster_solution, cumulant_apply
-from corrdyn import correlations
+from corrdyn import bbgky, correlations, hamiltonian, hilbert
 from corrdyn.combinatorics import ClusterElement, ClusterSet, block_labels, cluster_partitions, set_partitions
 from corrdyn.correlations import (
     ClusterCorrelation,
@@ -507,28 +508,59 @@ def test_boltzmann_layouts_keep_one_row_per_member():
         assert [x.shape for x in arrays] == [(len(members), d**n)]
 
 
-def test_generic_order_builds_one_product_per_block_size_type(monkeypatch):
-    # d=4 Fermi, n_max=4: order 4 (side 256) reaches 7 partitions of two
-    # block-size types, (3, 1) and (2, 2), and each of the 4 RK4 stages builds
-    # one Kronecker product per type, not one placement per partition; orders
-    # 2 and 3 reach one type each, and order 1 is tabulated.  The components
-    # are ket-side antisymmetric, as the integrator requires, and raw on the
-    # bra side
+def test_generic_order_places_no_product(monkeypatch):
+    # d=4 Fermi, n_max=4: orders 2-4 run the generic plan (order 4, side 256,
+    # reaches 7 partitions of the block-size types (3, 1) and (2, 2)), and
+    # no step places a Kronecker product or embeds a matrix: the class term
+    # applies each type's factors leg by leg, and the Hamiltonian and the
+    # couplings are added on their reached entries.  The components are
+    # ket-side antisymmetric, as the integrator requires, and raw on the bra
+    # side
     d, n_max = 4, 4
     rng = np.random.default_rng(77)
     pots = {2: permutation_average(random_hermitian(rng, d**2), 2, d)}
     spec = InteractionSpec(d=d, one_body=random_hermitian(rng, d), potentials=pots)
     g0 = ket_symmetric_sequence(rng, d, Statistics.FERMI, n_max)
-    sides = Counter()
+    calls = Counter()
 
-    def counting(factors, n, d):
-        out = place_product(factors, n, d)
-        sides[out.shape[0]] += 1
-        return out
+    def counting(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
 
-    monkeypatch.setattr(correlations, "place_product", counting)
+        return wrapper
+
+    monkeypatch.setattr(correlations, "place_product", counting("place_product", place_product))
+    for module in (hilbert, hamiltonian, correlations, bbgky):
+        if hasattr(module, "embed_matrix"):
+            monkeypatch.setattr(module, "embed_matrix", counting("embed_matrix", embed_matrix))
     integrate_hierarchy(g0, 0.1, 1, spec)
-    assert sides == {16: 4, 64: 4, 256: 8}
+    assert calls == {}
+
+
+@pytest.mark.parametrize("sides", [(2, 3), (2, 3, 4)])
+def test_times_kron_matches_dense_kronecker(sides):
+    # x (A (x) B (x) ...) factor by factor, plain and with each factor's
+    # batch on an axis of its own, broadcast against the others
+    rng = np.random.default_rng(79)
+
+    def normal(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    side = int(np.prod(sides))
+    x = normal(5, side)
+    mats = [normal(s, s) for s in sides]
+    expected = x @ functools.reduce(np.kron, mats)
+    got = correlations._times_kron(x, mats)
+    assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+    counts = (3, 2, 2)[: len(sides)]
+    batches = [normal(*(1,) * j, c, *(1,) * (len(sides) - j - 1), s, s) for j, (c, s) in enumerate(zip(counts, sides))]
+    got = correlations._times_kron(x, batches)
+    assert got.shape == (*counts, 5, side)
+    for index in itertools.product(*map(range, counts)):
+        factors = [b[(0,) * j + (i,) + (0,) * (len(sides) - j - 1)] for j, (b, i) in enumerate(zip(batches, index))]
+        expected = x @ functools.reduce(np.kron, factors)
+        assert np.abs(got[index] - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 @pytest.mark.parametrize("stats", ALL_STATS)

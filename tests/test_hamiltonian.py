@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,11 +10,19 @@ from corrdyn.hamiltonian import (
     build_hamiltonian,
     evolve_blocks,
     evolve_group,
+    hamiltonian_matrix,
     interaction_generator,
     periodic_laplacian,
     von_neumann_generator,
 )
-from corrdyn.hilbert import ManyBodyOperator, Statistics, random_hermitian, trace_norm
+from corrdyn.hilbert import (
+    ManyBodyOperator,
+    Statistics,
+    permutation_average,
+    place_product,
+    random_hermitian,
+    trace_norm,
+)
 from corrdyn.oracles import loop_embed
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -61,6 +71,21 @@ def test_three_particle_pair_terms_match_enumeration_oracle(two_body_spec):
     for pair in ((1, 2), (1, 3), (2, 3)):
         expected += loop_embed(two_body_spec.potentials[2], pair, ground, 2)
     assert np.allclose(h3.mat, expected, atol=1e-13)
+
+
+@pytest.mark.parametrize("d, n, couplings", [(2, 4, (2,)), (2, 4, (2, 3)), (3, 3, (2, 3)), (4, 3, (2,))])
+def test_hamiltonian_matrix_equals_placed_embedding_loop(d, n, couplings):
+    # accumulating in place writes the same bits as summing placed embeddings
+    rng = np.random.default_rng(23)
+    pots = {k: permutation_average(random_hermitian(rng, d**k), k, d) for k in couplings}
+    spec = InteractionSpec(d=d, one_body=random_hermitian(rng, d), potentials=pots)
+    expected = np.zeros((d**n, d**n), dtype=np.complex128)
+    terms = [(spec.one_body, (i,)) for i in range(1, n + 1)]
+    terms += [(phi, z) for k, phi in pots.items() for z in itertools.combinations(range(1, n + 1), k)]
+    for a, positions in terms:
+        rest = tuple(p for p in range(1, n + 1) if p not in positions)
+        expected += place_product([(a, positions), (np.eye(d ** len(rest)), rest)], n, d)
+    assert np.array_equal(hamiltonian_matrix(n, spec), expected)
 
 
 def test_hamiltonian_hermitian(two_body_spec):

@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 
 import numpy as np
@@ -12,7 +13,9 @@ from corrdyn.hilbert import (
     OperatorSequence,
     Permutation,
     Statistics,
+    add_embedded,
     all_permutations,
+    embed_matrix,
     embed_operator,
     group_average,
     group_compress,
@@ -165,6 +168,40 @@ def test_place_product_matches_loop_embed_products(d, n, label_tuples):
     assert np.allclose(place_product(factors, n, d), expected, atol=1e-13)
     with pytest.raises(DomainError, match="partition"):
         place_product(factors[:-1], n, d)
+
+
+def placed_embed(a, positions, n, d):
+    # the placement construction: a on ``positions`` times the identity on the rest
+    rest = tuple(p for p in range(1, n + 1) if p not in positions)
+    return place_product([(a, tuple(positions)), (np.eye(d ** len(rest)), rest)], n, d)
+
+
+@pytest.mark.parametrize("d, n", [(d, n) for d in (2, 3, 4) for n in (1, 2, 3, 4)])
+def test_embedding_equals_placed_identity_product(d, n):
+    # every ordered position tuple, non-adjacent ones and k = n included: the
+    # diagonal view writes exactly what the placement wrote, bit for bit, alone
+    # and accumulated into one matrix
+    rng = np.random.default_rng(12)
+    out = np.zeros((d**n, d**n), dtype=np.complex128)
+    expected = np.zeros_like(out)
+    for k in range(1, n + 1):
+        for positions in itertools.permutations(range(1, n + 1), k):
+            a = rng.normal(size=(d**k, d**k)) + 1j * rng.normal(size=(d**k, d**k))
+            placed = placed_embed(a, positions, n, d)
+            assert np.array_equal(embed_matrix(a, positions, n, d), placed)
+            add_embedded(out, a, positions, n, d)
+            expected += placed
+    assert np.array_equal(out, expected)
+
+
+def test_add_embedded_rejects_bad_positions_and_layout():
+    out = np.zeros((8, 8), dtype=np.complex128)
+    with pytest.raises(DomainError):
+        add_embedded(out, np.eye(4), (1, 1), 3, 2)
+    with pytest.raises(DomainError):
+        add_embedded(out, np.eye(2), (4,), 3, 2)
+    with pytest.raises(DomainError):
+        add_embedded(out.T, np.eye(2), (1,), 3, 2)
 
 
 def test_partial_trace_noop_and_factorized():
