@@ -34,7 +34,11 @@ conjugations.
 The reduced operators of a correlation sequence trace its cluster
 correlations; every satellite count and every order of one call shares one
 memo of the sequence's reconstructions and connected parts
-(``correlations._ClusterMemo``), dropped when the call returns.
+(``correlations._ClusterMemo``), dropped when the call returns.  For BOSE
+and FERMI the memo holds them as rank-space matrices V^dagger X V of the
+two-sided group average, one term per relabeling class and no placed
+product; a cluster correlation is lifted to V K V^dagger only for its
+partial trace here.
 """
 
 from __future__ import annotations
@@ -159,8 +163,8 @@ def _marginal(clusters: _ClusterMemo, s: int) -> ManyBodyOperator:
     d = g.d
     out = np.zeros((d**s, d**s), dtype=np.complex128)
     for n in range(0, g.n_max - s + 1):
-        cc = clusters.clusterize(s, n)
-        out += partial_trace_matrix(cc.op.mat, s, s + n, d) / math.factorial(n)
+        mat, _ = clusters.matrix(tuple(el.labels for el in ClusterSet.canonical(s, n).elements))
+        out += partial_trace_matrix(mat, s, s + n, d) / math.factorial(n)
     return ManyBodyOperator(s, d, out, g.stats)
 
 

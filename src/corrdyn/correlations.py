@@ -22,15 +22,37 @@ Conventions fixed here once:
   only up to the largest cluster asked for, and the connected parts by
   relabeled sub-tuple.  It lives for one public call, so nothing is cached
   across calls or keyed on a sequence.
-* The statistics group average is applied once per order, outside the
-  exponential formula, to the summed terms, through the isometry V of
-  ``hilbert.symmetric_isometry``: one-sided (``hilbert.group_average``) for
-  the transform pair, two-sided (``hilbert.group_compress``) for cluster
-  correlations.  In the interaction sum of the hierarchy the average is
-  applied outside the commutators; applying it between the commutator and
-  the product breaks the Bose identity at three particles, while the outer
-  placement is exact for every statistics (verified numerically down to
-  rounding).
+* The statistics group average is applied through the isometry V of
+  ``hilbert.symmetric_isometry``.  The transform pair applies it once per
+  order outside the exponential formula, one-sided
+  (``hilbert.group_average``), and ``generalized_rhs`` two-sided
+  (``hilbert.group_compress``).  The cluster correlations of the memo
+  carry the two-sided average inside the formula: for BOSE and FERMI the
+  whole recursion runs in the rank space of the average.  With S_m the
+  m-particle average, two exact identities allow it:
+
+  (i)  S P X P^T S = S X S for any leg permutation P (for FERMI the two
+       parity signs cancel);
+  (ii) S_m (A (x) B) S_m = S_m (S_a A S_a (x) S_b B S_b) S_m, a + b = m,
+       since S_m absorbs the averages over the two factors' labels.
+
+  By (i) the sub-tuples Q of one relabeling class (relabeled Q, |E - Q|)
+  give one term under the average, and by (ii) that term needs only the
+  compressed factors.  With K(X) = V^dagger X V (r x r) and the maps
+  W_{a,b} = (V_a (x) V_b)^dagger V_{a+b} (``_rank_map``, cached per
+  (stats, a, b, d)),
+
+      K(R_n)  = K(g_n) + sum_class count W^T (K(g_j) (x) K(R_{n-j})) W,
+      K(C(q)) = K(R_|q|) - sum_class count W^T (K(C(q')) (x) K(R_k)) W:
+
+  one small product per class, no member placed, and nothing at rank 0
+  (a FERMI order above d).  A result is lifted as V K V^dagger
+  (``hilbert.rank_lift``) only where it leaves the memo.  BOLTZMANN
+  (V = I) places every member.  In the interaction sum of the hierarchy
+  the average is applied outside the commutators; applying it between the
+  commutator and the product breaks the Bose identity at three particles,
+  while the outer placement is exact for every statistics (verified
+  numerically down to rounding).
 * The interaction sum is one commutator per multi-block partition.  Each
   term of the hierarchy picks a multi-block partition p and a nonempty label
   subset in every block; the subsets join into the support Z of one k-body
@@ -117,7 +139,10 @@ from .hilbert import (
     add_embedded,
     group_average,
     group_compress,
+    group_rank,
     place_product,
+    rank_compress,
+    rank_lift,
     symmetric_isometry,
 )
 
@@ -148,10 +173,15 @@ class ClusterCorrelation:
             raise DomainError("cluster set does not flatten to 1..s+n")
 
 
-def _component_mats(seq: OperatorSequence, m: int) -> dict[int, np.ndarray]:
-    """Component matrices, of which orders 1..m must lie within the truncation."""
+def _require_orders(seq: OperatorSequence, m: int) -> None:
+    """Raise TruncationError unless orders 1..m lie within the truncation."""
     if m > seq.n_max:
         raise TruncationError(f"component {m} lies above the truncation n_max={seq.n_max}")
+
+
+def _component_mats(seq: OperatorSequence, m: int) -> dict[int, np.ndarray]:
+    """Component matrices, of which orders 1..m must lie within the truncation."""
+    _require_orders(seq, m)
     return {n: op.mat for n, op in seq.components.items()}
 
 
@@ -163,8 +193,38 @@ def _relabeled(elements: tuple) -> tuple[tuple, tuple[int, ...]]:
     return tuple(sorted(tuple(sorted(local[l] for l in el)) for el in elements)), labels
 
 
+@lru_cache(maxsize=None)
+def _sub_tuples(elements: tuple) -> tuple[tuple[tuple, tuple[int, ...], tuple[int, ...]], ...]:
+    """The proper sub-tuples Q of ``elements`` that hold its first element,
+    in enumeration order: per Q its relabeling q (``_relabeled``), its
+    sorted labels and the rest's sorted labels.  The pair (q, |rest|) is
+    Q's relabeling class.  A function of the labels alone, so it is cached
+    like ``_relabelings``."""
+    first, others = elements[0], elements[1:]
+    out = []
+    for r in range(len(others)):
+        for chosen in itertools.combinations(others, r):
+            q, q_labels = _relabeled((first, *chosen))
+            rest = tuple(sorted(l for el in others if el not in chosen for l in el))
+            out.append((q, q_labels, rest))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _classes(elements: tuple) -> tuple[tuple[tuple, int, int], ...]:
+    """The relabeling classes (q, |rest|) of ``_sub_tuples``, each with its
+    member count, in order of first appearance."""
+    counts: dict[tuple, int] = {}
+    for q, _, rest in _sub_tuples(elements):
+        counts[q, len(rest)] = counts.get((q, len(rest)), 0) + 1
+    return tuple((q, k, count) for (q, k), count in counts.items())
+
+
 def _split_sum(
-    elements: tuple, terms: list[tuple[Callable[[tuple], np.ndarray], dict[int, np.ndarray]]], d: int
+    elements: tuple,
+    terms: list[tuple[Callable[[tuple], np.ndarray], dict[int, np.ndarray]]],
+    d: int,
+    average: Statistics = Statistics.BOLTZMANN,
 ) -> np.ndarray:
     """The exponential formula less its Q = E term: the sum, over the proper
     sub-tuples Q of ``elements`` that hold the first element and over the
@@ -172,26 +232,65 @@ def _split_sum(
     labels times whole[size] on the rest's.  The pairs (C', V) and (C, V')
     give the time derivative of the pair (C, V) by the product rule.
     ``elements`` and the argument of ``connected`` are relabeled as by
-    ``_relabeled``."""
-    first, others = elements[0], elements[1:]
+    ``_relabeled``.
+
+    ``average`` is the two-sided group average the sum is taken under.
+    With BOLTZMANN every member is placed (``hilbert.place_product``).  With
+    BOSE or FERMI the arguments and the sum are rank-space matrices
+    V^dagger X V, and the members of one relabeling class, equal under the
+    average, add up to count x ``_rank_product`` (module docstring)."""
     m = sum(map(len, elements))
-    total = np.zeros((d**m, d**m), dtype=np.complex128)
-    for r in range(len(others)):
-        for chosen in itertools.combinations(others, r):
-            q, q_labels = _relabeled((first, *chosen))
-            rest = tuple(sorted(l for el in others if el not in chosen for l in el))
+    if average is Statistics.BOLTZMANN:
+        total = np.zeros((d**m, d**m), dtype=np.complex128)
+        for q, q_labels, rest in _sub_tuples(elements):
             for connected, whole in terms:
                 total += place_product([(connected(q), q_labels), (whole[len(rest)], rest)], m, d)
+        return total
+    r = group_rank(average, m, d)
+    total = np.zeros((r, r), dtype=np.complex128)
+    for q, k, count in _classes(elements):
+        for connected, whole in terms:
+            total += count * _rank_product(connected(q), whole[k], average, m - k, k, d)
     return total
 
 
-def _reconstructions(mats: dict[int, np.ndarray], m: int, d: int, whole: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
+@lru_cache(maxsize=None)
+def _rank_map(stats: Statistics, a: int, b: int, d: int) -> np.ndarray:
+    """W = (V_a (x) V_b)^dagger V_(a+b), r_a r_b x r_(a+b), with V the
+    ``symmetric_isometry`` of each order (the identity where it is None)."""
+    legs = []
+    for k in (a, b):
+        v = symmetric_isometry(stats, k, d)
+        legs.append(np.eye(d**k) if v is None else v)
+    out = np.kron(*legs).T @ symmetric_isometry(stats, a + b, d)
+    out.flags.writeable = False
+    return out
+
+
+def _rank_product(a: np.ndarray, b: np.ndarray, stats: Statistics, i: int, j: int, d: int) -> np.ndarray:
+    """Rank-space class term W^T (a (x) b) W of rank-space factors ``a`` (i
+    particles) and ``b`` (j particles): V^dagger (V_i a V_i^dagger (x)
+    V_j b V_j^dagger) V, with W from ``_rank_map`` (real, so W^dagger = W^T)."""
+    w = _rank_map(stats, i, j, d)
+    ra, rb = len(a), len(b)
+    return w.T @ (a[:, None, :, None] * b[None, :, None, :]).reshape(ra * rb, ra * rb) @ w
+
+
+def _reconstructions(
+    mats: dict[int, np.ndarray],
+    m: int,
+    d: int,
+    whole: dict[int, np.ndarray],
+    average: Statistics = Statistics.BOLTZMANN,
+) -> dict[int, np.ndarray]:
     """Unsymmetrized density reconstructions R_1..R_m of correlation
     components, the exponential formula over singletons with C = g by size:
-    ``whole``, holding R_1..R_k, is extended in place to R_1..R_m."""
+    ``whole``, holding R_1..R_k, is extended in place to R_1..R_m.  Under a
+    BOSE or FERMI ``average`` (``_split_sum``) ``mats`` and ``whole`` are the
+    rank-space V^dagger g_n V and V^dagger R_n V."""
     for n in range(len(whole) + 1, m + 1):
         singletons = tuple((l,) for l in range(1, n + 1))
-        whole[n] = mats[n] + _split_sum(singletons, [(lambda q: mats[len(q)], whole)], d)
+        whole[n] = mats[n] + _split_sum(singletons, [(lambda q: mats[len(q)], whole)], d, average)
     return whole
 
 
@@ -251,7 +350,9 @@ def cluster_correlation_matrix(g: OperatorSequence, elements: tuple) -> tuple[np
     The group average is applied as the two-sided compression S C S.  On
     sums that are covariant under the full label group (plain sequences)
     this coincides with the one-sided average, and on cluster-structured
-    sums it is the variant that keeps Hermitian inputs Hermitian.
+    sums it is the variant that keeps Hermitian inputs Hermitian.  For BOSE
+    and FERMI the recursion runs on the rank-space matrices V^dagger X V,
+    one term per relabeling class, and only the result is lifted.
     """
     return _ClusterMemo(g).matrix(elements)
 
@@ -262,7 +363,12 @@ class _ClusterMemo:
     cluster asked for) and the connected parts in ``memo``, keyed by
     relabeled sub-tuple and seeded with the components as the connected
     parts of the singletons.  C(q) is a function of q alone, so one memo
-    serves every cluster set of the sequence.  A memo lives for one public
+    serves every cluster set of the sequence.  For BOSE and FERMI every
+    entry is the rank-space V^dagger X V of its matrix X (module docstring),
+    so the recursion adds one term per relabeling class and places no
+    d^m x d^m product; ``matrix`` lifts a result as V K V^dagger only where
+    it leaves the memo.  For BOLTZMANN the entries are the matrices
+    themselves and every member is placed.  A memo lives for one public
     call (``clusterize``, ``cluster_correlation_matrix``,
     ``bbgky.marginal_from_clusters``, ``bbgky.marginals_from_correlations``)
     and refers to nothing that refers back to it, so it is freed when the
@@ -271,15 +377,17 @@ class _ClusterMemo:
     def __init__(self, g: OperatorSequence):
         self.g = g
         self.whole: dict[int, np.ndarray] = {}
-        self.memo = {tuple((l,) for l in range(1, n + 1)): op.mat for n, op in g.components.items()}
+        self.parts = {n: rank_compress(g.stats, op.mat, n, g.d) for n, op in g.components.items()}
+        self.memo = {tuple((l,) for l in range(1, n + 1)): part for n, part in self.parts.items()}
 
     def matrix(self, elements: tuple) -> tuple[np.ndarray, tuple[int, ...]]:
         """``cluster_correlation_matrix`` of the memo's sequence."""
         local, labels = _relabeled(tuple(block_labels((el,)) for el in elements))
-        m, d = len(labels), self.g.d
+        m, d, stats = len(labels), self.g.d, self.g.stats
         if local not in self.memo:  # no key exceeds n_max, so this also guards the truncation
-            _reconstructions(_component_mats(self.g, m), m, d, self.whole)
-        return group_compress(self.g.stats, _connected(local, self.memo, self.whole, d), m, d), labels
+            _require_orders(self.g, m)
+            _reconstructions(self.parts, m, d, self.whole, stats)
+        return rank_lift(stats, _connected(local, self.memo, self.whole, d, stats), m, d), labels
 
     def clusterize(self, s: int, n: int) -> ClusterCorrelation:
         """``clusterize`` of the memo's sequence."""
@@ -290,13 +398,20 @@ class _ClusterMemo:
         return ClusterCorrelation(s, n, ManyBodyOperator(s + n, self.g.d, mat, self.g.stats), xc)
 
 
-def _connected(q: tuple, memo: dict[tuple, np.ndarray], whole: dict[int, np.ndarray], d: int) -> np.ndarray:
+def _connected(
+    q: tuple,
+    memo: dict[tuple, np.ndarray],
+    whole: dict[int, np.ndarray],
+    d: int,
+    average: Statistics = Statistics.BOLTZMANN,
+) -> np.ndarray:
     """Connected part C(q) of the exponential formula with V = ``whole`` by
-    size, memoized in ``memo``.  A module function, not a closure over
-    itself, so that a call leaves no reference cycle holding the memo."""
+    size, memoized in ``memo``, under the two-sided ``average`` of
+    ``_split_sum``.  A module function, not a closure over itself, so that
+    a call leaves no reference cycle holding the memo."""
     if q not in memo:
-        connected = partial(_connected, memo=memo, whole=whole, d=d)
-        memo[q] = whole[sum(map(len, q))] - _split_sum(q, [(connected, whole)], d)
+        connected = partial(_connected, memo=memo, whole=whole, d=d, average=average)
+        memo[q] = whole[sum(map(len, q))] - _split_sum(q, [(connected, whole)], d, average)
     return memo[q]
 
 
@@ -315,7 +430,8 @@ def clusterize(g: OperatorSequence, s: int, n: int) -> ClusterCorrelation:
     """Correlation operator of the cluster set ({1..s}, s+1, ..., s+n).
 
     The exponential formula over the cluster set solved for its cluster
-    correlation, the two-sided group-average compression outermost.
+    correlation under the two-sided group average, as in
+    ``cluster_correlation_matrix``.
     """
     return _ClusterMemo(g).clusterize(s, n)
 

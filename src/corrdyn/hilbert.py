@@ -14,6 +14,8 @@ occupation-number isometry V_n with S_n = V_n V_n^dagger
 (``symmetric_isometry``, rank r).  ``group_average`` applies it as
 V (V^dagger M) and ``group_compress`` as V (V^dagger M V) V^dagger, products
 with r rows or columns in place of the d^{3n} dense product with S_n.
+``rank_compress`` and ``rank_lift`` are the two halves of the latter, for
+callers that work on the r x r matrix V^dagger M V in between.
 ``symmetrizer_matrix`` builds S_n itself, used only for the traceless shift
 of the state sampler and read by the benchmark's cache counters.
 """
@@ -374,8 +376,23 @@ def group_compress(stats: Statistics, mat: np.ndarray, n: int, d: int) -> np.nda
 
     ``mat`` itself for BOLTZMANN and n <= 1; zero for a FERMI order n > d.
     """
+    return rank_lift(stats, rank_compress(stats, mat, n, d), n, d)
+
+
+def rank_compress(stats: Statistics, mat: np.ndarray, n: int, d: int) -> np.ndarray:
+    """V^dagger M V, the r x r matrix of the two-sided group average S M S
+    in the rank space of ``symmetric_isometry``; ``mat`` itself for
+    BOLTZMANN and n <= 1, and 0 x 0 for a FERMI order n > d."""
     v = symmetric_isometry(stats, n, d)
-    return mat if v is None else v @ (v.T @ mat @ v) @ v.T
+    return mat if v is None else v.T @ mat @ v
+
+
+def rank_lift(stats: Statistics, mat: np.ndarray, n: int, d: int) -> np.ndarray:
+    """V K V^dagger, the d^n x d^n matrix of a rank-space matrix K (the
+    inverse of ``rank_compress`` on two-sided averages); ``mat`` itself for
+    BOLTZMANN and n <= 1."""
+    v = symmetric_isometry(stats, n, d)
+    return mat if v is None else v @ mat @ v.T
 
 
 @lru_cache(maxsize=None)

@@ -247,9 +247,10 @@ def test_memoized_marginals_match_one_cluster_set_per_call(stats, d, n_max, raw)
 
 @pytest.mark.parametrize("n_max, placements", [(5, 42), (6, 99), (7, 219)])
 def test_marginals_build_each_reconstruction_once(monkeypatch, n_max, placements):
-    # R_1..R_n_max once (2^(n-1) - 1 placements each) plus the connected
-    # parts of the cluster sets; one memo per cluster set took 168 / 495 / 1314
-    g = density_to_correlations(random_sequence(np.random.default_rng(87), 2, Statistics.BOSE, n_max))
+    # BOLTZMANN places every member: R_1..R_n_max once (2^(n-1) - 1
+    # placements each) plus the connected parts of the cluster sets; one
+    # memo per cluster set took 168 / 495 / 1314
+    g = density_to_correlations(random_sequence(np.random.default_rng(87), 2, Statistics.BOLTZMANN, n_max))
     calls = []
 
     def counting(factors, n, d):
@@ -261,17 +262,46 @@ def test_marginals_build_each_reconstruction_once(monkeypatch, n_max, placements
     assert len(calls) == placements
 
 
+@pytest.mark.parametrize("stats", QUANTUM, ids=str)
+@pytest.mark.parametrize("n_max, terms", [(5, 20), (6, 35), (7, 56)])
+def test_rank_space_marginals_add_one_term_per_class(monkeypatch, stats, n_max, terms):
+    # BOSE and FERMI add one rank-space term per relabeling class and place
+    # nothing: n_max (n_max - 1) / 2 classes for R_2..R_n_max plus n per
+    # cluster set ({1..s}, n satellites) with s >= 2, against the member
+    # counts 42 / 99 / 219 of the BOLTZMANN lane above
+    g = density_to_correlations(random_sequence(np.random.default_rng(87), 2, stats, n_max))
+    placed, classes = [], []
+    rank_product = correlations._rank_product
+
+    def placing(*args):
+        placed.append(args)
+        return place_product(*args)
+
+    def counting(*args):
+        classes.append(args)
+        return rank_product(*args)
+
+    monkeypatch.setattr(correlations, "place_product", placing)
+    monkeypatch.setattr(correlations, "_rank_product", counting)
+    marginals_from_correlations(g)
+    assert placed == []
+    assert len(classes) == terms == n_max * (n_max - 1) // 2 + sum(
+        n for s in range(2, n_max + 1) for n in range(1, n_max - s + 1)
+    )
+
+
 def test_marginals_leave_no_garbage():
     # the shared memo is freed when the call returns, not left in a
     # reference cycle for the cyclic garbage collector
-    g = density_to_correlations(random_sequence(np.random.default_rng(88), 2, Statistics.BOSE, 4))
-    gc.collect()
-    gc.disable()
-    try:
-        marginals_from_correlations(g)
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
+    for stats in QUANTUM:
+        g = density_to_correlations(random_sequence(np.random.default_rng(88), 2, stats, 4))
+        gc.collect()
+        gc.disable()
+        try:
+            marginals_from_correlations(g)
+            assert gc.collect() == 0, stats
+        finally:
+            gc.enable()
 
 
 # ---------------------------------------------------------------- chain rhs

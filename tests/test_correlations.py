@@ -261,6 +261,42 @@ def test_cluster_correlation_matrix_matches_nested_oracle(stats, d, elements):
     assert np.abs(fast - oracles.nested_cluster_correlation(g, elements)).max() <= 1e-12
 
 
+@pytest.mark.parametrize("raw", [False, True], ids=["symmetric", "raw"])
+@pytest.mark.parametrize("stats", QUANTUM, ids=str)
+@pytest.mark.parametrize(
+    "d, elements",
+    [
+        (2, ((1, 2), (3,), (4,))),
+        (2, ((1, 2, 3), (4,))),
+        (2, ((1, 3), (2,), (4, 5))),
+        (2, ((2, 4), (1,), (3,))),
+        (3, ((1, 2), (3,))),
+        (3, ((1, 3), (2,), (4,))),
+        (4, ((1, 2), (3,))),
+        (4, ((1, 3), (2,))),
+    ],
+)
+def test_rank_space_cluster_correlation_matches_nested_oracle(raw, stats, d, elements):
+    # the BOSE/FERMI memo runs in the rank space of the group average, one
+    # term per relabeling class; the oracle places every term at full side.
+    # Symmetric data come from the transform, raw data are complex and not
+    # exchange invariant; FERMI orders above d (all of d = 2 here, four
+    # labels at d = 3) have rank 0
+    rng = np.random.default_rng([d, len(elements), raw])
+    m = sum(len(el) for el in elements)
+    if raw:
+        comps = {}
+        for n in range(1, m + 1):
+            mat = rng.standard_normal((d**n, d**n)) + 1j * rng.standard_normal((d**n, d**n))
+            comps[n] = ManyBodyOperator(n, d, mat, stats)
+        g = OperatorSequence(d=d, stats=stats, n_max=m, components=comps)
+    else:
+        g = density_to_correlations(random_sequence(rng, d, stats, m))
+    fast, _ = cluster_correlation_matrix(g, elements)
+    expected = oracles.nested_cluster_correlation(g, elements)
+    assert np.abs(fast - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
+
+
 def test_cluster_correlation_matrix_leaves_no_garbage():
     # the recursion's memo is freed when the call returns, not left in a
     # reference cycle for the cyclic garbage collector
