@@ -31,14 +31,39 @@ do not depend on t: ``BBGKYSeries`` builds them once per (F0, s), and each
 time point, of the solution or of its derivative, costs only the
 conjugations.
 
+For BOSE and FERMI the series runs in the rank space of the two-sided
+group average S_m = V V^dagger (``hilbert.symmetric_isometry``, rank r).
+``BBGKYSeries`` requires every component it reads in that range,
+S_m F0_m S_m = F0_m, and checks it on entry (``hilbert.range_compress``).
+Three identities then keep every matrix at side r:
+
+- H_m S_m = S_m H_m, so H_m V = V H~_m with H~_m = V^dagger H_m V, and the
+  evolution group maps the range to itself: U_m(t) V = V U~_m(t),
+  U~_m(t) = exp(-i t H~_m / hbar) (``hamiltonian.EvolutionCache``).  An
+  evolved subset sum is V (U~ K U~^dagger) V^dagger with
+  K = V^dagger G V, and its derivative V (-[U~ K U~^dagger, H~]) V^dagger,
+  up to the generator's factor -i/hbar;
+- the partial trace of a lift needs no lift: with V's rows split into the
+  kept and the traced legs, Tr_k V E V^dagger =
+  (V E).reshape(d^s, -1) @ V.reshape(d^s, -1)^T (``hilbert.traced_lift``,
+  V is real);
+- on the checked range every leg permutation leaves F0_m fixed (for FERMI
+  the two parity signs cancel), so each of the C(n, k) satellite subsets Z
+  of size k gives the same Tr_{X-Z} F0_{s+n}: one partial trace of the
+  last n - k legs, weighted C(n, k), replaces the 2^n subset traces.
+
+A series order of rank 0 (FERMI m > d) is zero on the range and skipped.
+BOLTZMANN data need no symmetry, so every subset is traced and evolved by
+the dense U_m(t): the V = None case of the same construction.
+
 The reduced operators of a correlation sequence trace its cluster
 correlations; every satellite count and every order of one call shares one
 memo of the sequence's reconstructions and connected parts
 (``correlations._ClusterMemo``), dropped when the call returns.  For BOSE
 and FERMI the memo holds them as rank-space matrices V^dagger X V of the
 two-sided group average, one term per relabeling class and no placed
-product; a cluster correlation is lifted to V K V^dagger only for its
-partial trace here.
+product, and the reduced operator reads each through one traced lift, with
+no matrix at side d^(s+n).
 """
 
 from __future__ import annotations
@@ -63,10 +88,14 @@ from .hilbert import (
     Statistics,
     add_embedded,
     group_average,
+    group_rank,
     partial_trace_matrix,
     place_product,
+    range_compress,
+    rank_compress,
     trace_keeping,
     trace_norm,
+    traced_lift,
 )
 from .correlations import CorrelationSequence, ClusterCorrelation, _ClusterMemo
 
@@ -163,8 +192,8 @@ def _marginal(clusters: _ClusterMemo, s: int) -> ManyBodyOperator:
     d = g.d
     out = np.zeros((d**s, d**s), dtype=np.complex128)
     for n in range(0, g.n_max - s + 1):
-        mat, _ = clusters.matrix(tuple(el.labels for el in ClusterSet.canonical(s, n).elements))
-        out += partial_trace_matrix(mat, s, s + n, d) / math.factorial(n)
+        mat, _ = clusters.compressed(tuple(el.labels for el in ClusterSet.canonical(s, n).elements))
+        out += traced_lift(g.stats, mat, s, s + n, d) / math.factorial(n)
     return ManyBodyOperator(s, d, out, g.stats)
 
 
@@ -209,32 +238,50 @@ class BBGKYSeries:
         G_k = sum_{n >= k} ((-1)^(n-k) / n!) sum_{|Z| = k} Tr_{X-Z} F0_{s+n},
 
     k = 0..n_max-s, on the legs Y u Z in order, are built once, at
-    construction (2^(n_max-s+1) - 1 partial traces of the initial data), and
-    a time point costs one conjugation by U_{s+k}(t) per k.  With data
-    supported on at most n_max particles the truncation is exact, so the
-    series matches time integration to its own error.
+    construction, and a time point costs one conjugation per k.  For
+    BOLTZMANN every subset is traced (2^(n_max-s+1) - 1 partial traces of
+    the initial data) and G_k is conjugated by the dense U_{s+k}(t).  For
+    BOSE and FERMI each component F0_m, m >= s, must lie in the two-sided
+    range of the group average, S_m F0_m S_m = F0_m (checked on entry, a
+    component that does not raises DomainError naming its order and
+    defect); all subsets of one size then trace alike, G_k takes one
+    partial trace per (k, n) weighted C(n, k), and the series runs in the
+    rank space of the module docstring: G_k is kept as V^dagger G_k V, it
+    is conjugated by U~_{s+k}(t), and it leaves the rank space through one
+    traced lift.  Orders of rank 0 (FERMI s+k > d) contribute nothing and
+    are skipped.  With data supported on at most n_max particles the
+    truncation is exact, so the series matches time integration to its own
+    error.
     """
 
     def __init__(self, F0: MarginalSequence, s: int, cache: EvolutionCache):
         if s > F0.n_max:
             raise TruncationError(f"series order {s} exceeds n_max={F0.n_max}")
         self.s, self.stats, self.cache = s, F0.stats, cache
-        d = cache.spec.d
+        d, stats = cache.spec.d, F0.stats
+        for m in range(s, F0.n_max + 1):
+            range_compress(F0.component(m), "marginal", two_sided=True)
         core = tuple(range(1, s + 1))
-        self.sums: list[np.ndarray] = []
+        #: per k with a nonzero rank, V^dagger G_k V (G_k itself where V is None)
+        self.sums: dict[int, np.ndarray] = {}
         for k in range(0, F0.n_max - s + 1):
+            if group_rank(stats, s + k, d) == 0:
+                continue
             g = np.zeros((d ** (s + k), d ** (s + k)), dtype=np.complex128)
             for n in range(k, F0.n_max - s + 1):
                 f = F0.component(s + n).mat
                 weight = (-1) ** (n - k) / math.factorial(n)
-                for z in itertools.combinations(range(s + 1, s + n + 1), k):
-                    g += weight * trace_keeping(f, core + z, s + n, d)
-            self.sums.append(g)
+                if stats is Statistics.BOLTZMANN:
+                    for z in itertools.combinations(range(s + 1, s + n + 1), k):
+                        g += weight * trace_keeping(f, core + z, s + n, d)
+                else:
+                    g += (weight * math.comb(n, k)) * partial_trace_matrix(f, s + k, s + n, d)
+            self.sums[k] = rank_compress(stats, g, s + k, d)
 
     def _evolved(self, t: float):
-        """Yield (k, U_{s+k}(t) G_k U_{s+k}(t)^dagger) for each k."""
-        for k, g in enumerate(self.sums):
-            u = self.cache.propagator(self.s + k, t)
+        """Yield (k, U~ K_k U~^dagger) for each kept k, U~ = U~_{s+k}(t)."""
+        for k, g in self.sums.items():
+            u = self.cache.propagator(self.s + k, t, self.stats)
             yield k, u @ g @ u.conj().T
 
     def at(self, t: float) -> ManyBodyOperator:
@@ -242,19 +289,20 @@ class BBGKYSeries:
         s, d = self.s, self.cache.spec.d
         out = np.zeros((d**s, d**s), dtype=np.complex128)
         for k, evolved in self._evolved(t):
-            out += partial_trace_matrix(evolved, s, s + k, d)
+            out += traced_lift(self.stats, evolved, s, s + k, d)
         return ManyBodyOperator(s, d, out, self.stats)
 
     def rate(self, t: float) -> ManyBodyOperator:
         """Exact d/dt of ``at``: each evolved subset sum differentiates to
-        minus the commutator generator of H_{s+k} applied to it, before the
-        trace over the kept satellites; no finite differencing."""
+        minus the commutator generator of H~_{s+k} applied to it, before the
+        traced lift; no finite differencing."""
         s, cache = self.s, self.cache
         d = cache.spec.d
         out = np.zeros((d**s, d**s), dtype=np.complex128)
         for k, evolved in self._evolved(t):
-            rate = -commutator_generator(evolved, cache.hamiltonian(s + k), cache.spec.hbar)
-            out += partial_trace_matrix(rate, s, s + k, d)
+            h = cache.hamiltonian(s + k, self.stats)
+            rate = -commutator_generator(evolved, h, cache.spec.hbar)
+            out += traced_lift(self.stats, rate, s, s + k, d)
         return ManyBodyOperator(s, d, out, self.stats)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence, TypeVar
 
 from .errors import DomainError, ResourceCapError
@@ -174,9 +175,13 @@ def nonempty_subsets(s: Sequence[T]) -> list[tuple[T, ...]]:
     return out
 
 
-def cluster_partitions(x: ClusterSet, cap: int = BELL_CAP) -> list[Partition]:
-    """Partitions of a cluster set's elements (atomic clusters never split)."""
-    return set_partitions(x.elements, cap=cap)
+@lru_cache(maxsize=None)
+def cluster_partitions(x: ClusterSet, cap: int = BELL_CAP) -> tuple[Partition, ...]:
+    """Partitions of a cluster set's elements (atomic clusters never split),
+    in the order of ``set_partitions``.  A function of the cluster set
+    alone, so it is cached per (cluster set, cap), and a tuple of frozen
+    partitions, so no caller can change the cached value."""
+    return tuple(set_partitions(x.elements, cap=cap))
 
 
 def block_labels(block: Iterable) -> tuple[int, ...]:

@@ -47,12 +47,13 @@ Conventions fixed here once:
 
   one small product per class, no member placed, and nothing at rank 0
   (a FERMI order above d).  A result is lifted as V K V^dagger
-  (``hilbert.rank_lift``) only where it leaves the memo.  BOLTZMANN
-  (V = I) places every member.  In the interaction sum of the hierarchy
-  the average is applied outside the commutators; applying it between the
-  commutator and the product breaks the Bose identity at three particles,
-  while the outer placement is exact for every statistics (verified
-  numerically down to rounding).
+  (``hilbert.rank_lift``) only where it leaves the memo, and the reduced
+  operators read it through ``hilbert.traced_lift`` without any lift at
+  side d^m.  BOLTZMANN (V = I) places every member.  In the interaction
+  sum of the hierarchy the average is applied outside the commutators;
+  applying it between the commutator and the product breaks the Bose
+  identity at three particles, while the outer placement is exact for
+  every statistics (verified numerically down to rounding).
 * The interaction sum is one commutator per multi-block partition.  Each
   term of the hierarchy picks a multi-block partition p and a nonempty label
   subset in every block; the subsets join into the support Z of one k-body
@@ -95,9 +96,10 @@ Conventions fixed here once:
 * The drift.  For data of any symmetry (``von_neumann_rhs``,
   ``generalized_rhs``) -[g_n, H_n] is one dense commutator.  The
   integrator requires BOSE and FERMI components in the range of the group
-  average on the ket side, S_n g_n = g_n (checked on entry; the bra side
-  is free), and the order-n equation keeps that range.  It carries the
-  rows y_n = V^dagger g_n, r x side, and since H_n commutes with S_n,
+  average on the ket side, S_n g_n = g_n (checked on entry by
+  ``hilbert.range_compress``; the bra side is free), and the order-n
+  equation keeps that range.  It carries the rows y_n = V^dagger g_n,
+  r x side, and since H_n commutes with S_n,
   V^dagger [g_n, H_n] = y_n H_n - H~_n y_n with H~_n = V^dagger H_n V
   built once per plan: r x side products in place of two side x side
   GEMMs, nothing at rank 0.  g_n = V y_n is rebuilt only where a
@@ -131,7 +133,6 @@ from .combinatorics import ClusterSet, Partition, block_labels, set_partitions
 from .errors import DomainError, IntegrationError, TruncationError
 from .hamiltonian import InteractionSpec, commutator_generator, hamiltonian_matrix
 from .hilbert import (
-    HERMITICITY_TOL,
     ManyBodyOperator,
     OperatorSequence,
     Permutation,
@@ -141,6 +142,7 @@ from .hilbert import (
     group_compress,
     group_rank,
     place_product,
+    range_compress,
     rank_compress,
     rank_lift,
     symmetric_isometry,
@@ -313,6 +315,14 @@ def density_to_correlations(D: OperatorSequence) -> CorrelationSequence:
     connected part M_n, and g_n = D_n + S_n (M_n - D_n), S_n being the
     statistics group average.  The inverse is ``correlations_to_density``;
     the pair is an exact bijection on statistics-symmetric sequences.
+
+    The inversion is ill-conditioned at high orders: on
+    ``hilbert.random_sequence`` Bose data at d = 2 the correlations reach
+    max |g_n| = 2.5e3 at n_max = 7 and 2.7e5 at n_max = 8 (1.7e2 at d = 3,
+    n_max = 5), from densities of order one.  Reconstructing the top
+    density from them cancels those magnitudes and misses it by about
+    1e-12 (n_max = 7) and 2e-11 (n_max = 8) relative, so a relative 1e-12
+    comparison at n_max >= 7 measures this cancellation, not a route.
     """
     d, stats = D.d, D.stats
     mats = _component_mats(D, D.n_max)
@@ -367,12 +377,12 @@ class _ClusterMemo:
     entry is the rank-space V^dagger X V of its matrix X (module docstring),
     so the recursion adds one term per relabeling class and places no
     d^m x d^m product; ``matrix`` lifts a result as V K V^dagger only where
-    it leaves the memo.  For BOLTZMANN the entries are the matrices
-    themselves and every member is placed.  A memo lives for one public
-    call (``clusterize``, ``cluster_correlation_matrix``,
-    ``bbgky.marginal_from_clusters``, ``bbgky.marginals_from_correlations``)
-    and refers to nothing that refers back to it, so it is freed when the
-    call returns."""
+    it leaves the memo, and ``compressed`` hands it out unlifted.  For
+    BOLTZMANN the entries are the matrices themselves and every member is
+    placed.  A memo lives for one public call (``clusterize``,
+    ``cluster_correlation_matrix``, ``bbgky.marginal_from_clusters``,
+    ``bbgky.marginals_from_correlations``) and refers to nothing that
+    refers back to it, so it is freed when the call returns."""
 
     def __init__(self, g: OperatorSequence):
         self.g = g
@@ -380,14 +390,21 @@ class _ClusterMemo:
         self.parts = {n: rank_compress(g.stats, op.mat, n, g.d) for n, op in g.components.items()}
         self.memo = {tuple((l,) for l in range(1, n + 1)): part for n, part in self.parts.items()}
 
-    def matrix(self, elements: tuple) -> tuple[np.ndarray, tuple[int, ...]]:
-        """``cluster_correlation_matrix`` of the memo's sequence."""
+    def compressed(self, elements: tuple) -> tuple[np.ndarray, tuple[int, ...]]:
+        """``cluster_correlation_matrix`` of the memo's sequence before its
+        lift: the rank-space V^dagger C V for BOSE and FERMI, C itself for
+        BOLTZMANN."""
         local, labels = _relabeled(tuple(block_labels((el,)) for el in elements))
         m, d, stats = len(labels), self.g.d, self.g.stats
         if local not in self.memo:  # no key exceeds n_max, so this also guards the truncation
             _require_orders(self.g, m)
             _reconstructions(self.parts, m, d, self.whole, stats)
-        return rank_lift(stats, _connected(local, self.memo, self.whole, d, stats), m, d), labels
+        return _connected(local, self.memo, self.whole, d, stats), labels
+
+    def matrix(self, elements: tuple) -> tuple[np.ndarray, tuple[int, ...]]:
+        """``cluster_correlation_matrix`` of the memo's sequence."""
+        mat, labels = self.compressed(elements)
+        return rank_lift(self.g.stats, mat, len(labels), self.g.d), labels
 
     def clusterize(self, s: int, n: int) -> ClusterCorrelation:
         """``clusterize`` of the memo's sequence."""
@@ -763,22 +780,6 @@ class _TabulatedOrders:
         return self.w @ x
 
 
-def _ket_rows(op: ManyBodyOperator, v: np.ndarray | None) -> np.ndarray:
-    """Rows V^dagger g of a component g in the range of S_n (g itself for V
-    None).  Raises DomainError when the ket-side defect
-    max |g - V (V^dagger g)| exceeds ``HERMITICITY_TOL`` max(1, max |g|)."""
-    if v is None:
-        return op.mat
-    rows = v.T @ op.mat
-    defect = float(np.abs(op.mat - v @ rows).max()) / max(1.0, float(np.abs(op.mat).max()))
-    if defect > HERMITICITY_TOL:
-        raise DomainError(
-            f"{op.stats} correlation component {op.n} is not in the range of the group average: "
-            f"max relative deviation |g - S g| = {defect:.3e}"
-        )
-    return rows
-
-
 def integrate_hierarchy(
     g0: OperatorSequence,
     t_final: float,
@@ -807,7 +808,9 @@ def integrate_hierarchy(
         raise DomainError("steps must be >= 1")
     d, n_max = g0.d, g0.n_max
     isometries = {n: symmetric_isometry(g0.stats, n, d) for n in range(1, n_max + 1)}
-    y = np.concatenate([_ket_rows(g0.component(n), isometries[n]).ravel() for n in range(1, n_max + 1)])
+    y = np.concatenate([
+        range_compress(g0.component(n), "correlation", two_sided=False).ravel() for n in range(1, n_max + 1)
+    ])
     plans = [_OrderPlan(n, g0.stats, spec) for n in range(1, n_max + 1)]
     m = next((i for i, plan in enumerate(plans) if plan.tabulated_entries() > TABULATED_MAX_ENTRIES), n_max)
     bounds = [0, *itertools.accumulate(plan.support.rank * d**plan.n for plan in plans)]

@@ -6,8 +6,10 @@ matrix, so the n-particle Hamiltonian is
     H_n = sum_i h(i) + sum_{k>=2} sum_{i_1<...<i_k} Phi^(k)(i_1, ..., i_k)
 
 with H_0 = 0.  Evolution is unitary conjugation computed in the eigenbasis,
-cached per particle count; the spectral route keeps the group law and trace
-norms exact to rounding.
+cached per particle count and statistics (``EvolutionCache``: for BOSE and
+FERMI the eigensystem of H_m restricted to the range of the group
+average); the spectral route keeps the group law and trace norms exact to
+rounding.
 """
 
 from __future__ import annotations
@@ -21,12 +23,14 @@ from .errors import DomainError, ResourceCapError
 from .hilbert import (
     HERMITICITY_TOL,
     ManyBodyOperator,
+    Statistics,
     add_embedded,
     all_permutations,
     embed_matrix,
     permutation_conjugate,
     place_product,
     require_hermitian,
+    symmetric_isometry,
 )
 
 
@@ -161,35 +165,58 @@ def interaction_generator(
 
 
 class EvolutionCache:
-    """Eigendecompositions of H_m per particle count, built lazily.
+    """Spectral evolution per particle count and statistics, built lazily.
+
+    H_m commutes with the statistics group average S_m = V V^dagger
+    (``hilbert.symmetric_isometry``, rank r), so the evolution group maps
+    the range of S_m to itself.  With H~_m = V^dagger H_m V (r x r),
+
+        H_m V = V H~_m,    U_m(t) V = V U~_m(t),    U~_m(t) = exp(-i t H~_m / hbar),
+
+    and an operator in the two-sided range, V K V^dagger, evolves as
+    V (U~ K U~^dagger) V^dagger.  The cache keeps one construction for
+    every statistics: ``hamiltonian(m, stats)`` is H~_m, ``eigensystem``
+    its eigendecomposition and ``propagator`` U~_m(t), each cached per
+    (m, stats).  Where V is None (BOLTZMANN, the default, and m <= 1) H~_m
+    is the dense H_m.  A rank-0 order (FERMI m > d) has a 0 x 0 H~_m;
+    callers skip it.
 
     Immutable after construction apart from memoization.
     """
 
     def __init__(self, spec: InteractionSpec):
         self.spec = spec
-        self._eig: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._ham: dict[int, np.ndarray] = {}
+        self._eig: dict[tuple[int, Statistics], tuple[np.ndarray, np.ndarray]] = {}
+        self._ham: dict[tuple[int, Statistics], np.ndarray] = {}
 
-    def hamiltonian(self, m: int) -> np.ndarray:
-        if m not in self._ham:
-            self._ham[m] = hamiltonian_matrix(m, self.spec)
-        return self._ham[m]
+    def hamiltonian(self, m: int, stats: Statistics = Statistics.BOLTZMANN) -> np.ndarray:
+        """H~_m = V^dagger H_m V for the group average of ``stats``; H_m
+        itself where V is None."""
+        if (m, stats) not in self._ham:
+            v = symmetric_isometry(stats, m, self.spec.d)
+            h = hamiltonian_matrix(m, self.spec) if v is None else v.T @ self.hamiltonian(m) @ v
+            self._ham[m, stats] = h
+        return self._ham[m, stats]
 
-    def eigensystem(self, m: int) -> tuple[np.ndarray, np.ndarray]:
-        if m not in self._eig:
-            w, v = np.linalg.eigh(self.hamiltonian(m))
-            self._eig[m] = (w, v)
-        return self._eig[m]
+    def eigensystem(
+        self, m: int, stats: Statistics = Statistics.BOLTZMANN
+    ) -> tuple[np.ndarray, np.ndarray]:
+        if (m, stats) not in self._eig:
+            w, v = np.linalg.eigh(self.hamiltonian(m, stats))
+            self._eig[m, stats] = (w, v)
+        return self._eig[m, stats]
 
     def reconstruction_error(self, m: int) -> float:
+        """Largest entry of W diag(w) W^dagger - H_m for the cached dense
+        eigensystem (w, W) of H_m."""
         w, v = self.eigensystem(m)
         h = self.hamiltonian(m)
         return float(np.abs((v * w) @ v.conj().T - h).max())
 
-    def propagator(self, m: int, t: float) -> np.ndarray:
-        """U_m(t) = exp(-i t H_m / hbar) via the cached eigenbasis."""
-        w, v = self.eigensystem(m)
+    def propagator(self, m: int, t: float, stats: Statistics = Statistics.BOLTZMANN) -> np.ndarray:
+        """U~_m(t) = exp(-i t H~_m / hbar) via the cached eigenbasis; the
+        dense U_m(t) where V is None."""
+        w, v = self.eigensystem(m, stats)
         return (v * np.exp(-1j * t * w / self.spec.hbar)) @ v.conj().T
 
 

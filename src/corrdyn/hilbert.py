@@ -15,7 +15,10 @@ occupation-number isometry V_n with S_n = V_n V_n^dagger
 V (V^dagger M) and ``group_compress`` as V (V^dagger M V) V^dagger, products
 with r rows or columns in place of the d^{3n} dense product with S_n.
 ``rank_compress`` and ``rank_lift`` are the two halves of the latter, for
-callers that work on the r x r matrix V^dagger M V in between.
+callers that work on the r x r matrix V^dagger M V in between;
+``traced_lift`` is a lift followed by a partial trace, which never forms
+the d^n x d^n lift, and ``range_compress`` is the one check that a
+component lies in the range of the average (ket side or both sides).
 ``symmetrizer_matrix`` builds S_n itself, used only for the traceless shift
 of the state sampler and read by the benchmark's cache counters.
 """
@@ -393,6 +396,40 @@ def rank_lift(stats: Statistics, mat: np.ndarray, n: int, d: int) -> np.ndarray:
     BOLTZMANN and n <= 1."""
     v = symmetric_isometry(stats, n, d)
     return mat if v is None else v @ mat @ v.T
+
+
+def traced_lift(stats: Statistics, mat: np.ndarray, s: int, n: int, d: int) -> np.ndarray:
+    """Tr_{s+1..n} V K V^dagger, the partial trace keeping the first s of n
+    particles of the lift of a rank-space matrix K, without forming the
+    d^n x d^n lift: with V's rows split into the kept and the traced legs,
+    it is (V K).reshape(d^s, -1) @ V.reshape(d^s, -1)^T (V is real).
+    ``partial_trace_matrix`` of ``mat`` itself for BOLTZMANN and n <= 1."""
+    v = symmetric_isometry(stats, n, d)
+    if v is None:
+        return partial_trace_matrix(mat, s, n, d)
+    cols = d ** (n - s) * v.shape[1]
+    return (v @ mat).reshape(d**s, cols) @ v.reshape(d**s, cols).T
+
+
+def range_compress(op: ManyBodyOperator, what: str, *, two_sided: bool) -> np.ndarray:
+    """Rank-space image of a component in the range of its group average
+    S_n = V V^dagger: the rows V^dagger M, or V^dagger M V when
+    ``two_sided``; M itself where V is None.  Raises DomainError, naming
+    the ``what`` component's order and the defect, when max |M - S M| (max
+    |M - S M S|) exceeds ``HERMITICITY_TOL`` max(1, max |M|)."""
+    v = symmetric_isometry(op.stats, op.n, op.d)
+    if v is None:
+        return op.mat
+    out = v.T @ op.mat @ v if two_sided else v.T @ op.mat
+    back = v @ out @ v.T if two_sided else v @ out
+    defect = float(np.abs(op.mat - back).max()) / max(1.0, float(np.abs(op.mat).max()))
+    if defect > HERMITICITY_TOL:
+        image = "S M S" if two_sided else "S M"
+        raise DomainError(
+            f"{op.stats} {what} component {op.n} is not in the range of the group average: "
+            f"max relative deviation |M - {image}| = {defect:.3e}"
+        )
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from corrdyn.correlations import (
     density_to_correlations,
     integrate_hierarchy,
 )
-from corrdyn.errors import TruncationError
+from corrdyn.errors import DomainError, TruncationError
 from corrdyn.hamiltonian import (
     EvolutionCache,
     InteractionSpec,
@@ -44,6 +45,7 @@ from corrdyn.hilbert import (
     OperatorSequence,
     Statistics,
     embed_operator,
+    group_rank,
     partial_trace,
     partial_trace_matrix,
     permutation_average,
@@ -233,7 +235,9 @@ def _correlation_lane(stats, d, n_max, raw):
 )
 def test_memoized_marginals_match_one_cluster_set_per_call(stats, d, n_max, raw):
     # one memo across every order and satellite count gives what one
-    # clusterize call per cluster set gives, with the arithmetic unchanged
+    # clusterize call per cluster set gives: the arithmetic unchanged for
+    # BOLTZMANN, and for BOSE and FERMI the traced lift Tr_X V K V^T of each
+    # rank-space cluster correlation against lifting it and then tracing
     g = _correlation_lane(stats, d, n_max, raw)
     marginals = marginals_from_correlations(g)
     for s in range(1, n_max + 1):
@@ -241,8 +245,11 @@ def test_memoized_marginals_match_one_cluster_set_per_call(stats, d, n_max, raw)
             partial_trace_matrix(clusterize(g, s, n).op.mat, s, s + n, d) / math.factorial(n)
             for n in range(0, n_max - s + 1)
         )
-        assert np.array_equal(marginals.component(s).mat, expected)
-        assert np.array_equal(marginal_from_clusters(g, s).mat, expected)
+        for out in (marginals.component(s).mat, marginal_from_clusters(g, s).mat):
+            if stats is Statistics.BOLTZMANN:
+                assert np.array_equal(out, expected)
+            else:
+                assert np.abs(out - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 @pytest.mark.parametrize("n_max, placements", [(5, 42), (6, 99), (7, 219)])
@@ -455,13 +462,18 @@ def _series_lane(geometry, couplings, data):
 
 @pytest.mark.parametrize("data", ["bose", "fermi", "boltzmann", "raw"])
 @pytest.mark.parametrize("couplings", [(2,), (2, 3)], ids=["2body", "2+3body"])
-@pytest.mark.parametrize("geometry", [(2, 5), (3, 3)], ids=["d2n5", "d3n3"])
+@pytest.mark.parametrize("geometry", [(2, 5), (3, 3), (2, 4)], ids=["d2n5", "d3n3", "d2n4"])
 def test_series_subset_form_matches_partition_and_density_references(geometry, couplings, data):
+    # BOSE and FERMI run in the rank space of the two-sided group average;
+    # at FERMI d=2 n_max=4 the orders 3 and 4 have rank 0 and are skipped
     spec, f0 = _series_lane(geometry, couplings, data)
     cache = EvolutionCache(spec)
     n_max = f0.n_max
     density = oracles.density_from_marginals(f0)
     built = {s: BBGKYSeries(f0, s, cache) for s in (1, 2)}
+    for s, series in built.items():
+        ranked = [k for k in range(n_max - s + 1) if group_rank(f0.stats, s + k, f0.d) > 0]
+        assert list(series.sums) == ranked
 
     def close(lhs, ref):
         # relative, except on references that vanish by statistics
@@ -498,23 +510,84 @@ def test_series_subset_form_matches_partition_and_density_references(geometry, c
                 assert trace_norm(series - f_t.component(s)) > 1e-3 * trace_norm(series)
 
 
-def test_evolve_builds_the_subset_sums_once(tmp_path, capsys, monkeypatch):
-    # d=2 Bose n_max=6, s=1: G_0..G_5 take sum_n 2^n = 63 partial traces for
-    # the whole run, not 63 per time point
+@pytest.mark.parametrize("stats", QUANTUM, ids=str)
+def test_series_rejects_marginals_outside_the_two_sided_range(stats):
+    # a raw Hermitian component is exchange invariant on neither side; the
+    # error names the order and the relative defect max |F - S F S|
+    spec, f0 = _series_lane((3, 3), (2,), stats.value)
+    raw = random_hermitian(np.random.default_rng(5), 27)
+    comps = {**f0.components, 3: ManyBodyOperator(3, 3, raw, stats)}
+    bad = MarginalSequence(d=3, stats=stats, n_max=3, components=comps)
+    s3 = symmetrizer_matrix(stats, 3, 3)
+    defect = np.abs(raw - s3 @ raw @ s3).max() / max(1.0, np.abs(raw).max())
+    message = f"{stats} marginal component 3 .*" + re.escape(f"|M - S M S| = {defect:.3e}") + "$"
+    for s in (1, 2, 3):
+        with pytest.raises(DomainError, match=message):
+            BBGKYSeries(bad, s, EvolutionCache(spec))
+
+
+def test_rank_space_series_diagonalizes_only_rank_sized_matrices(monkeypatch):
+    # d=2 Bose n_max=6: H~_m = V^T H_m V has side m + 1 <= 7, against the
+    # dense side 2^6 = 64 of H_6
+    spec, f0 = _series_lane((2, 6), (2,), "bose")
+    sides = []
+    eigh = np.linalg.eigh
+
+    def counting(mat):
+        sides.append(mat.shape[0])
+        return eigh(mat)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    series = BBGKYSeries(f0, 1, EvolutionCache(spec))
+    for t in (0.3, 0.6):
+        series.at(t)
+        series.rate(t)
+    assert sorted(sides) == [2, 3, 4, 5, 6, 7]
+
+
+def _evolve_n6(tmp_path, stats):
+    """``corrdyn evolve --s 1`` on the interacting two-mode scenario at
+    n_max = 6 with the given statistics and four time points."""
     text = (REPO / "scenarios" / "interacting_bose.cfg").read_text()
     text = text.replace("n_max = 3", "n_max = 6").replace("times = 0.0 0.5 1.0", "times = 0.0 0.3 0.6 0.9")
     path = tmp_path / "evolve.cfg"
-    path.write_text(text)
+    path.write_text(text.replace("stats = bose", f"stats = {stats}"))
+    return ["evolve", str(path), "--s", "1"]
+
+
+def _counting(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that records its calls' arguments."""
     calls = []
+    original = getattr(module, name)
 
-    def counting(mat, keep, n, d):
-        calls.append(keep)
-        return trace_keeping(mat, keep, n, d)
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
 
-    monkeypatch.setattr(bbgky, "trace_keeping", counting)
-    assert cli.main(["evolve", str(path), "--s", "1"]) == 0
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_evolve_builds_the_subset_sums_once(tmp_path, capsys, monkeypatch):
+    # d=2 Bose n_max=6, s=1: on the checked two-sided range every satellite
+    # subset of one size traces alike, so G_0..G_5 take one partial trace per
+    # (k, n), sum_k (6 - k) = 21 for the whole run, not 21 per time point,
+    # and no subset is traced on its own
+    subsets = _counting(monkeypatch, bbgky, "trace_keeping")
+    traces = _counting(monkeypatch, bbgky, "partial_trace_matrix")
+    assert cli.main(_evolve_n6(tmp_path, "bose")) == 0
     assert capsys.readouterr().out.count("time ") == 4
-    assert len(calls) == 63
+    assert subsets == []
+    assert len(traces) == 21
+
+
+def test_boltzmann_evolve_traces_every_subset_once(tmp_path, capsys, monkeypatch):
+    # BOLTZMANN data need not be exchange invariant: G_0..G_5 take
+    # sum_n 2^n = 63 subset traces for the whole run
+    subsets = _counting(monkeypatch, bbgky, "trace_keeping")
+    assert cli.main(_evolve_n6(tmp_path, "boltzmann")) == 0
+    assert capsys.readouterr().out.count("time ") == 4
+    assert len(subsets) == 63
 
 
 def test_series_hermiticity_preserved():

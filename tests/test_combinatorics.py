@@ -163,5 +163,16 @@ def test_cluster_partitions_keep_atoms_whole():
             assert (1 in labels) == (2 in labels)
 
 
+def test_cluster_partitions_are_cached_per_cluster_set():
+    # one enumeration per (cluster set, cap): an equal cluster set built anew
+    # gets the same tuple, in the order of set_partitions over its elements
+    xc = ClusterSet.canonical(2, 3)
+    out = cluster_partitions(xc)
+    assert isinstance(out, tuple)
+    assert out is cluster_partitions(ClusterSet.canonical(2, 3))
+    assert list(out) == set_partitions(xc.elements)
+    assert cluster_partitions(ClusterSet.canonical(2, 2)) != out
+
+
 def test_block_labels_mixed_items():
     assert block_labels((ClusterElement((3, 1)), (5,), 2)) == (1, 2, 3, 5)

@@ -1,6 +1,7 @@
 import io
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,11 +21,14 @@ from corrdyn.hilbert import (
     group_average,
     group_compress,
     partial_trace,
+    partial_trace_matrix,
     permutation_conjugate,
     permute_ket,
     place_product,
     random_hermitian,
     random_state_component,
+    range_compress,
+    rank_lift,
     read_operator,
     read_sequence,
     sequence_trace_norm,
@@ -32,6 +36,7 @@ from corrdyn.hilbert import (
     symmetrize,
     symmetrizer_matrix,
     trace_norm,
+    traced_lift,
     write_operator,
     write_sequence,
 )
@@ -334,6 +339,57 @@ def test_symmetric_isometry_factors_the_group_average(stats, d, n):
         # the cap fires before the matrix is read
         with pytest.raises(ResourceCapError):
             apply(stats, m, SYMMETRIZER_MAX_PARTICLES + 1, d)
+
+
+@pytest.mark.parametrize(
+    "stats, d, n",
+    [(stats, d, n) for stats in ALL_STATS for d, n in ((2, 1), (2, 4), (3, 3))] + [(Statistics.FERMI, 2, 3)],
+    ids=str,
+)
+def test_traced_lift_is_lift_then_partial_trace(stats, d, n):
+    # Tr_{s+1..n} V K V^T without the d^n x d^n lift, for every kept count s,
+    # at rank 0 (FERMI n > d) too; bit-identical where V is None
+    rng = np.random.default_rng([d, n])
+    v = symmetric_isometry(stats, n, d)
+    r = d**n if v is None else v.shape[1]
+    k = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+    for s in range(0, n + 1):
+        out = traced_lift(stats, k, s, n, d)
+        expected = partial_trace_matrix(rank_lift(stats, k, n, d), s, n, d)
+        assert out.shape == (d**s, d**s)
+        if v is None:
+            assert np.array_equal(out, expected)
+        else:
+            assert np.abs(out - expected).max(initial=0.0) <= 1e-13 * max(1.0, np.abs(k).max(initial=0.0))
+
+
+def _defect_message(stats, image, defect):
+    """The end of ``range_compress``'s error for an order-2 "test" component."""
+    return f"{stats} test component 2 .*" + re.escape(f"|M - {image}| = {defect:.3e}") + "$"
+
+
+@pytest.mark.parametrize("stats", [Statistics.BOSE, Statistics.FERMI], ids=str)
+def test_range_compress_checks_one_or_both_sides(stats):
+    d, n = 3, 2
+    rng = np.random.default_rng(3)
+    raw = rng.standard_normal((d**n, d**n)) + 1j * rng.standard_normal((d**n, d**n))
+    v = symmetric_isometry(stats, n, d)
+    ket = ManyBodyOperator(n, d, group_average(stats, raw, n, d), stats)
+    both = ManyBodyOperator(n, d, group_compress(stats, raw, n, d), stats)
+    # the rows V^T M on the ket side, V^T M V on both sides
+    assert np.array_equal(range_compress(ket, "test", two_sided=False), v.T @ ket.mat)
+    assert np.array_equal(range_compress(both, "test", two_sided=True), v.T @ both.mat @ v)
+    # a ket-side image has a raw bra side, which only the two-sided check sees
+    defect = np.abs(ket.mat - both.mat).max() / max(1.0, np.abs(ket.mat).max())
+    with pytest.raises(DomainError, match=_defect_message(stats, "S M S", defect)):
+        range_compress(ket, "test", two_sided=True)
+    defect = np.abs(raw - ket.mat).max() / max(1.0, np.abs(raw).max())
+    with pytest.raises(DomainError, match=_defect_message(stats, "S M", defect)):
+        range_compress(ManyBodyOperator(n, d, raw, stats), "test", two_sided=False)
+    # identity averages take anything
+    assert np.array_equal(range_compress(ManyBodyOperator(n, d, raw), "test", two_sided=True), raw)
+    one = raw[:d, :d]
+    assert np.array_equal(range_compress(ManyBodyOperator(1, d, one, stats), "test", two_sided=True), one)
 
 
 def test_symmetric_isometry_is_none_for_identity_averages():
