@@ -70,8 +70,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,6 +84,7 @@ from .hamiltonian import (
 )
 from .hilbert import (
     ManyBodyOperator,
+    OperatorSequence,
     Statistics,
     add_embedded,
     group_average,
@@ -103,28 +103,14 @@ SERIES_CONVERGENCE_ALPHA = math.e
 
 
 @dataclass(frozen=True)
-class MarginalSequence:
-    """Reduced (s-particle) operators for 1 <= s <= n_max."""
-
-    d: int
-    stats: Statistics
-    n_max: int
-    components: Mapping[int, ManyBodyOperator] = field(default_factory=dict)
+class MarginalSequence(OperatorSequence):
+    """Reduced (s-particle) operators for 1 <= s <= n_max, with the scalar
+    part pinned at zero."""
 
     def __post_init__(self):
-        comps = dict(self.components)
-        for s in range(1, self.n_max + 1):
-            op = comps.get(s)
-            if op is None:
-                comps[s] = ManyBodyOperator.zero(s, self.d, self.stats)
-            elif op.n != s or op.d != self.d or op.stats != self.stats:
-                raise DomainError(f"marginal component {s} has inconsistent metadata")
-        object.__setattr__(self, "components", comps)
-
-    def component(self, s: int) -> ManyBodyOperator:
-        if not 1 <= s <= self.n_max:
-            raise DomainError(f"marginal order {s} outside 1..{self.n_max}")
-        return self.components[s]
+        super().__post_init__()
+        if self.f0 != 0:
+            raise DomainError("a marginal sequence has zero scalar component")
 
 
 @dataclass(frozen=True)
@@ -342,12 +328,9 @@ def chaos_cluster_solution(
     return ClusterCorrelation(s, n, op, xc)
 
 
-def weighted_norm(seq, params: WeightedNormParams) -> float:
-    """sum_n alpha^n ||f_n||_1 (plus |f0| when the sequence has a scalar part)."""
-    total = 0.0
-    f0 = getattr(seq, "f0", None)
-    if f0 is not None:
-        total += abs(f0)
+def weighted_norm(seq: OperatorSequence, params: WeightedNormParams) -> float:
+    """|f0| + sum_n alpha^n ||f_n||_1."""
+    total = abs(seq.f0)
     for n, op in seq.components.items():
         total += params.alpha**n * trace_norm(op)
     return total

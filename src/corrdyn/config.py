@@ -25,18 +25,6 @@ from .errors import ConfigError
 from .hamiltonian import InteractionSpec
 from .hilbert import Statistics, read_operator, require_hermitian
 
-KNOWN_CHECKS = (
-    "mobius_roundtrip",
-    "hierarchy_residual",
-    "cumulant_zero_time",
-    "cumulant_free",
-    "bbgky_residual",
-    "definition_consistency",
-    "solution_vs_integrator",
-    "norm_bound",
-    "symmetry_preservation",
-)
-
 DEFAULT_TOLERANCES = {
     "mobius_roundtrip": 1e-12,
     "hierarchy_residual": 1e-8,
@@ -48,6 +36,8 @@ DEFAULT_TOLERANCES = {
     "norm_bound": 1e-12,
     "symmetry_preservation": 1e-12,
 }
+
+KNOWN_CHECKS = tuple(DEFAULT_TOLERANCES)
 
 
 @dataclass(frozen=True)
@@ -124,8 +114,12 @@ def _load_matrix(section: configparser.SectionProxy, side: int, base: Path, wher
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
-    """Parse and validate a scenario file; every invariant is enforced here
-    so downstream code can trust the config."""
+    """Parse and validate a scenario file.  Every invariant of the file is
+    enforced here (shapes, ranges, Hermiticity of the matrices, known check
+    names) except the exchange symmetry of the couplings, which
+    ``InteractionSpec`` checks when a check or command builds the dynamics
+    (``ScenarioConfig.interaction_spec``), so a scenario with a coupling
+    that is not factor-permutation symmetric loads and fails at run time."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"scenario file not found: {path}")

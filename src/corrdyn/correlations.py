@@ -88,8 +88,8 @@ Conventions fixed here once:
   K Phi = (Phi^T K^T)^T again factor by factor.  Phi itself is built once
   per plan by adding each coupling on the entries its embedding reaches
   (``hilbert.add_embedded``), as is H_n.  This class term
-  (``_SupportSum.term``) is the only implementation
-  of the interaction sum: ``von_neumann_rhs`` lifts it as V (V^dagger acc),
+  (``_OrderPlan.term``) is the only implementation of the interaction
+  sum: ``von_neumann_rhs`` lifts it as V (V^dagger acc),
   the integrator adds it to its rows as is, the tabulated orders read their
   blocks off it, and ``generalized_rhs`` differentiates the cluster
   correlation by the product rule along the orders' right-hand sides.
@@ -125,11 +125,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from typing import Callable, Hashable, Iterable
+from typing import Callable
 
 import numpy as np
 
-from .combinatorics import ClusterSet, Partition, block_labels, set_partitions
+from .combinatorics import ClusterSet, block_labels, set_partitions
 from .errors import DomainError, IntegrationError, TruncationError
 from .hamiltonian import InteractionSpec, commutator_generator, hamiltonian_matrix
 from .hilbert import (
@@ -458,91 +458,6 @@ def clusterize(g: OperatorSequence, s: int, n: int) -> ClusterCorrelation:
 # --------------------------------------------------------------------------
 
 
-class _SupportSum:
-    """Projected interaction sum of one hierarchy order.
-
-    Returns V^dagger acc, V the ``symmetric_isometry`` of the order (acc
-    itself for BOLTZMANN), with acc = (i/hbar) sum_p [P_p, Phi_p] over the
-    multi-block partitions p that some coupling support reaches.  ``arrange``
-    maps a partition to a class key and its factors' label tuples; the
-    members of one class share their factors, in that order.  ``term`` is a
-    class's share, the class term of the module docstring, for the class's
-    factor matrices: a call passes each class its components, and
-    ``_TabulatedOrders`` passes the unit matrices of every factor as one
-    broadcast batch.  No Kronecker product of the factors is formed.
-    ``groups`` is empty when no partition is reached or the rank r is zero,
-    and then no term need be evaluated.
-    """
-
-    def __init__(
-        self,
-        partitions: list[Partition],
-        spec: InteractionSpec,
-        n: int,
-        stats: Statistics,
-        arrange: Callable[[Partition], tuple[Hashable, tuple[tuple[int, ...], ...]]],
-    ):
-        self.n, self.d, self.hbar, self.stats = n, spec.d, spec.hbar, stats
-        self.side = side = spec.d**n
-        self.v = symmetric_isometry(stats, n, spec.d)
-        self.rank = side if self.v is None else self.v.shape[1]
-        grouped: dict[Hashable, list] = {}
-        for p in partitions:
-            if self.rank and p.size >= 2:
-                key, legs = arrange(p)
-                grouped.setdefault(key, []).append(legs)
-        #: per class key, the members' factor label tuples
-        self.groups: dict[Hashable, tuple] = {}
-        #: per class key, Phi: the couplings on the consecutive labels of K
-        self.phi: dict[Hashable, np.ndarray] = {}
-        for key, members in grouped.items():
-            phi = _meeting_couplings(_consecutive(members[0]), spec, n)
-            if phi is not None:
-                self.groups[key], self.phi[key] = tuple(members), phi
-
-    @cached_property
-    def _layouts(self) -> dict[Hashable, tuple]:
-        """Per class key: Phi, the 2r rows V^dagger over V^dagger Phi, and
-        the members' index maps ``undo`` and signs.  The maps undo the column
-        legs (both legs for BOLTZMANN, where the rows and the signs are
-        None), one m x side row block per class."""
-        v = self.v
-        layouts = {}
-        for key, members in self.groups.items():
-            phi = self.phi[key]
-            undo, parity = _relabelings(members, self.n, self.d)
-            if v is None:
-                layouts[key] = (phi, None, undo, None)
-            else:
-                signs = np.array([self.stats.permutation_sign(bit) for bit in parity])
-                layouts[key] = (phi, np.concatenate([v.T, v.T @ phi]), undo, signs)
-        return layouts
-
-    def term(self, key: Hashable, mats: list[np.ndarray]) -> np.ndarray:
-        """Class ``key``'s share of V^dagger acc, less the factor i/hbar:
-        sum_p eps_p ((V^dagger K) Phi - (V^dagger Phi) K) Q_p^T over the
-        members (sum_p Q_p [K, Phi] Q_p^T for BOLTZMANN), K the Kronecker
-        product of the class's factor matrices ``mats`` on consecutive
-        labels.  K is never formed: ``_times_kron`` applies it to the rows
-        V^dagger and V^dagger Phi in one pass, and for BOLTZMANN to Phi and,
-        as K Phi = (Phi^T K^T)^T, to Phi^T.  Leading axes of the factors are
-        batch axes, broadcast against each other."""
-        phi, rows, undo, signs = self._layouts[key]
-        if rows is None:
-            k_phi = _times_kron(phi.T, [m.swapaxes(-1, -2) for m in mats]).swapaxes(-1, -2)
-            return (k_phi - _times_kron(phi, mats))[..., undo[:, :, None], undo[:, None, :]].sum(axis=-3)
-        y = _times_kron(rows, mats)
-        return signs @ (y[..., : self.rank, :] @ phi - y[..., self.rank :, :])[..., undo]
-
-    def __call__(self, factors: Iterable[list[np.ndarray]]) -> np.ndarray:
-        """V^dagger acc.  ``factors`` holds, per class in ``groups`` order,
-        the factor matrices in the order of the members' label tuples."""
-        acc = np.zeros((self.rank, self.side), dtype=np.complex128)
-        for key, mats in zip(self._layouts, factors):
-            acc += self.term(key, mats)
-        return (1j / self.hbar) * acc
-
-
 def _times_kron(x: np.ndarray, mats: list[np.ndarray]) -> np.ndarray:
     """x (mats[0] (x) mats[1] (x) ...) on the rows of ``x`` (..., rows,
     side), without forming the Kronecker product: factor by factor, the
@@ -593,62 +508,108 @@ def _relabelings(members: tuple[tuple[tuple[int, ...], ...], ...], n: int, d: in
     return undo, parity
 
 
-def _by_size(p: Partition) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """Block-size type of a partition of labels (sizes descending) and its
-    blocks' sorted labels in that order (ties keep their order)."""
-    legs = tuple(sorted((tuple(sorted(b)) for b in p.blocks), key=lambda labels: -len(labels)))
-    return tuple(map(len, legs)), legs
-
-
 class _OrderPlan:
-    """Right-hand side of hierarchy order n on component matrices (orders <= n),
-    with the Hamiltonian and the projected support sum built once.  The
-    support's groups are the block-size types of ``_by_size``: one class
-    term per type and evaluation, and the factor order of the type's
-    monomial in ``_TabulatedOrders``."""
+    """Right-hand side of hierarchy order n on component matrices (orders
+    <= n), with H_n, V (``symmetric_isometry``, rank r) and the classes
+    built once.  The interaction sum is V^dagger acc (acc when V is None),
+    acc = (i/hbar) sum_p [P_p, Phi_p] over the multi-block partitions p that
+    some coupling support reaches.  A class is a block-size type (sizes
+    descending): ``types`` maps it to its members' block label tuples, each
+    sorted and in size order (ties keep theirs), and to Phi on the
+    consecutive labels of K.  ``term`` is a type's class term (module
+    docstring) for its factor matrices: ``interaction`` passes it the
+    components, ``_TabulatedOrders`` every factor's unit matrices as one
+    broadcast batch, in the factor order of the type's monomial.  ``types``
+    is empty when no partition is reached or r is zero, and then no term
+    need be evaluated."""
 
     def __init__(self, n: int, stats: Statistics, spec: InteractionSpec):
         self.n, self.d, self.hbar, self.stats = n, spec.d, spec.hbar, stats
         self.h = hamiltonian_matrix(n, spec)
-        self.support = _SupportSum(set_partitions(range(1, n + 1)), spec, n, stats, _by_size)
+        self.v = symmetric_isometry(stats, n, spec.d)
+        self.rank = len(self.h) if self.v is None else self.v.shape[1]
+        grouped: dict[tuple[int, ...], list] = {}
+        for p in set_partitions(range(1, n + 1)):
+            if self.rank and p.size >= 2:
+                legs = tuple(sorted((tuple(sorted(b)) for b in p.blocks), key=lambda labels: -len(labels)))
+                grouped.setdefault(tuple(map(len, legs)), []).append(legs)
+        self.types: dict[tuple[int, ...], tuple[tuple, np.ndarray]] = {}
+        for sizes, members in grouped.items():
+            phi = _meeting_couplings(_consecutive(members[0]), spec, n)
+            if phi is not None:
+                self.types[sizes] = (tuple(members), phi)
 
     @cached_property
     def h_rows(self) -> np.ndarray:
         """H projected on the ket side, V^dagger H V (H itself when V is None)."""
-        v = self.support.v
-        return self.h if v is None else v.T @ self.h @ v
+        return self.h if self.v is None else self.v.T @ self.h @ self.v
 
-    def _interaction(self, comps: dict[int, np.ndarray]) -> np.ndarray:
-        support = self.support
-        return support([comps[k] for k in sizes] for sizes in support.groups)
+    @cached_property
+    def _layouts(self) -> dict[tuple[int, ...], tuple]:
+        """Per block-size type: Phi, the 2r rows V^dagger over V^dagger Phi,
+        and the members' index maps ``undo`` and signs.  The maps undo the
+        column legs (both legs for BOLTZMANN, where the rows and the signs
+        are None), one m x side row block per type."""
+        layouts = {}
+        for sizes, (members, phi) in self.types.items():
+            undo, parity = _relabelings(members, self.n, self.d)
+            if self.v is None:
+                layouts[sizes] = (phi, None, undo, None)
+            else:
+                signs = np.array([self.stats.permutation_sign(bit) for bit in parity])
+                layouts[sizes] = (phi, np.concatenate([self.v.T, self.v.T @ phi]), undo, signs)
+        return layouts
+
+    def term(self, sizes: tuple[int, ...], mats: list[np.ndarray]) -> np.ndarray:
+        """Type ``sizes``' share of V^dagger acc, less the factor i/hbar:
+        sum_p eps_p ((V^dagger K) Phi - (V^dagger Phi) K) Q_p^T over the
+        members (sum_p Q_p [K, Phi] Q_p^T for BOLTZMANN), K the Kronecker
+        product of the factor matrices ``mats`` on consecutive labels.  K is
+        never formed: ``_times_kron`` applies it to the rows V^dagger and
+        V^dagger Phi in one pass, and for BOLTZMANN to Phi and, as
+        K Phi = (Phi^T K^T)^T, to Phi^T.  Leading axes of the factors are
+        batch axes, broadcast against each other."""
+        phi, rows, undo, signs = self._layouts[sizes]
+        if rows is None:
+            k_phi = _times_kron(phi.T, [m.swapaxes(-1, -2) for m in mats]).swapaxes(-1, -2)
+            return (k_phi - _times_kron(phi, mats))[..., undo[:, :, None], undo[:, None, :]].sum(axis=-3)
+        y = _times_kron(rows, mats)
+        return signs @ (y[..., : self.rank, :] @ phi - y[..., self.rank :, :])[..., undo]
+
+    def interaction(self, comps: dict[int, np.ndarray]) -> np.ndarray:
+        """V^dagger acc for the components ``comps``, one term per type."""
+        acc = np.zeros((self.rank, len(self.h)), dtype=np.complex128)
+        for sizes in self._layouts:
+            acc += self.term(sizes, [comps[k] for k in sizes])
+        return (1j / self.hbar) * acc
 
     def __call__(self, comps: dict[int, np.ndarray]) -> np.ndarray:
         """g'_n for components of any symmetry."""
         out = -commutator_generator(comps[self.n], self.h, self.hbar)
-        if self.support.groups:
-            proj = self._interaction(comps)
-            out += proj if self.support.v is None else self.support.v @ proj
+        if self.types:
+            proj = self.interaction(comps)
+            out += proj if self.v is None else self.v @ proj
         return out
 
     def rows(self, y: np.ndarray, comps: dict[int, np.ndarray]) -> np.ndarray:
         """V^dagger g'_n for a component g_n = V y in the range of S_n, given
         its rows ``y`` and the lower components ``comps``.  H commutes with
         S_n, so V^dagger [g_n, H] = y H - (V^dagger H V) y: the drift costs
-        r x side products, and the support sum already returns V^dagger acc.
+        r x side products, and ``interaction`` already returns V^dagger acc.
         For V None the rows are g_n and this is ``__call__``."""
-        if self.support.v is None:
+        if self.v is None:
             out = -commutator_generator(y, self.h, self.hbar)
         else:
             out = (1j / self.hbar) * (y @ self.h - self.h_rows @ y)
-        if self.support.groups:
-            out += self._interaction(comps)
+        if self.types:
+            out += self.interaction(comps)
         return out
 
     def tabulated_entries(self) -> int:
         """Entries of this order's block of the tabulated right-hand side,
         counted in the full layout: side^2 x side^2 for the drift and for
         each block-size type, whatever the rank of the rows."""
-        return self.h.size**2 * (1 + len(self.support.groups))
+        return self.h.size**2 * (1 + len(self.types))
 
 
 def von_neumann_rhs(g: OperatorSequence, n: int, spec: InteractionSpec) -> ManyBodyOperator:
@@ -716,7 +677,7 @@ class _TabulatedOrders:
 
     Row block n of W holds the drift (i/hbar)(I_r (x) H^T - H~ (x) I) on
     vec y_n, H~ = V^dagger H V, and, per block-size type lambda of order n,
-    the type's class term (i/hbar) ``_SupportSum.term`` (already V^dagger
+    the type's class term (i/hbar) ``_OrderPlan.term`` (already V^dagger
     acc, so not lifted) as a linear map of its monomial, the outer product
     of the raveled rows of sizes lambda: the term at every unit monomial of
     the components, all columns one batch whose factor j holds its unit
@@ -732,10 +693,10 @@ class _TabulatedOrders:
         self.length = width = bounds[len(plans)]
         blocks, types = [], []
         for plan, row in zip(plans, bounds):
-            side, support = plan.h.shape[0], plan.support
-            drift = np.kron(np.eye(support.rank), plan.h.T) - np.kron(plan.h_rows, np.eye(side))
+            side = plan.h.shape[0]
+            drift = np.kron(np.eye(plan.rank), plan.h.T) - np.kron(plan.h_rows, np.eye(side))
             blocks.append((row, row, (1j / plan.hbar) * drift))
-            for sizes in sorted(support.groups, reverse=True):
+            for sizes in sorted(plan.types, reverse=True):
                 # factor j's unit matrices along batch axis j: the C-order
                 # flattening of the batch is the order of the type's monomial
                 units = []
@@ -743,8 +704,8 @@ class _TabulatedOrders:
                     batch = [1] * len(sizes)
                     batch[j] = -1
                     units.append(np.eye(plan.d ** (2 * k)).reshape(*batch, plan.d**k, plan.d**k))
-                block = (1j / plan.hbar) * support.term(sizes, units).reshape(side**2, -1).T
-                lifts = [plans[k - 1].support.v for k in sizes]
+                block = (1j / plan.hbar) * plan.term(sizes, units).reshape(side**2, -1).T
+                lifts = [plans[k - 1].v for k in sizes]
                 if any(v is not None for v in lifts):
                     lift = np.ones((1, 1))
                     for k, v in zip(sizes, lifts):
@@ -807,20 +768,19 @@ def integrate_hierarchy(
     if steps < 1:
         raise DomainError("steps must be >= 1")
     d, n_max = g0.d, g0.n_max
-    isometries = {n: symmetric_isometry(g0.stats, n, d) for n in range(1, n_max + 1)}
     y = np.concatenate([
         range_compress(g0.component(n), "correlation", two_sided=False).ravel() for n in range(1, n_max + 1)
     ])
     plans = [_OrderPlan(n, g0.stats, spec) for n in range(1, n_max + 1)]
     m = next((i for i, plan in enumerate(plans) if plan.tabulated_entries() > TABULATED_MAX_ENTRIES), n_max)
-    bounds = [0, *itertools.accumulate(plan.support.rank * d**plan.n for plan in plans)]
+    bounds = [0, *itertools.accumulate(plan.rank * d**plan.n for plan in plans)]
     table = _TabulatedOrders(plans[:m], bounds)
 
     def rows(state: np.ndarray, n: int) -> np.ndarray:
         return state[bounds[n - 1]:bounds[n]].reshape(-1, d**n)
 
     def component(state: np.ndarray, n: int) -> np.ndarray:
-        v = isometries[n]
+        v = plans[n - 1].v
         return rows(state, n) if v is None else v @ rows(state, n)
 
     def rhs(state: np.ndarray) -> np.ndarray:

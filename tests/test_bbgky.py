@@ -649,6 +649,20 @@ def test_weighted_norm_basics():
     assert np.isclose(weighted_norm(seq, WeightedNormParams(3.0)), 6.0)
 
 
+def test_marginal_sequence_keeps_the_truncation():
+    # an order above n_max was kept and counted by weighted_norm (36.0 at
+    # alpha = 3 for the identity at order 2), and n_max = 0 was accepted
+    eye = ManyBodyOperator(2, 2, np.eye(4))
+    with pytest.raises(DomainError, match="beyond truncation"):
+        MarginalSequence(d=2, stats=Statistics.BOLTZMANN, n_max=1, components={2: eye})
+    with pytest.raises(DomainError, match="n_max"):
+        MarginalSequence(d=2, stats=Statistics.BOLTZMANN, n_max=0)
+    with pytest.raises(DomainError, match="scalar"):
+        MarginalSequence(d=2, stats=Statistics.BOLTZMANN, n_max=1, f0=1.0)
+    marg = MarginalSequence(d=2, stats=Statistics.BOLTZMANN, n_max=2, components={2: eye})
+    assert weighted_norm(marg, WeightedNormParams(3.0)) == pytest.approx(36.0)
+
+
 def test_weighted_norm_matches_direct_sum():
     rng = np.random.default_rng(99)
     seq = random_sequence(rng, 2, Statistics.FERMI, 3, f0=0.5)

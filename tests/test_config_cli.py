@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from corrdyn import checks, cli
+from corrdyn import checks, cli, config
 from corrdyn.checks import run_checks
 from corrdyn.cli import main
 from corrdyn.config import load_scenario
@@ -102,6 +102,12 @@ def test_matrix_row_shape_errors(tmp_path):
     text = MINIMAL.replace("0+0j 1+0j\n    1+0j 0+0j", "0+0j 1+0j")
     with pytest.raises(ConfigError, match="rows"):
         load_scenario(write_cfg(tmp_path, text))
+
+
+def test_known_checks_are_the_runnable_checks():
+    # one list of check names: the loader accepts exactly what run_checks
+    # can run, with a default tolerance each
+    assert config.KNOWN_CHECKS == tuple(checks.CHECKS) == tuple(config.DEFAULT_TOLERANCES)
 
 
 def test_tolerance_override(tmp_path):

@@ -480,43 +480,57 @@ def test_rhs_two_particle_term_enumeration(stats):
     assert np.allclose(out.mat, drift + interaction, atol=1e-12)
 
 
-def _ascending_reversed_legs(p):
+def _plan_legs(plan, spec):
+    # the plan's own member order: blocks by descending size, labels ascending
+    return plan, lambda block: tuple(sorted(block))
+
+
+def _ascending_reversed_legs(plan, spec):
     # blocks by ascending size, each block's labels in descending order: a
     # factor and leg order unlike the plan's, so the relabeling is general
-    legs = tuple(sorted((tuple(sorted(b, reverse=True)) for b in p.blocks), key=len))
-    return tuple(map(len, legs)), legs
+    types = {}
+    for members, _ in plan.types.values():
+        legs = tuple(tuple(sorted((labels[::-1] for labels in m), key=len)) for m in members)
+        phi = correlations._meeting_couplings(correlations._consecutive(legs[0]), spec, plan.n)
+        types[tuple(map(len, legs[0]))] = (legs, phi)
+    plan.types = types
+    return plan, lambda block: tuple(sorted(block, reverse=True))
 
 
 @pytest.mark.parametrize("stats", ALL_STATS, ids=str)
 @pytest.mark.parametrize(
     "d, n, couplings", [(2, 3, (2,)), (2, 4, (2,)), (2, 4, (2, 3)), (3, 3, (2, 3)), (3, 4, (2,)), (4, 4, (2,))]
 )
-@pytest.mark.parametrize("arrange", [correlations._by_size, _ascending_reversed_legs], ids=["sorted", "unsorted"])
+@pytest.mark.parametrize("arrange", [_plan_legs, _ascending_reversed_legs], ids=["sorted", "unsorted"])
 def test_support_row_blocks_match_placed_products(stats, d, n, couplings, arrange):
-    # one Kronecker product and one coupling per class, relabeled per member,
-    # gives sum_p V^T [P_p, Phi_p] as a loop placing P_p and embedding every
-    # support that meets each block of p; the factors are not symmetric, so a
-    # wrong leg order shows, and odd leg permutations test the Fermi sign
+    # one Kronecker product and one coupling per block-size type, relabeled
+    # per member, gives sum_p V^T [P_p, Phi_p] as a loop placing P_p and
+    # embedding every support that meets each block of p; the factors are
+    # not symmetric, so a wrong leg order shows, and the members with an odd
+    # leg permutation (such as ((1, 3), (2,)) of type (2, 1)) test the Fermi
+    # sign.  ``arrange`` may regroup the members in another factor and leg
+    # order, which the class term must follow as well
     rng = np.random.default_rng(76)
     pots = {k: permutation_average(random_hermitian(rng, d**k), k, d) for k in couplings}
     spec = InteractionSpec(d=d, one_body=random_hermitian(rng, d), potentials=pots, hbar=0.7)
-    partitions = set_partitions(range(1, n + 1))
-    support = correlations._SupportSum(partitions, spec, n, stats, arrange)
+    plan = correlations._OrderPlan(n, stats, spec)
     rank = group_rank(stats, n, d)
-    assert bool(support.groups) == (rank > 0)  # Fermi at d=2, n>2 has rank 0
-    if not support.groups:
+    assert plan.rank == rank
+    assert bool(plan.types) == (rank > 0)  # Fermi at d=2, n>2 has rank 0
+    if not plan.types:
         return
     if n == 4:
-        assert len(support.groups[(2, 2)]) == 3  # a type with tied sizes
+        assert len(plan.types[(2, 2)][0]) == 3  # a type with tied sizes
+    assert any(correlations._relabelings(members, n, d)[1].any() for members, _ in plan.types.values())
+    plan, leg_order = arrange(plan, spec)
     side = d**n
     comps = {k: rng.normal(size=(d**k, d**k)) + 1j * rng.normal(size=(d**k, d**k)) for k in range(1, n)}
-    got = support([comps[k] for k in sizes] for sizes in support.groups)
+    got = plan.interaction(comps)
     v = symmetric_isometry(stats, n, d)
     vt = np.eye(side) if v is None else v.T
     expected = np.zeros((rank, side), dtype=np.complex128)
-    for p in partitions[1:]:
-        legs = arrange(p)[1]
-        product = place_product([(comps[len(labels)], labels) for labels in legs], n, d)
+    for p in set_partitions(range(1, n + 1))[1:]:
+        product = place_product([(comps[len(b)], leg_order(b)) for b in p.blocks], n, d)
         phi = sum(
             (
                 embed_matrix(pots[k], z, n, d)
@@ -537,10 +551,10 @@ def test_boltzmann_layouts_keep_one_row_per_member():
     rng = np.random.default_rng(78)
     pots = {k: permutation_average(random_hermitian(rng, d**k), k, d) for k in (2, 3)}
     spec = InteractionSpec(d=d, one_body=random_hermitian(rng, d), potentials=pots)
-    support = correlations._OrderPlan(n, Statistics.BOLTZMANN, spec).support
-    assert support.groups
-    for key, members in support.groups.items():
-        arrays = [x for x in support._layouts[key] if isinstance(x, np.ndarray) and x is not support.phi[key]]
+    plan = correlations._OrderPlan(n, Statistics.BOLTZMANN, spec)
+    assert plan.types
+    for sizes, (members, phi) in plan.types.items():
+        arrays = [x for x in plan._layouts[sizes] if isinstance(x, np.ndarray) and x is not phi]
         assert [x.shape for x in arrays] == [(len(members), d**n)]
 
 
