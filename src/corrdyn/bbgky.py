@@ -3,9 +3,9 @@ chain of equations they satisfy, and the cumulant-series solution.
 
 The cumulant of order 1+n acts on an operator as a signed sum over
 partitions of the cluster set of products of block-wise unitary
-conjugations.  It is never materialized as a superoperator matrix: memory
-stays at one operator per partition term, and each block size's propagator
-is built once per call.
+conjugations, each by one ``hamiltonian.block_propagator``.  It is never
+materialized as a superoperator matrix: memory stays at one operator per
+partition term, and each block size's propagator is built once per time.
 
 The series solution traces the cumulants over the satellites and needs no
 partitions.  Write Y = (1..s) for the atomic cluster and X = (s+1..s+n) for
@@ -79,6 +79,7 @@ from .errors import DomainError, TruncationError
 from .hamiltonian import (
     EvolutionCache,
     InteractionSpec,
+    block_propagator,
     commutator_generator,
     hamiltonian_matrix,
 )
@@ -86,7 +87,6 @@ from .hilbert import (
     ManyBodyOperator,
     OperatorSequence,
     Statistics,
-    add_embedded,
     group_average,
     group_rank,
     partial_trace_matrix,
@@ -97,7 +97,7 @@ from .hilbert import (
     trace_norm,
     traced_lift,
 )
-from .correlations import CorrelationSequence, ClusterCorrelation, _ClusterMemo
+from .correlations import CorrelationSequence, ClusterCorrelation, _ClusterMemo, _meeting_couplings
 
 SERIES_CONVERGENCE_ALPHA = math.e
 
@@ -141,16 +141,9 @@ def cumulant_apply(
     labels = cluster.declusterize()
     if f.n != len(labels):
         raise DomainError(f"operator has {f.n} particles, cluster set flattens to {len(labels)}")
-    props: dict[int, np.ndarray] = {}
     total = np.zeros_like(f.mat)
     for p in cluster_partitions(cluster):
-        factors = []
-        for block in p.blocks:
-            legs = block_labels(block)
-            if len(legs) not in props:
-                props[len(legs)] = cache.propagator(len(legs), t)
-            factors.append((props[len(legs)], legs))
-        u = place_product(factors, f.n, cache.spec.d)
+        u = block_propagator([block_labels(b) for b in p.blocks], f.n, t, cache)
         total += mobius_weight(p) * (u @ f.mat @ u.conj().T)
     return f.with_mat(total)
 
@@ -188,27 +181,23 @@ def bbgky_rhs(F: MarginalSequence, s: int, spec: InteractionSpec) -> ManyBodyOpe
 
     -N_s F_s plus, per satellite count n >= 1, the traced commutator with
     the sum over nonempty subsets Z of the kept labels of Phi^(|Z|+n)
-    coupling Z to all n satellites, weighted 1/n!.  Absent couplings
-    terminate the sum; a needed marginal above n_max raises TruncationError.
+    coupling Z to all n satellites (``correlations._meeting_couplings`` of
+    the blocks (1..s), (s+1,), ..., (s+n,)), weighted 1/n!.  Absent
+    couplings terminate the sum; a marginal above n_max raises TruncationError.
     """
     d = spec.d
     fs = F.component(s)
     out = -commutator_generator(fs.mat, hamiltonian_matrix(s, spec), spec.hbar)
     for n in range(1, spec.k_max):
-        sizes = [z for z in range(1, s + 1) if (z + n) in spec.potentials]
-        if not sizes:
+        if not any(n < k <= s + n for k in spec.potentials):
             continue
         if s + n > F.n_max:
             raise TruncationError(
                 f"bbgky_rhs(s={s}) needs marginal order {s + n} > n_max={F.n_max}"
             )
-        big = F.component(s + n).mat
-        sats = tuple(range(s + 1, s + n + 1))
-        coupling = np.zeros((d ** (s + n), d ** (s + n)), dtype=np.complex128)
-        for zsize in sizes:
-            for zs in itertools.combinations(range(1, s + 1), zsize):
-                add_embedded(coupling, spec.potentials[zsize + n], zs + sats, s + n, d)
-        rate = commutator_generator(big, coupling, spec.hbar)
+        blocks = [tuple(range(1, s + 1)), *((l,) for l in range(s + 1, s + n + 1))]
+        coupling = _meeting_couplings(blocks, spec, s + n)
+        rate = commutator_generator(F.component(s + n).mat, coupling, spec.hbar)
         out -= partial_trace_matrix(rate, s, s + n, d) / math.factorial(n)
     return ManyBodyOperator(s, d, out, F.stats)
 

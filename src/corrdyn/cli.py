@@ -11,6 +11,7 @@ Exit status is 0 exactly when every executed check passed.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -128,7 +129,9 @@ def cmd_info(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once and shared by every ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="corrdyn",
         description="Verification suites and reduced-operator evolution for "
@@ -157,8 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CorrdynError as exc:

@@ -119,21 +119,21 @@ class Partition:
         return iter(self.blocks)
 
 
-def set_partitions(ground: Sequence[T], cap: int = BELL_CAP) -> list[Partition]:
+def set_partitions(ground: Sequence[T]) -> list[Partition]:
     """All partitions of ``ground``, in restricted-growth order.
 
     The first partition is the single-block one, the last is all-singletons.
     Raises DomainError for an empty ground set and ResourceCapError when
-    len(ground) exceeds ``cap``.
+    len(ground) exceeds ``BELL_CAP``.
     """
     items = list(ground)
     if not items:
         raise DomainError("cannot partition an empty ground set")
     if len(set(items)) != len(items):
         raise DomainError("ground set elements must be distinct")
-    if len(items) > cap:
+    if len(items) > BELL_CAP:
         raise ResourceCapError(
-            f"partition enumeration over {len(items)} elements exceeds cap {cap} "
+            f"partition enumeration over {len(items)} elements exceeds cap {BELL_CAP} "
             f"(Bell({len(items)}) terms)"
         )
 
@@ -176,12 +176,12 @@ def nonempty_subsets(s: Sequence[T]) -> list[tuple[T, ...]]:
 
 
 @lru_cache(maxsize=None)
-def cluster_partitions(x: ClusterSet, cap: int = BELL_CAP) -> tuple[Partition, ...]:
+def cluster_partitions(x: ClusterSet) -> tuple[Partition, ...]:
     """Partitions of a cluster set's elements (atomic clusters never split),
     in the order of ``set_partitions``.  A function of the cluster set
-    alone, so it is cached per (cluster set, cap), and a tuple of frozen
+    alone, so it is cached per cluster set, and a tuple of frozen
     partitions, so no caller can change the cached value."""
-    return tuple(set_partitions(x.elements, cap=cap))
+    return tuple(set_partitions(x.elements))
 
 
 def block_labels(block: Iterable) -> tuple[int, ...]:

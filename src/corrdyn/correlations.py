@@ -101,9 +101,9 @@ Conventions fixed here once:
   equation keeps that range.  It carries the rows y_n = V^dagger g_n,
   r x side, and since H_n commutes with S_n,
   V^dagger [g_n, H_n] = y_n H_n - H~_n y_n with H~_n = V^dagger H_n V
-  built once per plan: r x side products in place of two side x side
-  GEMMs, nothing at rank 0.  g_n = V y_n is rebuilt only where a
-  Kronecker product reads it and on output.
+  from the plans' shared ``hamiltonian.EvolutionCache``: r x side products
+  in place of two side x side GEMMs, nothing at rank 0.  g_n = V y_n is
+  rebuilt only where a Kronecker product reads it and on output.
 * Small orders of the RK4 right-hand side are tabulated on the same rows.
   With row-major vec, vec(A X B) = (A (x) B^T) vec X, the drift is
   (i/hbar)(I_r (x) H^T - H~ (x) I) vec y_n; a block-size type's term is
@@ -131,12 +131,13 @@ import numpy as np
 
 from .combinatorics import ClusterSet, block_labels, set_partitions
 from .errors import DomainError, IntegrationError, TruncationError
-from .hamiltonian import InteractionSpec, commutator_generator, hamiltonian_matrix
+from .hamiltonian import EvolutionCache, InteractionSpec, commutator_generator
 from .hilbert import (
     ManyBodyOperator,
     OperatorSequence,
     Permutation,
     Statistics,
+    _row_permutation_map,
     add_embedded,
     group_average,
     group_compress,
@@ -482,7 +483,8 @@ def _consecutive(legs: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
 
 def _meeting_couplings(blocks: list[tuple[int, ...]], spec: InteractionSpec, n: int) -> np.ndarray | None:
     """Sum of the embedded k-body couplings whose support meets every block
-    (label tuples covering 1..n), or None when no support does."""
+    (label tuples covering 1..n), or None when no support does, by k
+    ascending and then lexicographically; also the coupling of ``bbgky_rhs``."""
     out = None
     for k, phi in spec.potentials.items():
         for z in itertools.combinations(range(1, n + 1), k):
@@ -499,10 +501,8 @@ def _relabelings(members: tuple[tuple[tuple[int, ...], ...], ...], n: int, d: in
     index map ``undo``, (Y Q^T)[:, b] = Y[:, undo[b]], Q taking the legs of
     consecutive labels, in factor order, to the labels the member's label
     tuples carry; and the parity of each Q."""
-    digits = np.arange(d**n).reshape((d,) * n)
     images = [tuple(l for labels in m for l in labels) for m in members]
-    gather = np.stack([digits.transpose([l - 1 for l in image]).ravel() for image in images])
-    undo = np.argsort(gather, axis=1)
+    undo = np.stack([_row_permutation_map(image, n, d) for image in images])
     parity = np.array([Permutation(image).parity for image in images])
     undo.flags.writeable = parity.flags.writeable = False
     return undo, parity
@@ -510,10 +510,11 @@ def _relabelings(members: tuple[tuple[tuple[int, ...], ...], ...], n: int, d: in
 
 class _OrderPlan:
     """Right-hand side of hierarchy order n on component matrices (orders
-    <= n), with H_n, V (``symmetric_isometry``, rank r) and the classes
-    built once.  The interaction sum is V^dagger acc (acc when V is None),
-    acc = (i/hbar) sum_p [P_p, Phi_p] over the multi-block partitions p that
-    some coupling support reaches.  A class is a block-size type (sizes
+    <= n), with V (``symmetric_isometry``, rank r) and the classes built
+    once, and H_n and H~_n = V^dagger H_n V from ``cache``.  The interaction
+    sum is V^dagger acc (acc when V is None), acc = (i/hbar) sum_p
+    [P_p, Phi_p] over the multi-block partitions p that some coupling
+    support reaches.  A class is a block-size type (sizes
     descending): ``types`` maps it to its members' block label tuples, each
     sorted and in size order (ties keep theirs), and to Phi on the
     consecutive labels of K.  ``term`` is a type's class term (module
@@ -523,11 +524,11 @@ class _OrderPlan:
     is empty when no partition is reached or r is zero, and then no term
     need be evaluated."""
 
-    def __init__(self, n: int, stats: Statistics, spec: InteractionSpec):
-        self.n, self.d, self.hbar, self.stats = n, spec.d, spec.hbar, stats
-        self.h = hamiltonian_matrix(n, spec)
-        self.v = symmetric_isometry(stats, n, spec.d)
-        self.rank = len(self.h) if self.v is None else self.v.shape[1]
+    def __init__(self, n: int, stats: Statistics, cache: EvolutionCache):
+        self.n, self.d, self.hbar, self.stats = n, cache.spec.d, cache.spec.hbar, stats
+        self.h, self.h_tilde = cache.hamiltonian(n), cache.hamiltonian(n, stats)
+        self.v = symmetric_isometry(stats, n, self.d)
+        self.rank = len(self.h_tilde)
         grouped: dict[tuple[int, ...], list] = {}
         for p in set_partitions(range(1, n + 1)):
             if self.rank and p.size >= 2:
@@ -535,14 +536,9 @@ class _OrderPlan:
                 grouped.setdefault(tuple(map(len, legs)), []).append(legs)
         self.types: dict[tuple[int, ...], tuple[tuple, np.ndarray]] = {}
         for sizes, members in grouped.items():
-            phi = _meeting_couplings(_consecutive(members[0]), spec, n)
+            phi = _meeting_couplings(_consecutive(members[0]), cache.spec, n)
             if phi is not None:
                 self.types[sizes] = (tuple(members), phi)
-
-    @cached_property
-    def h_rows(self) -> np.ndarray:
-        """H projected on the ket side, V^dagger H V (H itself when V is None)."""
-        return self.h if self.v is None else self.v.T @ self.h @ self.v
 
     @cached_property
     def _layouts(self) -> dict[tuple[int, ...], tuple]:
@@ -600,7 +596,7 @@ class _OrderPlan:
         if self.v is None:
             out = -commutator_generator(y, self.h, self.hbar)
         else:
-            out = (1j / self.hbar) * (y @ self.h - self.h_rows @ y)
+            out = (1j / self.hbar) * (y @ self.h - self.h_tilde @ y)
         if self.types:
             out += self.interaction(comps)
         return out
@@ -621,7 +617,8 @@ def von_neumann_rhs(g: OperatorSequence, n: int, spec: InteractionSpec) -> ManyB
     without a matching Phi^(k) contribute zero.  For n = 1 this is just
     -N_1 g_1.
     """
-    return ManyBodyOperator(n, spec.d, _OrderPlan(n, g.stats, spec)(_component_mats(g, n)), g.stats)
+    plan = _OrderPlan(n, g.stats, EvolutionCache(spec))
+    return ManyBodyOperator(n, spec.d, plan(_component_mats(g, n)), g.stats)
 
 
 def generalized_rhs(
@@ -645,7 +642,8 @@ def generalized_rhs(
         raise DomainError("cluster set must flatten to labels 1..s+n")
     local, _ = _relabeled(tuple(el.labels for el in cluster.elements))
     mats = _component_mats(g, m)
-    rates = {n: _OrderPlan(n, g.stats, spec)(mats) for n in range(1, m + 1)}
+    cache = EvolutionCache(spec)
+    rates = {n: _OrderPlan(n, g.stats, cache)(mats) for n in range(1, m + 1)}
     singletons = [tuple((l,) for l in range(1, k + 1)) for k in range(1, m + 1)]
     memo, memo_rates = {q: mats[len(q)] for q in singletons}, {q: rates[len(q)] for q in singletons}
     whole = {} if local in memo else _reconstructions(mats, m, d, {})  # all singletons: C' = g'_m
@@ -694,7 +692,7 @@ class _TabulatedOrders:
         blocks, types = [], []
         for plan, row in zip(plans, bounds):
             side = plan.h.shape[0]
-            drift = np.kron(np.eye(plan.rank), plan.h.T) - np.kron(plan.h_rows, np.eye(side))
+            drift = np.kron(np.eye(plan.rank), plan.h.T) - np.kron(plan.h_tilde, np.eye(side))
             blocks.append((row, row, (1j / plan.hbar) * drift))
             for sizes in sorted(plan.types, reverse=True):
                 # factor j's unit matrices along batch axis j: the C-order
@@ -771,7 +769,8 @@ def integrate_hierarchy(
     y = np.concatenate([
         range_compress(g0.component(n), "correlation", two_sided=False).ravel() for n in range(1, n_max + 1)
     ])
-    plans = [_OrderPlan(n, g0.stats, spec) for n in range(1, n_max + 1)]
+    cache = EvolutionCache(spec)
+    plans = [_OrderPlan(n, g0.stats, cache) for n in range(1, n_max + 1)]
     m = next((i for i, plan in enumerate(plans) if plan.tabulated_entries() > TABULATED_MAX_ENTRIES), n_max)
     bounds = [0, *itertools.accumulate(plan.rank * d**plan.n for plan in plans)]
     table = _TabulatedOrders(plans[:m], bounds)

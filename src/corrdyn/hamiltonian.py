@@ -175,10 +175,12 @@ class EvolutionCache:
 
     and an operator in the two-sided range, V K V^dagger, evolves as
     V (U~ K U~^dagger) V^dagger.  The cache keeps one construction for
-    every statistics: ``hamiltonian(m, stats)`` is H~_m, ``eigensystem``
-    its eigendecomposition and ``propagator`` U~_m(t), each cached per
-    (m, stats).  Where V is None (BOLTZMANN, the default, and m <= 1) H~_m
-    is the dense H_m.  A rank-0 order (FERMI m > d) has a 0 x 0 H~_m;
+    every statistics: ``hamiltonian(m, stats)`` is H~_m and ``eigensystem``
+    its eigendecomposition, cached per (m, stats), and ``propagator``
+    U~_m(t), read-only, kept per (m, stats) for its last t only: a
+    cumulant's blocks of one size, or a series' value and rate at one time,
+    share one build.  Where V is None (BOLTZMANN, the default, and m <= 1)
+    H~_m is the dense H_m.  A rank-0 order (FERMI m > d) has a 0 x 0 H~_m;
     callers skip it.
 
     Immutable after construction apart from memoization.
@@ -188,14 +190,15 @@ class EvolutionCache:
         self.spec = spec
         self._eig: dict[tuple[int, Statistics], tuple[np.ndarray, np.ndarray]] = {}
         self._ham: dict[tuple[int, Statistics], np.ndarray] = {}
+        self._last: dict[tuple[int, Statistics], tuple[float, np.ndarray]] = {}
 
     def hamiltonian(self, m: int, stats: Statistics = Statistics.BOLTZMANN) -> np.ndarray:
-        """H~_m = V^dagger H_m V for the group average of ``stats``; H_m
-        itself where V is None."""
+        """H~_m = V^dagger H_m V for the group average of ``stats``; the
+        cached H_m itself where V is None."""
         if (m, stats) not in self._ham:
             v = symmetric_isometry(stats, m, self.spec.d)
-            h = hamiltonian_matrix(m, self.spec) if v is None else v.T @ self.hamiltonian(m) @ v
-            self._ham[m, stats] = h
+            h = hamiltonian_matrix(m, self.spec) if stats is Statistics.BOLTZMANN else self.hamiltonian(m)
+            self._ham[m, stats] = h if v is None else v.T @ h @ v
         return self._ham[m, stats]
 
     def eigensystem(
@@ -215,9 +218,14 @@ class EvolutionCache:
 
     def propagator(self, m: int, t: float, stats: Statistics = Statistics.BOLTZMANN) -> np.ndarray:
         """U~_m(t) = exp(-i t H~_m / hbar) via the cached eigenbasis; the
-        dense U_m(t) where V is None."""
-        w, v = self.eigensystem(m, stats)
-        return (v * np.exp(-1j * t * w / self.spec.hbar)) @ v.conj().T
+        dense U_m(t) where V is None; read-only, rebuilt only for a new t."""
+        kept = self._last.get((m, stats))
+        if kept is None or kept[0] != t:
+            w, v = self.eigensystem(m, stats)
+            u = (v * np.exp(-1j * t * w / self.spec.hbar)) @ v.conj().T
+            u.flags.writeable = False
+            kept = self._last[m, stats] = (t, u)
+        return kept[1]
 
 
 def evolve_group(f: ManyBodyOperator, t: float, cache: EvolutionCache) -> ManyBodyOperator:

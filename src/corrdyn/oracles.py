@@ -8,8 +8,9 @@ nested two-level partition sum, both over their own partition enumeration
 (the fast paths solve one exponential formula instead), the traced
 cumulant series is the sum over the Bell(1+n) partitions of each cluster
 set with dense block propagators (the fast path sums subsets of the
-satellites), and the reduced-operator sum is the direct grand-canonical
-definition.  Clarity over speed throughout.
+satellites and builds no block propagator; the cumulants share
+``hamiltonian.block_propagator`` with it), and the reduced-operator sum is
+the direct grand-canonical definition.  Clarity over speed throughout.
 """
 
 from __future__ import annotations

@@ -129,19 +129,48 @@ def test_cumulant_free_collapse(t):
         assert trace_norm(out) <= 1e-12 * trace_norm(f)
 
 
+def _counting_builds(cache):
+    """Record the order m of every propagator the cache builds: a build, and
+    only a build, reads the eigensystem."""
+    calls = []
+    eigensystem = cache.eigensystem
+    cache.eigensystem = lambda m, stats=Statistics.BOLTZMANN: calls.append(m) or eigensystem(m, stats)
+    return calls
+
+
 @pytest.mark.parametrize("s,n", [(1, 1), (1, 3), (1, 4), (2, 3)])
 def test_cumulant_builds_each_block_size_propagator_once(s, n):
     spec = pair_spec()
     cache = EvolutionCache(spec)
-    calls = []
-    build = cache.propagator
-    cache.propagator = lambda m, t: calls.append(m) or build(m, t)
+    calls = _counting_builds(cache)
     f = rand_op(np.random.default_rng(78), s + n)
     cumulant_apply(0.6, ClusterSet.canonical(s, n), f, cache)
     # blocks hold the atomic cluster plus 0..n satellites, or 1..n
-    # satellites: 1+n sizes for s = 1, each built once
+    # satellites: 1+n sizes for s = 1, each built once although every
+    # partition asks for its blocks' propagators
     sizes = set(range(s, s + n + 1)) | set(range(1, n + 1))
     assert sorted(calls) == sorted(sizes)
+
+
+def test_propagator_keeps_the_last_time():
+    spec = pair_spec()
+    cache = EvolutionCache(spec)
+    u = cache.propagator(3, 0.4, Statistics.BOSE)
+    assert cache.propagator(3, 0.4, Statistics.BOSE) is u
+    assert not u.flags.writeable
+    # a new time replaces the kept one, with a fresh cache's values, and a
+    # revisited time is rebuilt to the same values
+    for t in (0.9, 0.4, -1.2):
+        got = cache.propagator(3, t, Statistics.BOSE)
+        assert np.array_equal(got, EvolutionCache(spec).propagator(3, t, Statistics.BOSE))
+    assert np.array_equal(cache.propagator(3, 0.4, Statistics.BOSE), u)
+    # the series' value and rate at one time share each U~_{s+k}(t)
+    f0 = oracles.grand_marginals(random_sequence(np.random.default_rng(95), 2, Statistics.BOSE, 4, f0=1.0))
+    series = BBGKYSeries(f0, 1, EvolutionCache(spec))
+    calls = _counting_builds(series.cache)
+    series.at(0.4)
+    series.rate(0.4)
+    assert sorted(calls) == [1, 2, 3, 4]
 
 
 def test_cumulant_products_invert_to_full_group():

@@ -164,7 +164,7 @@ def test_cluster_partitions_keep_atoms_whole():
 
 
 def test_cluster_partitions_are_cached_per_cluster_set():
-    # one enumeration per (cluster set, cap): an equal cluster set built anew
+    # one enumeration per cluster set: an equal cluster set built anew
     # gets the same tuple, in the order of set_partitions over its elements
     xc = ClusterSet.canonical(2, 3)
     out = cluster_partitions(xc)

@@ -193,6 +193,15 @@ def test_cli_evolve_rejects_bad_order(tmp_path):
     assert main(["evolve", str(path), "--s", "9"]) == 2
 
 
+def test_cli_parser_is_built_once_and_serves_every_call(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    path = write_cfg(tmp_path, MINIMAL)
+    assert main(["info", str(path)]) == 0
+    assert "matrix side" in capsys.readouterr().out
+    assert main(["check", str(path), "--format", "jsonl"]) == 0
+    assert parse_jsonl(capsys.readouterr().out).overall_pass
+
+
 def test_cli_info_runs(tmp_path, capsys):
     path = write_cfg(tmp_path, MINIMAL)
     assert main(["info", str(path)]) == 0

@@ -513,7 +513,7 @@ def test_support_row_blocks_match_placed_products(stats, d, n, couplings, arrang
     rng = np.random.default_rng(76)
     pots = {k: permutation_average(random_hermitian(rng, d**k), k, d) for k in couplings}
     spec = InteractionSpec(d=d, one_body=random_hermitian(rng, d), potentials=pots, hbar=0.7)
-    plan = correlations._OrderPlan(n, stats, spec)
+    plan = correlations._OrderPlan(n, stats, EvolutionCache(spec))
     rank = group_rank(stats, n, d)
     assert plan.rank == rank
     assert bool(plan.types) == (rank > 0)  # Fermi at d=2, n>2 has rank 0
@@ -551,7 +551,7 @@ def test_boltzmann_layouts_keep_one_row_per_member():
     rng = np.random.default_rng(78)
     pots = {k: permutation_average(random_hermitian(rng, d**k), k, d) for k in (2, 3)}
     spec = InteractionSpec(d=d, one_body=random_hermitian(rng, d), potentials=pots)
-    plan = correlations._OrderPlan(n, Statistics.BOLTZMANN, spec)
+    plan = correlations._OrderPlan(n, Statistics.BOLTZMANN, EvolutionCache(spec))
     assert plan.types
     for sizes, (members, phi) in plan.types.items():
         arrays = [x for x in plan._layouts[sizes] if isinstance(x, np.ndarray) and x is not phi]
