@@ -7,6 +7,15 @@ Checks synthesize their own seeded data; a missing coupling a check needs
 (for example a three-body term for the mixed-coupling lane) is synthesized
 from the seed and noted in the record inputs.
 
+A check states only its lanes: it yields one ``(inputs, residual, ok)``
+per lane, and ``_check`` turns every lane into its record by one rule,
+
+    passed = residual <= config.tolerance(name) and ok,
+
+so a NaN residual fails.  ``ok`` carries a lane's own extra condition (the
+step order of ``solution_vs_integrator``) and is True elsewhere.  ``_check``
+also registers the check in ``CHECKS``, in definition order.
+
 All reductions run in canonical partition order, so results are
 bit-reproducible for a fixed seed.
 """
@@ -14,9 +23,10 @@ bit-reproducible for a fixed seed.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import time
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -56,6 +66,29 @@ from .hilbert import (
 )
 from .report import CheckRecord, CheckReport
 
+Lane = tuple[str, float, bool]
+
+CHECKS: dict[str, Callable[[ScenarioConfig], list[CheckRecord]]] = {}
+
+
+def _check(name: str):
+    """Register a lane generator as the check ``name``, whose records
+    follow the one pass rule of the module docstring."""
+
+    def register(lanes: Callable[[ScenarioConfig], Iterator[Lane]]):
+        @functools.wraps(lanes)
+        def check(config: ScenarioConfig) -> list[CheckRecord]:
+            tol = config.tolerance(name)
+            return [
+                CheckRecord(name, inputs, residual, tol, passed=residual <= tol and ok)
+                for inputs, residual, ok in lanes(config)
+            ]
+
+        CHECKS[name] = check
+        return check
+
+    return register
+
 
 def _rng(config: ScenarioConfig, tag: int) -> np.random.Generator:
     return np.random.default_rng([config.seed, tag])
@@ -68,11 +101,6 @@ def _random_operator(rng: np.random.Generator, n: int, config: ScenarioConfig) -
     return ManyBodyOperator(n, config.d, real + 1j * rng.standard_normal((side, side)), config.stats)
 
 
-def _symmetrized_coupling(rng: np.random.Generator, k: int, d: int) -> np.ndarray:
-    """Seeded Hermitian k-body matrix averaged over factor permutations."""
-    return permutation_average(random_hermitian(rng, d**k), k, d)
-
-
 def _pair_spec(config: ScenarioConfig) -> tuple[InteractionSpec, str]:
     """Scenario couplings restricted to the two-body term (free if absent)."""
     if 2 in config.potentials:
@@ -80,61 +108,68 @@ def _pair_spec(config: ScenarioConfig) -> tuple[InteractionSpec, str]:
     return config.interaction_spec({}), "free"
 
 
-def _synth_two_body_spec(config: ScenarioConfig, rng: np.random.Generator) -> tuple[InteractionSpec, str]:
-    """``_pair_spec``, with a seeded two-body coupling in place of none."""
-    if 2 in config.potentials:
-        return _pair_spec(config)
-    return config.interaction_spec({2: _symmetrized_coupling(rng, 2, config.d)}), "seeded phi2"
+def _seeded_spec(
+    config: ScenarioConfig, rng: np.random.Generator, orders: tuple[int, ...]
+) -> tuple[InteractionSpec, str]:
+    """Scenario couplings restricted to ``orders``; each order the scenario
+    lacks is drawn from ``rng``, in order, as a Hermitian matrix averaged
+    over factor permutations, and noted as seeded."""
+    pots, seeded = {}, []
+    for k in orders:
+        if k in config.potentials:
+            pots[k] = config.potentials[k]
+        else:
+            pots[k] = permutation_average(random_hermitian(rng, config.d**k), k, config.d)
+            seeded.append(f"seeded phi{k}")
+    note = ",".join(seeded) or "scenario " + "+".join(f"phi{k}" for k in orders)
+    return config.interaction_spec(pots), note
 
 
-def _synth_mixed_spec(config: ScenarioConfig, rng: np.random.Generator) -> tuple[InteractionSpec, str]:
-    pots = dict(config.potentials)
-    note = []
-    if 2 not in pots:
-        pots[2] = _symmetrized_coupling(rng, 2, config.d)
-        note.append("seeded phi2")
-    if 3 not in pots:
-        pots[3] = _symmetrized_coupling(rng, 3, config.d)
-        note.append("seeded phi3")
-    return config.interaction_spec({2: pots[2], 3: pots[3]}), ",".join(note) or "scenario phi2+phi3"
+def _cumulant_ratio(
+    config: ScenarioConfig, rng: np.random.Generator, spec: InteractionSpec, times: tuple[float, ...]
+) -> float:
+    """Largest ||A(t) f|| / ||f|| of the cumulant of cluster set (s, n) over
+    s = 1..2, n = 1..3 and ``times``, one seeded f per (s, n) drawn first.
+    Times run outermost: the cache keeps one time per order, so each U_m(t)
+    is built once."""
+    cache = EvolutionCache(spec)
+    drawn = [(s, n, _random_operator(rng, s + n, config)) for s in (1, 2) for n in (1, 2, 3)]
+    worst = 0.0
+    for t in times:
+        for s, n, f in drawn:
+            out = cumulant_apply(t, ClusterSet.canonical(s, n), f, cache)
+            worst = max(worst, trace_norm(out) / trace_norm(f))
+    return worst
 
 
 # --------------------------------------------------------------------------
 
 
-def check_mobius_roundtrip(config: ScenarioConfig) -> list[CheckRecord]:
+@_check("mobius_roundtrip")
+def check_mobius_roundtrip(config: ScenarioConfig) -> Iterator[Lane]:
     """Both compositions of the density/correlation transform pair are the
     identity on 50 seeded statistics-symmetric sequences at order 3."""
-    tol = config.tolerance("mobius_roundtrip")
     rng = _rng(config, 1)
     n_max = 3
     worst = 0.0
     for _ in range(50):
         d_seq = random_sequence(rng, config.d, config.stats, n_max, f0=1.0)
-        back = correlations_to_density(density_to_correlations(d_seq))
-        for n in range(1, n_max + 1):
-            delta = trace_norm(back.component(n) - d_seq.component(n))
-            worst = max(worst, delta / (1.0 + trace_norm(d_seq.component(n))))
         g_seq = density_to_correlations(random_sequence(rng, config.d, config.stats, n_max))
-        g_back = density_to_correlations(correlations_to_density(g_seq))
-        for n in range(1, n_max + 1):
-            delta = trace_norm(g_back.component(n) - g_seq.component(n))
-            worst = max(worst, delta / (1.0 + trace_norm(g_seq.component(n))))
-    return [
-        CheckRecord(
-            name="mobius_roundtrip",
-            inputs=f"stats={config.stats} d={config.d} n_max={n_max} sequences=50",
-            residual=worst,
-            tolerance=tol,
-            passed=worst <= tol,
+        trips = (
+            (d_seq, correlations_to_density(density_to_correlations(d_seq))),
+            (g_seq, density_to_correlations(correlations_to_density(g_seq))),
         )
-    ]
+        for seq, back in trips:
+            for n in range(1, n_max + 1):
+                delta = trace_norm(back.component(n) - seq.component(n))
+                worst = max(worst, delta / (1.0 + trace_norm(seq.component(n))))
+    yield f"stats={config.stats} d={config.d} n_max={n_max} sequences=50", worst, True
 
 
-def check_hierarchy_residual(config: ScenarioConfig) -> list[CheckRecord]:
+@_check("hierarchy_residual")
+def check_hierarchy_residual(config: ScenarioConfig) -> Iterator[Lane]:
     """d/dt of the transformed unitary evolution matches the hierarchy
     right-hand side (Richardson-extrapolated central differences)."""
-    tol = config.tolerance("hierarchy_residual")
     rng = _rng(config, 2)
     spec, note = _pair_spec(config)
     n_max = 3
@@ -155,74 +190,33 @@ def check_hierarchy_residual(config: ScenarioConfig) -> list[CheckRecord]:
             deriv = (4.0 * fine - coarse) / 3.0
             rhs = von_neumann_rhs(g_t, n, spec)
             worst = max(worst, trace_norm(deriv - rhs.mat))
-    return [
-        CheckRecord(
-            name="hierarchy_residual",
-            inputs=f"stats={config.stats} n<=3 t=0,0.3,1.0 richardson h=1e-4 ({note})",
-            residual=worst,
-            tolerance=tol,
-            passed=worst <= tol,
-        )
-    ]
+    yield f"stats={config.stats} n<=3 t=0,0.3,1.0 richardson h=1e-4 ({note})", worst, True
 
 
-def check_cumulant_zero_time(config: ScenarioConfig) -> list[CheckRecord]:
+@_check("cumulant_zero_time")
+def check_cumulant_zero_time(config: ScenarioConfig) -> Iterator[Lane]:
     """Orders >= 2 of the evolution-group cumulant cancel at t = 0."""
-    tol = config.tolerance("cumulant_zero_time")
-    rng = _rng(config, 3)
-    spec, note = config.interaction_spec(), "scenario couplings"
-    cache = EvolutionCache(spec)
-    worst = 0.0
-    for s in (1, 2):
-        for n in (1, 2, 3):
-            f = _random_operator(rng, s + n, config)
-            out = cumulant_apply(0.0, ClusterSet.canonical(s, n), f, cache)
-            worst = max(worst, trace_norm(out) / trace_norm(f))
-    return [
-        CheckRecord(
-            name="cumulant_zero_time",
-            inputs=f"s=1..2 n=1..3 random f ({note})",
-            residual=worst,
-            tolerance=tol,
-            passed=worst <= tol,
-        )
-    ]
+    ratio = _cumulant_ratio(config, _rng(config, 3), config.interaction_spec(), (0.0,))
+    yield "s=1..2 n=1..3 random f (scenario couplings)", ratio, True
 
 
-def check_cumulant_free(config: ScenarioConfig) -> list[CheckRecord]:
+@_check("cumulant_free")
+def check_cumulant_free(config: ScenarioConfig) -> Iterator[Lane]:
     """With all couplings removed the block evolutions factorize, so every
     cumulant of order >= 2 vanishes for all times."""
-    tol = config.tolerance("cumulant_free")
-    rng = _rng(config, 4)
-    free_spec = config.interaction_spec({})
-    cache = EvolutionCache(free_spec)
-    worst = 0.0
-    for s in (1, 2):
-        for n in (1, 2, 3):
-            f = _random_operator(rng, s + n, config)
-            for t in (-5.0, -1.3, 0.4, 5.0):
-                out = cumulant_apply(t, ClusterSet.canonical(s, n), f, cache)
-                worst = max(worst, trace_norm(out) / trace_norm(f))
-    return [
-        CheckRecord(
-            name="cumulant_free",
-            inputs="free coupling, s=1..2 n=1..3 |t|<=5",
-            residual=worst,
-            tolerance=tol,
-            passed=worst <= tol,
-        )
-    ]
+    times = (-5.0, -1.3, 0.4, 5.0)
+    ratio = _cumulant_ratio(config, _rng(config, 4), config.interaction_spec({}), times)
+    yield "free coupling, s=1..2 n=1..3 |t|<=5", ratio, True
 
 
-def check_bbgky_residual(config: ScenarioConfig) -> list[CheckRecord]:
+@_check("bbgky_residual")
+def check_bbgky_residual(config: ScenarioConfig) -> Iterator[Lane]:
     """Exact time derivative of the solution series equals the chain
     right-hand side, for two-body and mixed two-plus-three-body couplings."""
-    tol = config.tolerance("bbgky_residual")
-    records = []
     n_max = 4
-    for tag, make in ((5, _synth_two_body_spec), (6, _synth_mixed_spec)):
+    for tag, orders, lane in ((5, (2,), "two-body"), (6, (2, 3), "two+three-body")):
         rng = _rng(config, tag)
-        spec, note = make(config, rng)
+        spec, note = _seeded_spec(config, rng, orders)
         cache = EvolutionCache(spec)
         d0_comps = {}
         for n in range(1, n_max + 1):
@@ -248,20 +242,11 @@ def check_bbgky_residual(config: ScenarioConfig) -> list[CheckRecord]:
                 lhs = series[s].rate(t)
                 rhs = bbgky_rhs(f_t, s, spec)
                 worst = max(worst, trace_norm(lhs - rhs))
-        lane = "two-body" if make is _synth_two_body_spec else "two+three-body"
-        records.append(
-            CheckRecord(
-                name="bbgky_residual",
-                inputs=f"{lane} stats={config.stats} n_max=4 s=1,2 t=0.1,0.7 ({note})",
-                residual=worst,
-                tolerance=tol,
-                passed=worst <= tol,
-            )
-        )
-    return records
+        yield f"{lane} stats={config.stats} n_max=4 s=1,2 t=0.1,0.7 ({note})", worst, True
 
 
-def check_definition_consistency(config: ScenarioConfig) -> list[CheckRecord]:
+@_check("definition_consistency")
+def check_definition_consistency(config: ScenarioConfig) -> Iterator[Lane]:
     """Reduced operators built from traced cluster correlations against the
     classical-reference sum of traced density components.
 
@@ -270,10 +255,8 @@ def check_definition_consistency(config: ScenarioConfig) -> list[CheckRecord]:
     BOSE/FERMI the two definitions differ by a gap that does not shrink as
     n_max grows, of open cause (ROADMAP item 1); this check reports it.
     """
-    tol = config.tolerance("definition_consistency")
     rng = _rng(config, 7)
     spec = config.interaction_spec()
-    records = []
     for n_max in (3, 4):
         d0 = random_sequence(rng, config.d, config.stats, n_max, traceless=True, f0=1.0)
         worst = 0.0
@@ -286,26 +269,15 @@ def check_definition_consistency(config: ScenarioConfig) -> list[CheckRecord]:
                 ref = oracles.reference_marginal(d_t, s)
                 method = ref.method
                 worst = max(worst, trace_norm(lhs - ref.value) / (1.0 + trace_norm(ref.value)))
-        records.append(
-            CheckRecord(
-                name="definition_consistency",
-                inputs=(
-                    f"stats={config.stats} n_max={n_max} s<=2 t<=1.5 traceless data "
-                    f"vs {method}"
-                ),
-                residual=worst,
-                tolerance=tol,
-                passed=worst <= tol,
-            )
-        )
-    return records
+        inputs = f"stats={config.stats} n_max={n_max} s<=2 t<=1.5 traceless data vs {method}"
+        yield inputs, worst, True
 
 
-def check_solution_vs_integrator(config: ScenarioConfig) -> list[CheckRecord]:
+@_check("solution_vs_integrator")
+def check_solution_vs_integrator(config: ScenarioConfig) -> Iterator[Lane]:
     """Cumulant-series solution against RK4 integration of the correlation
     hierarchy from uncorrelated initial data, including the fourth-order
-    step-size scaling of the discrepancy."""
-    tol = config.tolerance("solution_vs_integrator")
+    step-size scaling of the discrepancy (the lane's ``ok``)."""
     rng = _rng(config, 8)
     spec, note = _pair_spec(config)
     cache = EvolutionCache(spec)
@@ -326,25 +298,17 @@ def check_solution_vs_integrator(config: ScenarioConfig) -> list[CheckRecord]:
     residual = gap(2000)
     e_coarse, e_fine = gap(250), gap(500)
     order = math.log2(e_coarse / e_fine) if e_fine > 0 else float("inf")
-    passed = residual <= tol and order >= 3.7
-    return [
-        CheckRecord(
-            name="solution_vs_integrator",
-            inputs=(
-                f"stats={config.stats} chaos data t={t} rk4@2000/unit, "
-                f"order={order:.2f} from steps 250->500 ({note})"
-            ),
-            residual=residual,
-            tolerance=tol,
-            passed=passed,
-        )
-    ]
+    inputs = (
+        f"stats={config.stats} chaos data t={t} rk4@2000/unit, "
+        f"order={order:.2f} from steps 250->500 ({note})"
+    )
+    yield inputs, residual, order >= 3.7
 
 
-def check_norm_bound(config: ScenarioConfig) -> list[CheckRecord]:
+@_check("norm_bound")
+def check_norm_bound(config: ScenarioConfig) -> Iterator[Lane]:
     """Trace-norm growth of cumulant applications stays within the
     partition-counting bound (each unitary term is an isometry)."""
-    tol = config.tolerance("norm_bound")
     rng = _rng(config, 9)
     spec, note = config.interaction_spec(), "scenario couplings"
     cache = EvolutionCache(spec)
@@ -358,15 +322,7 @@ def check_norm_bound(config: ScenarioConfig) -> list[CheckRecord]:
         worst = max(worst, max(0.0, (rep.lhs - rep.bound)) / rep.bound)
         worst_ratio = max(worst_ratio, rep.lhs / rep.input_norm)
         bound_factor = max(bound_factor, rep.bound_factor)
-    return [
-        CheckRecord(
-            name="norm_bound",
-            inputs=f"20 seeded f, n<=3, max ratio {worst_ratio:.3f} vs factor {bound_factor:.0f} ({note})",
-            residual=worst,
-            tolerance=tol,
-            passed=worst <= tol,
-        )
-    ]
+    yield f"20 seeded f, n<=3, max ratio {worst_ratio:.3f} vs factor {bound_factor:.0f} ({note})", worst, True
 
 
 def _symmetry_violation(op: ManyBodyOperator) -> float:
@@ -387,10 +343,10 @@ def _symmetry_violation(op: ManyBodyOperator) -> float:
     return worst
 
 
-def check_symmetry_preservation(config: ScenarioConfig) -> list[CheckRecord]:
+@_check("symmetry_preservation")
+def check_symmetry_preservation(config: ScenarioConfig) -> Iterator[Lane]:
     """Exchange symmetry of state components survives every transform:
     the transform pair, cluster correlations, evolution and marginals."""
-    tol = config.tolerance("symmetry_preservation")
     rng = _rng(config, 10)
     spec, note = config.interaction_spec(), "scenario couplings"
     cache = EvolutionCache(spec)
@@ -411,28 +367,7 @@ def check_symmetry_preservation(config: ScenarioConfig) -> list[CheckRecord]:
         violation = _symmetry_violation(op)
         if violation > worst:
             worst, where = violation, name
-    return [
-        CheckRecord(
-            name="symmetry_preservation",
-            inputs=f"stats={config.stats} worst at {where} ({note})",
-            residual=worst,
-            tolerance=tol,
-            passed=worst <= tol,
-        )
-    ]
-
-
-CHECKS: dict[str, Callable[[ScenarioConfig], list[CheckRecord]]] = {
-    "mobius_roundtrip": check_mobius_roundtrip,
-    "hierarchy_residual": check_hierarchy_residual,
-    "cumulant_zero_time": check_cumulant_zero_time,
-    "cumulant_free": check_cumulant_free,
-    "bbgky_residual": check_bbgky_residual,
-    "definition_consistency": check_definition_consistency,
-    "solution_vs_integrator": check_solution_vs_integrator,
-    "norm_bound": check_norm_bound,
-    "symmetry_preservation": check_symmetry_preservation,
-}
+    yield f"stats={config.stats} worst at {where} ({note})", worst, True
 
 
 def run_checks(config: ScenarioConfig) -> CheckReport:

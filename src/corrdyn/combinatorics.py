@@ -54,10 +54,6 @@ class ClusterElement:
         if len(set(self.labels)) != len(self.labels):
             raise DomainError(f"duplicate labels in cluster element {self.labels}")
 
-    @property
-    def min_label(self) -> int:
-        return min(self.labels)
-
     def __len__(self) -> int:
         return len(self.labels)
 

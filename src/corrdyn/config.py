@@ -146,8 +146,8 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         raise ConfigError(f"{path}: d must be >= 2, got {d}")
     if not 1 <= n_max <= 8:
         raise ConfigError(f"{path}: n_max must lie in 1..8, got {n_max}")
-    if hbar <= 0:
-        raise ConfigError(f"{path}: hbar must be positive, got {hbar}")
+    if not (np.isfinite(hbar) and hbar > 0):
+        raise ConfigError(f"{path}: hbar must be finite and positive, got {hbar}")
     try:
         stats = Statistics(sys_sec.get("stats", "boltzmann").lower())
     except ValueError as exc:
@@ -218,9 +218,12 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
             if key not in KNOWN_CHECKS:
                 raise ConfigError(f"{path}: tolerance for unknown check {key!r}")
             try:
-                tolerances[key] = float(value)
+                tol = float(value)
             except ValueError as exc:
                 raise ConfigError(f"{path}: bad tolerance for {key}: {value!r}") from exc
+            if not (np.isfinite(tol) and tol >= 0):
+                raise ConfigError(f"{path}: tolerance for {key} must be finite and >= 0, got {value!r}")
+            tolerances[key] = tol
 
     digest = hashlib.sha256(text.encode()).hexdigest()[:16]
     return ScenarioConfig(

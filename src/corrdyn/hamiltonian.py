@@ -69,8 +69,8 @@ class InteractionSpec:
     def __post_init__(self):
         if self.d < 2:
             raise DomainError("single-particle dimension must be >= 2")
-        if self.hbar <= 0:
-            raise DomainError("hbar must be positive")
+        if not (np.isfinite(self.hbar) and self.hbar > 0):
+            raise DomainError(f"hbar must be finite and positive, got {self.hbar}")
         ob = np.asarray(self.one_body, dtype=np.complex128)
         if ob.shape != (self.d, self.d):
             raise DomainError(f"one_body shape {ob.shape} != ({self.d}, {self.d})")

@@ -153,15 +153,8 @@ class ManyBodyOperator:
     def identity(cls, n: int, d: int, stats: Statistics = Statistics.BOLTZMANN) -> "ManyBodyOperator":
         return cls(n, d, np.eye(d**n, dtype=np.complex128), stats)
 
-    @property
-    def side(self) -> int:
-        return self.d**self.n
-
     def trace(self) -> complex:
         return complex(np.trace(self.mat))
-
-    def dagger(self) -> "ManyBodyOperator":
-        return ManyBodyOperator(self.n, self.d, self.mat.conj().T, self.stats)
 
     def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
         return hermiticity_defect(self.mat) <= tol

@@ -3,12 +3,15 @@
 The machine format deliberately excludes wall-clock fields so that two runs
 with the same seed are byte-identical; timing lives in the table format
 only.  Floats are printed with 17 significant
-digits, which round-trips doubles exactly.
+digits, which round-trips doubles exactly; a non-finite float (the NaN
+residual of a check that raised) is written as ``null``, which JSON
+readers accept, and read back as NaN.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 
@@ -34,7 +37,11 @@ class CheckReport:
 
 
 def _fmt17(x: float) -> str:
-    return f"{x:.17g}"
+    return f"{x:.17g}" if math.isfinite(x) else "null"
+
+
+def _float(value: float | None) -> float:
+    return math.nan if value is None else float(value)
 
 
 def render_table(report: CheckReport) -> str:
@@ -90,8 +97,8 @@ def parse_jsonl(text: str) -> CheckReport:
                 CheckRecord(
                     name=obj["name"],
                     inputs=obj["inputs"],
-                    residual=float(obj["residual"]),
-                    tolerance=float(obj["tolerance"]),
+                    residual=_float(obj["residual"]),
+                    tolerance=_float(obj["tolerance"]),
                     passed=bool(obj["passed"]),
                     error=obj["error"],
                 )

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from corrdyn.checks import run_checks
 from corrdyn.cli import main
 from corrdyn.config import load_scenario
 from corrdyn.errors import ConfigError, DomainError
+from corrdyn.hamiltonian import EvolutionCache
 from corrdyn.hilbert import Statistics, random_state_component, read_operator
 from corrdyn.report import CheckReport, parse_jsonl, render_jsonl, render_table
 
@@ -280,6 +282,53 @@ def test_run_checks_captures_numpy_errors(tmp_path, monkeypatch):
     assert not errored.passed and errored.error == "LinAlgError: SVD did not converge"
     assert not domain_rec.passed and domain_rec.error == "bad input"
     assert after.name == "norm_bound" and after.passed and after.error is None
+    # the NaN residual of an errored check is written as JSON null and read back as NaN
+    parsed = parse_jsonl(render_jsonl(report))
+    assert [(r.name, r.error, r.passed) for r in parsed.records] == [
+        (r.name, r.error, r.passed) for r in report.records
+    ]
+    assert math.isnan(parsed.records[0].residual) and math.isnan(parsed.records[1].residual)
+    assert parsed.records[2].residual == after.residual
+
+
+def test_check_record_rule(tmp_path, monkeypatch):
+    # every lane passes only inside its check's tolerance and with its own ok
+    monkeypatch.setattr(checks, "CHECKS", dict(checks.CHECKS))
+
+    @checks._check("solution_vs_integrator")
+    def lanes(config):
+        yield "inside", 1e-9, True
+        yield "inside, step order short", 1e-9, False
+        yield "outside", 1e-6, True
+        yield "nan", float("nan"), True
+
+    assert checks.CHECKS["solution_vs_integrator"] is lanes
+    text = MINIMAL.replace("checks = norm_bound", "checks = solution_vs_integrator")
+    records = run_checks(load_scenario(write_cfg(tmp_path, text))).records
+    assert [r.inputs for r in records] == ["inside", "inside, step order short", "outside", "nan"]
+    assert [r.passed for r in records] == [True, False, False, False]
+    assert {(r.name, r.tolerance) for r in records} == {("solution_vs_integrator", 1e-7)}
+
+
+def test_cumulant_checks_build_each_propagator_once(monkeypatch):
+    # a propagator build, and only a build, reads the eigensystem
+    requested, builds = set(), []
+    propagator, eigensystem = EvolutionCache.propagator, EvolutionCache.eigensystem
+
+    def counting_propagator(self, m, t, stats=Statistics.BOLTZMANN):
+        requested.add((m, t, stats))
+        return propagator(self, m, t, stats)
+
+    def counting_eigensystem(self, m, stats=Statistics.BOLTZMANN):
+        builds.append((m, stats))
+        return eigensystem(self, m, stats)
+
+    monkeypatch.setattr(EvolutionCache, "propagator", counting_propagator)
+    monkeypatch.setattr(EvolutionCache, "eigensystem", counting_eigensystem)
+    [record] = checks.check_cumulant_free(load_scenario(SCENARIOS / "acceptance_bose.cfg"))
+    assert record.passed
+    assert len(requested) == 5 * 4  # block sizes 1..5 at four times
+    assert len(builds) == len(requested)
 
 
 ONE_BODY_ROWS = "rows =\n    0+0j 1+0j\n    1+0j 0+0j"
@@ -314,6 +363,9 @@ SEQUENCE_COMPONENT = "op 1 2 boltzmann\n" + OPERATOR_ROWS
             {"initial.seq": "seq one 2 boltzmann\nf0 1+0j\n" + SEQUENCE_COMPONENT},
             "evolve",
         ),
+        (MINIMAL.replace("n_max = 2", "n_max = 2\nhbar = nan"), {}, "info"),
+        (MINIMAL + "\n[tolerances]\nnorm_bound = nan\n", {}, "check"),
+        (MINIMAL + "\n[tolerances]\nnorm_bound = -1\n", {}, "check"),
     ],
     ids=[
         "unparsable",
@@ -324,6 +376,9 @@ SEQUENCE_COMPONENT = "op 1 2 boltzmann\n" + OPERATOR_ROWS
         "operator-bad-header",
         "sequence-bad-complex",
         "sequence-bad-header",
+        "hbar-nan",
+        "tolerance-nan",
+        "tolerance-negative",
     ],
 )
 def test_cli_reports_config_errors(tmp_path, capsys, text, files, command):

@@ -107,6 +107,12 @@ def test_spec_validation_rejects_asymmetric_pair_coupling():
         InteractionSpec(d=2, one_body=SZ, potentials={2: phi})
 
 
+@pytest.mark.parametrize("hbar", [0.0, -1.0, float("nan"), float("inf")])
+def test_spec_validation_rejects_hbar_not_finite_positive(hbar):
+    with pytest.raises(DomainError, match="hbar"):
+        InteractionSpec(d=2, one_body=SZ, hbar=hbar)
+
+
 def test_spec_validation_rejects_one_body_coupling_order():
     with pytest.raises(DomainError):
         InteractionSpec(d=2, one_body=SZ, potentials={1: SZ})
