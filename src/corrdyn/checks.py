@@ -14,7 +14,8 @@ per lane, and ``_check`` turns every lane into its record by one rule,
 
 so a NaN residual fails.  ``ok`` carries a lane's own extra condition (the
 step order of ``solution_vs_integrator``) and is True elsewhere.  ``_check``
-also registers the check in ``CHECKS``, in definition order.
+also registers the check in ``CHECKS``, in definition order, and refuses
+it before any draw when its largest matrix side exceeds ``matrix_cap``.
 
 All reductions run in canonical partition order, so results are
 bit-reproducible for a fixed seed.
@@ -49,7 +50,7 @@ from .correlations import (
     integrate_hierarchy,
     von_neumann_rhs,
 )
-from .errors import CorrdynError
+from .errors import CorrdynError, ResourceCapError
 from .hamiltonian import EvolutionCache, InteractionSpec, evolve_group
 from .hilbert import (
     ManyBodyOperator,
@@ -71,13 +72,16 @@ Lane = tuple[str, float, bool]
 CHECKS: dict[str, Callable[[ScenarioConfig], list[CheckRecord]]] = {}
 
 
-def _check(name: str):
+def _check(name: str, largest_n: int):
     """Register a lane generator as the check ``name``, whose records
-    follow the one pass rule of the module docstring."""
+    follow the one pass rule of the module docstring, refusing before any
+    draw when a d^largest_n side exceeds the scenario's ``matrix_cap``."""
 
     def register(lanes: Callable[[ScenarioConfig], Iterator[Lane]]):
         @functools.wraps(lanes)
         def check(config: ScenarioConfig) -> list[CheckRecord]:
+            if config.d**largest_n > config.matrix_cap:
+                raise ResourceCapError(f"{name} needs side {config.d**largest_n}, above cap {config.matrix_cap}")
             tol = config.tolerance(name)
             return [
                 CheckRecord(name, inputs, residual, tol, passed=residual <= tol and ok)
@@ -145,7 +149,7 @@ def _cumulant_ratio(
 # --------------------------------------------------------------------------
 
 
-@_check("mobius_roundtrip")
+@_check("mobius_roundtrip", 3)
 def check_mobius_roundtrip(config: ScenarioConfig) -> Iterator[Lane]:
     """Both compositions of the density/correlation transform pair are the
     identity on 50 seeded statistics-symmetric sequences at order 3."""
@@ -166,7 +170,7 @@ def check_mobius_roundtrip(config: ScenarioConfig) -> Iterator[Lane]:
     yield f"stats={config.stats} d={config.d} n_max={n_max} sequences=50", worst, True
 
 
-@_check("hierarchy_residual")
+@_check("hierarchy_residual", 3)
 def check_hierarchy_residual(config: ScenarioConfig) -> Iterator[Lane]:
     """d/dt of the transformed unitary evolution matches the hierarchy
     right-hand side (Richardson-extrapolated central differences)."""
@@ -193,14 +197,14 @@ def check_hierarchy_residual(config: ScenarioConfig) -> Iterator[Lane]:
     yield f"stats={config.stats} n<=3 t=0,0.3,1.0 richardson h=1e-4 ({note})", worst, True
 
 
-@_check("cumulant_zero_time")
+@_check("cumulant_zero_time", 5)
 def check_cumulant_zero_time(config: ScenarioConfig) -> Iterator[Lane]:
     """Orders >= 2 of the evolution-group cumulant cancel at t = 0."""
     ratio = _cumulant_ratio(config, _rng(config, 3), config.interaction_spec(), (0.0,))
     yield "s=1..2 n=1..3 random f (scenario couplings)", ratio, True
 
 
-@_check("cumulant_free")
+@_check("cumulant_free", 5)
 def check_cumulant_free(config: ScenarioConfig) -> Iterator[Lane]:
     """With all couplings removed the block evolutions factorize, so every
     cumulant of order >= 2 vanishes for all times."""
@@ -209,7 +213,7 @@ def check_cumulant_free(config: ScenarioConfig) -> Iterator[Lane]:
     yield "free coupling, s=1..2 n=1..3 |t|<=5", ratio, True
 
 
-@_check("bbgky_residual")
+@_check("bbgky_residual", 4)
 def check_bbgky_residual(config: ScenarioConfig) -> Iterator[Lane]:
     """Exact time derivative of the solution series equals the chain
     right-hand side, for two-body and mixed two-plus-three-body couplings."""
@@ -245,7 +249,7 @@ def check_bbgky_residual(config: ScenarioConfig) -> Iterator[Lane]:
         yield f"{lane} stats={config.stats} n_max=4 s=1,2 t=0.1,0.7 ({note})", worst, True
 
 
-@_check("definition_consistency")
+@_check("definition_consistency", 4)
 def check_definition_consistency(config: ScenarioConfig) -> Iterator[Lane]:
     """Reduced operators built from traced cluster correlations against the
     classical-reference sum of traced density components.
@@ -273,7 +277,7 @@ def check_definition_consistency(config: ScenarioConfig) -> Iterator[Lane]:
         yield inputs, worst, True
 
 
-@_check("solution_vs_integrator")
+@_check("solution_vs_integrator", 3)
 def check_solution_vs_integrator(config: ScenarioConfig) -> Iterator[Lane]:
     """Cumulant-series solution against RK4 integration of the correlation
     hierarchy from uncorrelated initial data, including the fourth-order
@@ -305,7 +309,7 @@ def check_solution_vs_integrator(config: ScenarioConfig) -> Iterator[Lane]:
     yield inputs, residual, order >= 3.7
 
 
-@_check("norm_bound")
+@_check("norm_bound", 4)
 def check_norm_bound(config: ScenarioConfig) -> Iterator[Lane]:
     """Trace-norm growth of cumulant applications stays within the
     partition-counting bound (each unitary term is an isometry)."""
@@ -343,7 +347,7 @@ def _symmetry_violation(op: ManyBodyOperator) -> float:
     return worst
 
 
-@_check("symmetry_preservation")
+@_check("symmetry_preservation", 3)
 def check_symmetry_preservation(config: ScenarioConfig) -> Iterator[Lane]:
     """Exchange symmetry of state components survives every transform:
     the transform pair, cluster correlations, evolution and marginals."""

@@ -5,7 +5,8 @@ Subcommands:
     evolve <scenario> --s K [--out FILE]
     info   <scenario>
 
-Exit status is 0 exactly when every executed check passed.
+Exit status is 0 exactly when every executed check passed, 1 when a check
+failed and 2 on an error, a file that cannot be read or written included.
 """
 
 from __future__ import annotations
@@ -163,7 +164,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CorrdynError as exc:
+    except (CorrdynError, OSError, UnicodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -135,13 +135,13 @@ from .hamiltonian import EvolutionCache, InteractionSpec, commutator_generator
 from .hilbert import (
     ManyBodyOperator,
     OperatorSequence,
-    Permutation,
     Statistics,
     _row_permutation_map,
     add_embedded,
     group_average,
     group_compress,
     group_rank,
+    inversion_parity,
     place_product,
     range_compress,
     rank_compress,
@@ -503,7 +503,7 @@ def _relabelings(members: tuple[tuple[tuple[int, ...], ...], ...], n: int, d: in
     tuples carry; and the parity of each Q."""
     images = [tuple(l for labels in m for l in labels) for m in members]
     undo = np.stack([_row_permutation_map(image, n, d) for image in images])
-    parity = np.array([Permutation(image).parity for image in images])
+    parity = inversion_parity(np.array(images))
     undo.flags.writeable = parity.flags.writeable = False
     return undo, parity
 

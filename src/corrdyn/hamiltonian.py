@@ -29,8 +29,8 @@ from .hilbert import (
     embed_matrix,
     permutation_conjugate,
     place_product,
+    rank_compress,
     require_hermitian,
-    symmetric_isometry,
 )
 
 
@@ -57,7 +57,7 @@ class InteractionSpec:
         the hierarchy right-hand sides read the coupling of a relabeled
         partition as the relabeled coupling.
     hbar : Planck constant over 2 pi; enters all generators as 1/hbar.
-    matrix_side_cap : largest allowed d^n when building H_n.
+    matrix_side_cap : largest d^n allowed for H_n (and, as ``matrix_cap``, in every check).
     """
 
     d: int
@@ -129,9 +129,7 @@ def hamiltonian_matrix(n: int, spec: InteractionSpec) -> np.ndarray:
 
 def build_hamiltonian(n: int, spec: InteractionSpec) -> ManyBodyOperator:
     """H_n as an operator; Hermitian by construction, H_0 = 0."""
-    return ManyBodyOperator(n, spec.d, hamiltonian_matrix(n, spec)) if n > 0 else ManyBodyOperator(
-        0, spec.d, np.zeros((1, 1))
-    )
+    return ManyBodyOperator(n, spec.d, hamiltonian_matrix(n, spec))
 
 
 def von_neumann_generator(f: ManyBodyOperator, H: ManyBodyOperator, hbar: float = 1.0) -> ManyBodyOperator:
@@ -196,9 +194,8 @@ class EvolutionCache:
         """H~_m = V^dagger H_m V for the group average of ``stats``; the
         cached H_m itself where V is None."""
         if (m, stats) not in self._ham:
-            v = symmetric_isometry(stats, m, self.spec.d)
             h = hamiltonian_matrix(m, self.spec) if stats is Statistics.BOLTZMANN else self.hamiltonian(m)
-            self._ham[m, stats] = h if v is None else v.T @ h @ v
+            self._ham[m, stats] = rank_compress(stats, h, m, self.spec.d)
         return self._ham[m, stats]
 
     def eigensystem(

@@ -20,7 +20,10 @@ callers that work on the r x r matrix V^dagger M V in between;
 the d^n x d^n lift, and ``range_compress`` is the one check that a
 component lies in the range of the average (ket side or both sides).
 ``symmetrizer_matrix`` builds S_n itself, used only for the traceless shift
-of the state sampler and read by the benchmark's cache counters.
+of the state sampler and read by the benchmark's cache counters.  The
+two-sided twirl of BOLTZMANN samples, ``permutation_average``, is a coset
+product of n(n-1)/2 transpositions, and every Fermi sign is one rule, the
+inversion count of ``inversion_parity``.
 """
 
 from __future__ import annotations
@@ -91,19 +94,8 @@ class Permutation:
 
     @property
     def parity(self) -> int:
-        """0 for even, 1 for odd (transposition count mod 2)."""
-        seen = [False] * self.n
-        parity = 0
-        for i in range(self.n):
-            if seen[i]:
-                continue
-            j, cycle_len = i, 0
-            while not seen[j]:
-                seen[j] = True
-                j = self.images[j] - 1
-                cycle_len += 1
-            parity ^= (cycle_len - 1) & 1
-        return parity
+        """0 for even, 1 for odd: ``inversion_parity`` of the image tuple."""
+        return int(inversion_parity(np.array([self.images]))[0])
 
     def compose(self, other: "Permutation") -> "Permutation":
         """(self o other)(i) = self(other(i))."""
@@ -230,6 +222,12 @@ def _row_permutation_map(images: tuple[int, ...], n: int, d: int) -> np.ndarray:
     return out
 
 
+def inversion_parity(rows: np.ndarray) -> np.ndarray:
+    """1 where a row of an integer array has an odd number of inversions
+    (i < j, row[i] > row[j]): the one Fermi sign rule, for images and digits."""
+    return np.triu(rows[:, :, None] > rows[:, None, :], 1).sum(axis=(1, 2)) % 2
+
+
 @lru_cache(maxsize=None)
 def _placement_axes(label_tuples: tuple[tuple[int, ...], ...], n: int) -> tuple[int, ...]:
     """Axis order taking the outer product of the factors (row digits, then
@@ -337,8 +335,7 @@ def symmetric_isometry(stats: Statistics, n: int, d: int) -> np.ndarray | None:
     value = 1.0 / np.sqrt(math.factorial(n) / factorials[counts].prod(axis=1))
     rows = np.arange(side)
     if stats is Statistics.FERMI:
-        inversions = sum(digits[:, i] > digits[:, j] for i in range(n) for j in range(i + 1, n))
-        value = np.where(inversions % 2, -value, value)
+        value = np.where(inversion_parity(digits), -value, value)
         rows = rows[(counts <= 1).all(axis=1)]
     columns, col = np.unique(keys[rows], return_inverse=True)
     out = np.zeros((side, len(columns)), dtype=np.complex128)
@@ -448,11 +445,14 @@ def permutation_conjugate(p: Permutation, mat: np.ndarray, d: int) -> np.ndarray
 
 
 def permutation_average(mat: np.ndarray, n: int, d: int) -> np.ndarray:
-    """(1/n!) sum_pi P_pi M P_pi^dagger over all factor permutations."""
-    out = np.zeros_like(mat)
-    for perm in all_permutations(n):
-        out += permutation_conjugate(perm, mat, d)
-    return out / math.factorial(n)
+    """(1/n!) sum_pi P_pi M P_pi^dagger over all factor permutations as the
+    coset product A_n o ... o A_2, A_m(X) = (1/m) sum_{j<=m} t_jm X t_jm with
+    t_jm the swap of factors j and m (t_mm = 1), since each pi of S_m is one
+    t_jm times one sigma fixing m; ``mat`` itself for n <= 1."""
+    for m in range(2, n + 1):
+        swaps = (permutation_conjugate(Permutation.transposition(n, j, m), mat, d) for j in range(1, m))
+        mat = (mat + sum(swaps)) / m
+    return mat
 
 
 def hermiticity_defect(mat: np.ndarray) -> float:

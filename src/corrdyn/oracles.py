@@ -45,7 +45,6 @@ class OracleResult:
 
     value: object
     method: str
-    cost: str = ""
 
 
 def direct_density_evolution(D0: OperatorSequence, t: float, spec: InteractionSpec) -> OperatorSequence:
@@ -243,7 +242,6 @@ def reference_marginal(D: OperatorSequence, s: int) -> OracleResult:
     return OracleResult(
         value=grand_marginal_sum(D, s),
         method="traced-density sum with loop partial traces",
-        cost=f"{D.n_max - s + 1} loop traces up to {D.d ** D.n_max} rows",
     )
 
 

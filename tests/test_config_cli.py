@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from corrdyn import checks, cli, config
+from corrdyn import checks, cli, config, hilbert
 from corrdyn.checks import run_checks
 from corrdyn.cli import main
 from corrdyn.config import load_scenario
@@ -295,7 +295,7 @@ def test_check_record_rule(tmp_path, monkeypatch):
     # every lane passes only inside its check's tolerance and with its own ok
     monkeypatch.setattr(checks, "CHECKS", dict(checks.CHECKS))
 
-    @checks._check("solution_vs_integrator")
+    @checks._check("solution_vs_integrator", 3)
     def lanes(config):
         yield "inside", 1e-9, True
         yield "inside, step order short", 1e-9, False
@@ -387,6 +387,65 @@ def test_cli_reports_config_errors(tmp_path, capsys, text, files, command):
     argv = [command, str(write_cfg(tmp_path, text))] + (["--s", "1"] if command == "evolve" else [])
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "scenario-is-directory",
+        "scenario-not-utf8",
+        "matrix-file-is-directory",
+        "initial-path-is-directory",
+        "check-out-missing-directory",
+        "evolve-out-missing-directory",
+    ],
+)
+def test_cli_reports_io_errors(tmp_path, capsys, case):
+    # exit 1 of `check` means a failed record, so an unreadable or unwritable
+    # file must exit 2 with an error line, not escape as a traceback
+    (tmp_path / "sub").mkdir()
+    path = write_cfg(tmp_path, MINIMAL)
+    command, out = "check", []
+    if case == "scenario-is-directory":
+        path = tmp_path / "sub"
+    elif case == "scenario-not-utf8":
+        path.write_bytes(b"\xff\xfe" + MINIMAL.encode())
+    elif case == "matrix-file-is-directory":
+        path = write_cfg(tmp_path, MINIMAL.replace(ONE_BODY_ROWS, "file = sub"))
+    elif case == "initial-path-is-directory":
+        command = "evolve"
+        path = write_cfg(tmp_path, MINIMAL.replace("kind = random\nseed = 3", "kind = file\npath = sub"))
+    else:
+        command = case.split("-")[0]
+        out = ["--out", str(tmp_path / "missing" / "x")]
+    argv = [command, str(path)] + (["--s", "1"] if command == "evolve" else []) + out
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_checks_refuse_above_matrix_cap_before_any_draw(tmp_path, monkeypatch):
+    # at d=2 and cap 8 the order-3 checks run; the others need side 16 or 32
+    sides = []
+
+    def spy(draw, side_of):
+        def wrapped(*args):
+            sides.append(side_of(*args))
+            return draw(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(hilbert, "random_hermitian", spy(hilbert.random_hermitian, lambda rng, dim: dim))
+    monkeypatch.setattr(checks, "random_hermitian", spy(checks.random_hermitian, lambda rng, dim: dim))
+    monkeypatch.setattr(checks, "_random_operator", spy(checks._random_operator, lambda rng, n, c: c.d**n))
+    text = MINIMAL.replace("n_max = 2", "n_max = 2\nmatrix_cap = 8").replace(
+        "checks = norm_bound", "checks = " + " ".join(config.KNOWN_CHECKS)
+    )
+    records = run_checks(load_scenario(write_cfg(tmp_path, text))).records
+    assert sides and max(sides) <= 8
+    refused = {"cumulant_zero_time", "cumulant_free", "bbgky_residual", "definition_consistency", "norm_bound"}
+    assert {r.name for r in records if r.error} == refused
+    assert all("above cap 8" in r.error and not r.passed for r in records if r.error)
 
 
 def test_cli_evolve_checks_matrix_cap_before_building(tmp_path, capsys, monkeypatch):

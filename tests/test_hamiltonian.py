@@ -53,6 +53,8 @@ def two_body_spec():
 def test_zero_particle_hamiltonian_is_scalar_zero(two_body_spec):
     h0 = build_hamiltonian(0, two_body_spec)
     assert h0.n == 0 and h0.mat.shape == (1, 1) and h0.mat[0, 0] == 0
+    with pytest.raises(DomainError):
+        build_hamiltonian(-1, two_body_spec)
 
 
 def test_free_two_particle_hamiltonian():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from corrdyn import hilbert
 from corrdyn.errors import DomainError, ResourceCapError
 from corrdyn.hilbert import (
     SYMMETRIZER_MAX_PARTICLES,
@@ -22,6 +23,7 @@ from corrdyn.hilbert import (
     group_compress,
     partial_trace,
     partial_trace_matrix,
+    permutation_average,
     permutation_conjugate,
     permute_ket,
     place_product,
@@ -63,6 +65,12 @@ def test_parity():
     assert Permutation.identity(4).parity == 0
     assert Permutation.transposition(3, 1, 3).parity == 1
     assert Permutation((2, 3, 1)).parity == 0  # 3-cycle is even
+
+
+def test_parity_is_a_homomorphism_to_z2():
+    perms = list(all_permutations(4))
+    for p, q in itertools.product(perms, perms):
+        assert p.compose(q).parity == p.parity ^ q.parity
 
 
 def test_permutation_validation():
@@ -288,6 +296,51 @@ def test_permutation_conjugate_matches_dense_products(d, k):
     for perm in all_permutations(k):
         pmat = loop_permute_rows(np.eye(d**k), perm.images, k, d)
         assert np.array_equal(permutation_conjugate(perm, raw, d), pmat @ raw @ pmat.T)
+
+
+def _leg_paired(mat, n, d):
+    """Superket of an n-particle matrix with particle i's (ket, bra) legs
+    as one d^2-mode digit, particle 1 most significant."""
+    return mat.reshape((d,) * (2 * n)).transpose(np.arange(2 * n).reshape(2, n).T.ravel()).ravel()
+
+
+def _leg_unpaired(ket, n, d):
+    order = np.arange(2 * n).reshape(2, n).T.ravel()
+    return ket.reshape((d,) * (2 * n)).transpose(np.argsort(order)).reshape(d**n, d**n)
+
+
+@pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3)])
+def test_permutation_average_is_the_bose_symmetrizer_on_leg_pairs(d, n):
+    # conjugation by P_pi permutes the n (ket, bra) leg pairs, so the twirl
+    # of M is the Bose group average on d^2 modes applied to M's superket
+    raw = rand_op(np.random.default_rng(31 + n), n, d).mat  # complex, not Hermitian
+    assert np.array_equal(_leg_unpaired(_leg_paired(raw, n, d), n, d), raw)
+    expected = _leg_unpaired(loop_group_average(Statistics.BOSE, n, d * d) @ _leg_paired(raw, n, d), n, d)
+    out = permutation_average(raw, n, d)
+    assert np.abs(out - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_permutation_average_makes_one_conjugation_per_transposition(n, monkeypatch):
+    calls = []
+
+    def counting(p, mat, d):
+        calls.append(p)
+        return permutation_conjugate(p, mat, d)
+
+    monkeypatch.setattr(hilbert, "permutation_conjugate", counting)
+    permutation_average(random_hermitian(np.random.default_rng(n), 2**n), n, 2)
+    assert len(calls) == n * (n - 1) // 2
+
+
+def test_permutation_average_at_eight_particles_is_an_invariant_projection():
+    n, d = 8, 2
+    out = permutation_average(rand_op(np.random.default_rng(33), n, d).mat, n, d)
+    scale = np.abs(out).max()
+    for i in range(1, n):
+        swapped = permutation_conjugate(Permutation.transposition(n, i, i + 1), out, d)
+        assert np.abs(swapped - out).max() <= 1e-14 * scale
+    assert np.abs(permutation_average(out, n, d) - out).max() <= 1e-14 * scale
 
 
 def test_symmetrizer_is_projection_matrix():
