@@ -19,6 +19,14 @@ it before any draw when its largest matrix side exceeds ``matrix_cap``.
 
 All reductions run in canonical partition order, so results are
 bit-reproducible for a fixed seed.
+
+A check that repeats one computation on independent seeded draws stacks
+them: it makes the draws in the order a loop over the draws would, stacks
+them along a leading axis and runs each step once on the
+``[..., side, side]`` stack (the sampler's ``symmetric_state``, the
+transform bodies ``correlation_mats`` and ``density_mats``,
+``trace_norm``).  Each slice of a stacked step equals the step on that
+slice bit for bit, so a stacked lane reports the residual of the loop.
 """
 
 from __future__ import annotations
@@ -45,7 +53,9 @@ from .combinatorics import ClusterSet
 from .config import ScenarioConfig
 from .correlations import (
     CorrelationSequence,
+    correlation_mats,
     correlations_to_density,
+    density_mats,
     density_to_correlations,
     integrate_hierarchy,
     von_neumann_rhs,
@@ -63,6 +73,7 @@ from .hilbert import (
     random_hermitian,
     random_sequence,
     random_state_component,
+    symmetric_state,
     trace_norm,
 )
 from .report import CheckRecord, CheckReport
@@ -152,49 +163,54 @@ def _cumulant_ratio(
 @_check("mobius_roundtrip", 3)
 def check_mobius_roundtrip(config: ScenarioConfig) -> Iterator[Lane]:
     """Both compositions of the density/correlation transform pair are the
-    identity on 50 seeded statistics-symmetric sequences at order 3."""
+    identity on 50 seeded statistics-symmetric sequences at order 3: per
+    sequence a density sequence (orders 1..3) and then a sequence whose
+    transform is the correlation input, drawn in that order and stacked."""
     rng = _rng(config, 1)
-    n_max = 3
+    d, stats, n_max, count = config.d, config.stats, 3, 50
+    orders = [*range(1, n_max + 1)] * 2
+    draws = [[random_hermitian(rng, d**n) for n in orders] for _ in range(count)]
+    states = [symmetric_state(np.stack(raw), n, d, stats) for n, raw in zip(orders, zip(*draws))]
+    densities = dict(enumerate(states[:n_max], 1))
+    correlations = correlation_mats(dict(enumerate(states[n_max:], 1)), d, stats)
+    trips = (
+        (densities, density_mats(correlation_mats(densities, d, stats), d, stats)),
+        (correlations, correlation_mats(density_mats(correlations, d, stats), d, stats)),
+    )
     worst = 0.0
-    for _ in range(50):
-        d_seq = random_sequence(rng, config.d, config.stats, n_max, f0=1.0)
-        g_seq = density_to_correlations(random_sequence(rng, config.d, config.stats, n_max))
-        trips = (
-            (d_seq, correlations_to_density(density_to_correlations(d_seq))),
-            (g_seq, density_to_correlations(correlations_to_density(g_seq))),
-        )
-        for seq, back in trips:
-            for n in range(1, n_max + 1):
-                delta = trace_norm(back.component(n) - seq.component(n))
-                worst = max(worst, delta / (1.0 + trace_norm(seq.component(n))))
-    yield f"stats={config.stats} d={config.d} n_max={n_max} sequences=50", worst, True
+    for seq, back in trips:
+        for n in range(1, n_max + 1):
+            ratios = trace_norm(back[n] - seq[n]) / (1.0 + trace_norm(seq[n]))
+            worst = max(worst, float(ratios.max()))
+    yield f"stats={stats} d={d} n_max={n_max} sequences={count}", worst, True
 
 
 @_check("hierarchy_residual", 3)
 def check_hierarchy_residual(config: ScenarioConfig) -> Iterator[Lane]:
     """d/dt of the transformed unitary evolution matches the hierarchy
-    right-hand side (Richardson-extrapolated central differences)."""
+    right-hand side (Richardson-extrapolated central differences).  The
+    oracle evolves one density sequence to every (time, offset), and the
+    15 evolved sequences are transformed as one stack."""
     rng = _rng(config, 2)
     spec, note = _pair_spec(config)
-    n_max = 3
-    d0 = random_sequence(rng, config.d, config.stats, n_max, f0=1.0)
+    d, stats, n_max = config.d, config.stats, 3
+    d0 = random_sequence(rng, d, stats, n_max, f0=1.0)
     h = 1e-4
-
-    def g_at(t: float) -> CorrelationSequence:
-        return density_to_correlations(oracles.direct_density_evolution(d0, t, spec))
-
+    times, offsets = (0.0, 0.3, 1.0), (0.0, h, -h, h / 2, -h / 2)
+    evolved = [oracles.direct_density_evolution(d0, t + dt, spec) for t in times for dt in offsets]
+    stacks = {n: np.stack([seq.component(n).mat for seq in evolved]) for n in range(1, n_max + 1)}
+    g = correlation_mats(stacks, d, stats)
+    g = {n: mats.reshape(len(times), len(offsets), d**n, d**n) for n, mats in g.items()}
     worst = 0.0
-    for t in (0.0, 0.3, 1.0):
-        g_t = g_at(t)
-        g_p, g_m = g_at(t + h), g_at(t - h)
-        g_p2, g_m2 = g_at(t + h / 2), g_at(t - h / 2)
-        for n in range(1, n_max + 1):
-            coarse = (g_p.component(n).mat - g_m.component(n).mat) / (2 * h)
-            fine = (g_p2.component(n).mat - g_m2.component(n).mat) / h
+    for i in range(len(times)):
+        comps = {n: ManyBodyOperator(n, d, g[n][i, 0], stats) for n in g}
+        g_t = CorrelationSequence(d=d, stats=stats, n_max=n_max, f0=0j, components=comps)
+        for n, at in g.items():
+            coarse = (at[i, 1] - at[i, 2]) / (2 * h)
+            fine = (at[i, 3] - at[i, 4]) / h
             deriv = (4.0 * fine - coarse) / 3.0
-            rhs = von_neumann_rhs(g_t, n, spec)
-            worst = max(worst, trace_norm(deriv - rhs.mat))
-    yield f"stats={config.stats} n<=3 t=0,0.3,1.0 richardson h=1e-4 ({note})", worst, True
+            worst = max(worst, trace_norm(deriv - von_neumann_rhs(g_t, n, spec).mat))
+    yield f"stats={stats} n<=3 t=0,0.3,1.0 richardson h=1e-4 ({note})", worst, True
 
 
 @_check("cumulant_zero_time", 5)
@@ -332,19 +348,17 @@ def check_norm_bound(config: ScenarioConfig) -> Iterator[Lane]:
 def _symmetry_violation(op: ManyBodyOperator) -> float:
     """Max over group elements of the two-sided conjugation defect and
     (for quantum statistics) the one-sided sign-rule defect, relative to
-    the operator norm."""
+    the operator norm: one trace norm of the stack of all defects."""
     if op.n <= 1:
         return 0.0
     scale = max(trace_norm(op), 1e-30)
-    worst = 0.0
+    defects = []
     for perm in all_permutations(op.n):
-        permuted = permute_ket(perm, op)
-        sign = op.stats.permutation_sign(perm.parity)
         if op.stats is not Statistics.BOLTZMANN:
-            worst = max(worst, trace_norm(permuted - sign * op) / scale)
-        conj = permutation_conjugate(perm, op.mat, op.d)
-        worst = max(worst, trace_norm(conj - op.mat) / scale)
-    return worst
+            sign = op.stats.permutation_sign(perm.parity)
+            defects.append(permute_ket(perm, op).mat - sign * op.mat)
+        defects.append(permutation_conjugate(perm, op.mat, op.d) - op.mat)
+    return float((trace_norm(np.stack(defects)) / scale).max())
 
 
 @_check("symmetry_preservation", 3)

@@ -12,17 +12,20 @@ failed and 2 on an error, a file that cannot be read or written included.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import io
 import math
 import sys
 from pathlib import Path
+from typing import IO, Iterator
 
 import numpy as np
 
 from .bbgky import BBGKYSeries, marginals_from_correlations
 from .checks import run_checks
 from .combinatorics import bell_number
-from .config import ScenarioConfig, load_scenario
+from .config import ScenarioConfig, load_scenario, read_text
 from .correlations import CorrelationSequence, density_to_correlations
 from .errors import ConfigError, CorrdynError
 from .hamiltonian import EvolutionCache
@@ -56,8 +59,7 @@ def _initial_correlations(config: ScenarioConfig) -> CorrelationSequence:
             rng, config.d, config.stats, config.n_max, positive=init.positive, f0=1.0
         )
         return density_to_correlations(d_seq)
-    with init.path.open() as fh:
-        d_seq = read_sequence(fh)
+    d_seq = read_sequence(io.StringIO(read_text(init.path, "initial sequence file")))
     if d_seq.d != config.d or d_seq.stats != config.stats:
         raise ConfigError(
             f"initial sequence file metadata (d={d_seq.d}, stats={d_seq.stats}) "
@@ -75,14 +77,22 @@ def _initial_correlations(config: ScenarioConfig) -> CorrelationSequence:
     return density_to_correlations(d_seq)
 
 
+@contextlib.contextmanager
+def _output(path: str | None) -> Iterator[IO[str]]:
+    """Standard output, or the file ``path``, opened for writing on entry
+    and closed on exit."""
+    if not path:
+        yield sys.stdout
+        return
+    with Path(path).open("w") as out:
+        yield out
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     config = load_scenario(args.scenario)
-    report = run_checks(config)
-    text = render_jsonl(report) if args.format == "jsonl" else render_table(report)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    with _output(args.out) as out:  # an unwritable path fails before any check runs
+        report = run_checks(config)
+        out.write(render_jsonl(report) if args.format == "jsonl" else render_table(report))
     return 0 if report.overall_pass else 1
 
 
@@ -96,15 +106,11 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     spec.check_side(config.n_max)
     g0 = _initial_correlations(config)
     series = BBGKYSeries(marginals_from_correlations(g0), s, EvolutionCache(spec))
-    out = sys.stdout if not args.out else Path(args.out).open("w")
-    try:
+    with _output(args.out) as out:
         for t in config.times:
             f_t = series.at(t)
             out.write(f"time {t:.17g}\n")
             write_operator(f_t, out)
-    finally:
-        if args.out:
-            out.close()
     return 0
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -96,6 +97,15 @@ def _parse_matrix(raw: str, side: int, where: str) -> np.ndarray:
     return out
 
 
+def read_text(path: Path, what: str) -> str:
+    """The text of the file ``path``; ConfigError naming ``what`` and the
+    path when it cannot be decoded."""
+    try:
+        return path.read_text()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} {path} cannot be decoded: {exc}") from exc
+
+
 def _load_matrix(section: configparser.SectionProxy, side: int, base: Path, where: str) -> np.ndarray:
     if "rows" in section and "file" in section:
         raise ConfigError(f"{where}: give either rows or file, not both")
@@ -105,8 +115,7 @@ def _load_matrix(section: configparser.SectionProxy, side: int, base: Path, wher
         path = base / section["file"]
         if not path.exists():
             raise ConfigError(f"{where}: matrix file not found: {path}")
-        with path.open() as fh:
-            op = read_operator(fh)
+        op = read_operator(io.StringIO(read_text(path, f"{where}: matrix file")))
         if op.mat.shape != (side, side):
             raise ConfigError(f"{where}: file {path} holds a {op.mat.shape} matrix, expected ({side}, {side})")
         return np.asarray(op.mat)
@@ -123,7 +132,7 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"scenario file not found: {path}")
-    text = path.read_text()
+    text = read_text(path, "scenario file")
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text, source=str(path))

@@ -146,6 +146,7 @@ from .hilbert import (
     range_compress,
     rank_compress,
     rank_lift,
+    require_finite,
     symmetric_isometry,
 )
 
@@ -238,16 +239,23 @@ def _split_sum(
     ``_relabeled``.
 
     ``average`` is the two-sided group average the sum is taken under.
-    With BOLTZMANN every member is placed (``hilbert.place_product``).  With
-    BOSE or FERMI the arguments and the sum are rank-space matrices
-    V^dagger X V, and the members of one relabeling class, equal under the
-    average, add up to count x ``_rank_product`` (module docstring)."""
+    With BOLTZMANN every member is placed (``hilbert.place_product``), and
+    the arguments may be ``[..., side, side]`` stacks of independent
+    sequences, summed slice by slice; the empty sum is one d^m x d^m zero,
+    which broadcasts.  With BOSE or FERMI the arguments and the sum are
+    rank-space matrices V^dagger X V, and the members of one relabeling
+    class, equal under the average, add up to count x ``_rank_product``
+    (module docstring)."""
     m = sum(map(len, elements))
     if average is Statistics.BOLTZMANN:
         total = np.zeros((d**m, d**m), dtype=np.complex128)
         for q, q_labels, rest in _sub_tuples(elements):
             for connected, whole in terms:
-                total += place_product([(connected(q), q_labels), (whole[len(rest)], rest)], m, d)
+                member = place_product([(connected(q), q_labels), (whole[len(rest)], rest)], m, d)
+                if member.shape == total.shape:
+                    total += member
+                else:  # the first member of a stack
+                    total = total + member
         return total
     r = group_rank(average, m, d)
     total = np.zeros((r, r), dtype=np.complex128)
@@ -290,7 +298,8 @@ def _reconstructions(
     components, the exponential formula over singletons with C = g by size:
     ``whole``, holding R_1..R_k, is extended in place to R_1..R_m.  Under a
     BOSE or FERMI ``average`` (``_split_sum``) ``mats`` and ``whole`` are the
-    rank-space V^dagger g_n V and V^dagger R_n V."""
+    rank-space V^dagger g_n V and V^dagger R_n V; under BOLTZMANN they may
+    be ``[..., side, side]`` stacks."""
     for n in range(len(whole) + 1, m + 1):
         singletons = tuple((l,) for l in range(1, n + 1))
         whole[n] = mats[n] + _split_sum(singletons, [(lambda q: mats[len(q)], whole)], d, average)
@@ -310,7 +319,7 @@ def _reconstruction_rates(mats: dict, rates: dict, whole: dict, d: int) -> dict[
 
 def density_to_correlations(D: OperatorSequence) -> CorrelationSequence:
     """Partition-lattice Moebius inversion turning density components into
-    correlations.
+    correlations (``correlation_mats`` on the component matrices).
 
     The exponential formula over singletons with V = D is solved for its
     connected part M_n, and g_n = D_n + S_n (M_n - D_n), S_n being the
@@ -325,27 +334,42 @@ def density_to_correlations(D: OperatorSequence) -> CorrelationSequence:
     1e-12 (n_max = 7) and 2e-11 (n_max = 8) relative, so a relative 1e-12
     comparison at n_max >= 7 measures this cancellation, not a route.
     """
-    d, stats = D.d, D.stats
-    mats = _component_mats(D, D.n_max)
-    connected: dict[int, np.ndarray] = {}
-    out = {}
-    for n in range(1, D.n_max + 1):
-        split = _split_sum(tuple((l,) for l in range(1, n + 1)), [(lambda q: connected[len(q)], mats)], d)
-        connected[n] = mats[n] - split
-        out[n] = ManyBodyOperator(n, d, mats[n] - group_average(stats, split, n, d), stats)
-    return CorrelationSequence(d=d, stats=stats, n_max=D.n_max, f0=0j, components=out)
+    out = correlation_mats(_component_mats(D, D.n_max), D.d, D.stats)
+    comps = {n: ManyBodyOperator(n, D.d, mat, D.stats) for n, mat in out.items()}
+    return CorrelationSequence(d=D.d, stats=D.stats, n_max=D.n_max, f0=0j, components=comps)
 
 
 def correlations_to_density(g: OperatorSequence) -> OperatorSequence:
-    """Partition-lattice inverse of ``density_to_correlations``.
+    """Partition-lattice inverse of ``density_to_correlations``
+    (``density_mats`` on the component matrices).
 
     D_n = S_n R_n with R_n the reconstruction by the exponential formula;
     the scalar part is set to one (its empty-set convention).
     """
-    d, stats = g.d, g.stats
-    whole = _reconstructions(_component_mats(g, g.n_max), g.n_max, d, {})
-    out = {n: ManyBodyOperator(n, d, group_average(stats, r, n, d), stats) for n, r in whole.items()}
-    return OperatorSequence(d=d, stats=stats, n_max=g.n_max, f0=1.0 + 0j, components=out)
+    out = density_mats(_component_mats(g, g.n_max), g.d, g.stats)
+    comps = {n: ManyBodyOperator(n, g.d, mat, g.stats) for n, mat in out.items()}
+    return OperatorSequence(d=g.d, stats=g.stats, n_max=g.n_max, f0=1.0 + 0j, components=comps)
+
+
+def correlation_mats(mats: dict[int, np.ndarray], d: int, stats: Statistics) -> dict[int, np.ndarray]:
+    """``density_to_correlations`` on density component matrices 1..n_max.
+    Each may be a ``[..., side, side]`` stack of independent sequences, and
+    each slice of the result is the transform of its slices.  Raises the
+    operators' DomainError when an entry of the result is not finite."""
+    connected: dict[int, np.ndarray] = {}
+    out = {}
+    for n in range(1, len(mats) + 1):
+        split = _split_sum(tuple((l,) for l in range(1, n + 1)), [(lambda q: connected[len(q)], mats)], d)
+        connected[n] = mats[n] - split
+        out[n] = require_finite(mats[n] - group_average(stats, split, n, d))
+    return out
+
+
+def density_mats(mats: dict[int, np.ndarray], d: int, stats: Statistics) -> dict[int, np.ndarray]:
+    """``correlations_to_density`` on correlation component matrices
+    1..n_max, stacks as in ``correlation_mats``."""
+    whole = _reconstructions(mats, len(mats), d, {})
+    return {n: require_finite(group_average(stats, r, n, d)) for n, r in whole.items()}
 
 
 def cluster_correlation_matrix(g: OperatorSequence, elements: tuple) -> tuple[np.ndarray, tuple[int, ...]]:

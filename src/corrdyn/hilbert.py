@@ -24,6 +24,12 @@ of the state sampler and read by the benchmark's cache counters.  The
 two-sided twirl of BOLTZMANN samples, ``permutation_average``, is a coset
 product of n(n-1)/2 transpositions, and every Fermi sign is one rule, the
 inversion count of ``inversion_parity``.
+
+The placement, the twirl, the group averages, the sampler's symmetrizing
+step ``symmetric_state`` and ``trace_norm`` also take ``[..., side, side]``
+stacks of independent matrices, and each slice of the result is exactly
+(bit for bit) the result on that slice alone, so a caller with many seeded
+draws runs each step once on their stack.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import IO, Iterable, Mapping
 
 import numpy as np
@@ -131,9 +137,7 @@ class ManyBodyOperator:
         side = self.d**self.n
         if m.shape != (side, side):
             raise DomainError(f"matrix shape {m.shape} != ({side}, {side}) for n={self.n}, d={self.d}")
-        if not np.isfinite(m).all():
-            raise DomainError("operator entries must be finite")
-        m = m.copy()
+        m = require_finite(m).copy()
         m.flags.writeable = False
         object.__setattr__(self, "mat", m)
 
@@ -229,32 +233,43 @@ def inversion_parity(rows: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _placement_axes(label_tuples: tuple[tuple[int, ...], ...], n: int) -> tuple[int, ...]:
-    """Axis order taking the outer product of the factors (row digits, then
-    column digits, factor after factor) to the row digits and then the column
-    digits of particles 1..n."""
+def _placement(label_tuples: tuple[tuple[int, ...], ...], n: int, d: int) -> tuple[tuple[int, ...], list[tuple]]:
+    """How ``place_product`` lays out its factors: the axis order taking
+    the outer product of the factors (row digits, then column digits,
+    factor after factor) to the row digits and then the column digits of
+    particles 1..n, and per factor the shape of its legs in that product,
+    (d,) on its own legs and 1 on the others', so that the factors
+    broadcast to the outer product."""
     if sorted(l for labels in label_tuples for l in labels) != list(range(1, n + 1)):
         raise DomainError(f"factor labels {label_tuples} do not partition 1..{n}")
-    rows, cols, offset = {}, {}, 0
+    rows, cols, shapes, offset = {}, {}, [], 0
     for labels in label_tuples:
         for j, l in enumerate(labels):
             rows[l], cols[l] = offset + j, offset + len(labels) + j
-        offset += 2 * len(labels)
-    return tuple(rows[l] for l in range(1, n + 1)) + tuple(cols[l] for l in range(1, n + 1))
+        legs = 2 * len(labels)
+        shapes.append((1,) * offset + (d,) * legs + (1,) * (2 * n - offset - legs))
+        offset += legs
+    return tuple(rows[l] for l in range(1, n + 1)) + tuple(cols[l] for l in range(1, n + 1)), shapes
 
 
 def place_product(factors: list[tuple[np.ndarray, tuple[int, ...]]], n: int, d: int) -> np.ndarray:
     """Tensor product of ``(matrix, labels)`` factors on an n-particle space.
 
     The label tuples are disjoint and cover 1..n; the j-th factor of a
-    matrix acts on its j-th label, so labels need not be sorted.
+    matrix acts on its j-th label, so labels need not be sorted.  A factor
+    may be a ``[..., side, side]`` stack: leading axes broadcast, and each
+    slice of the result is the product of the factors' slices.
     """
-    axes = _placement_axes(tuple(tuple(labels) for _, labels in factors), n)
-    tensors = (
-        np.asarray(a, dtype=np.complex128).reshape((d,) * (2 * len(labels))) for a, labels in factors
-    )
-    out = reduce(np.multiply.outer, tensors)
-    return np.array(out.transpose(axes), order="C").reshape(d**n, d**n)
+    axes, shapes = _placement(tuple(tuple(labels) for _, labels in factors), n, d)
+    out = None
+    for (a, _), legs in zip(factors, shapes):
+        m = np.asarray(a, dtype=np.complex128)
+        m = m.reshape(legs if m.ndim == 2 else m.shape[:-2] + legs)
+        out = m if out is None else out * m
+    stack = out.ndim - 2 * n
+    if stack:
+        axes = (*range(stack), *(stack + a for a in axes))
+    return np.array(out.transpose(axes), order="C").reshape(out.shape[:stack] + (d**n, d**n))
 
 
 @lru_cache(maxsize=None)
@@ -356,7 +371,8 @@ def group_rank(stats: Statistics, n: int, d: int) -> int:
 
 
 def group_average(stats: Statistics, mat: np.ndarray, n: int, d: int) -> np.ndarray:
-    """Ket-side group average S M = V (V^dagger M) of an n-particle matrix.
+    """Ket-side group average S M = V (V^dagger M) of an n-particle matrix
+    or of each slice of a ``[..., side, side]`` stack.
 
     ``mat`` itself for BOLTZMANN and n <= 1; zero for a FERMI order n > d.
     """
@@ -365,7 +381,8 @@ def group_average(stats: Statistics, mat: np.ndarray, n: int, d: int) -> np.ndar
 
 
 def group_compress(stats: Statistics, mat: np.ndarray, n: int, d: int) -> np.ndarray:
-    """Two-sided group average S M S = V (V^dagger M V) V^dagger.
+    """Two-sided group average S M S = V (V^dagger M V) V^dagger, slice by
+    slice of a ``[..., side, side]`` stack.
 
     ``mat`` itself for BOLTZMANN and n <= 1; zero for a FERMI order n > d.
     """
@@ -439,19 +456,29 @@ def symmetrizer_matrix(stats: Statistics, n: int, d: int) -> np.ndarray:
 
 def permutation_conjugate(p: Permutation, mat: np.ndarray, d: int) -> np.ndarray:
     """Two-sided conjugation P_pi M P_pi^dagger in index form:
-    out[r, c] = M[r_pi, c_pi] with r -> r_pi the kernel row substitution."""
+    out[r, c] = M[r_pi, c_pi] with r -> r_pi the kernel row substitution,
+    slice by slice of a ``[..., side, side]`` stack."""
     rows = _row_permutation_map(p.images, p.n, d)
-    return np.asarray(mat)[np.ix_(rows, rows)]
+    return np.asarray(mat)[..., rows[:, None], rows]
 
 
 def permutation_average(mat: np.ndarray, n: int, d: int) -> np.ndarray:
     """(1/n!) sum_pi P_pi M P_pi^dagger over all factor permutations as the
     coset product A_n o ... o A_2, A_m(X) = (1/m) sum_{j<=m} t_jm X t_jm with
     t_jm the swap of factors j and m (t_mm = 1), since each pi of S_m is one
-    t_jm times one sigma fixing m; ``mat`` itself for n <= 1."""
+    t_jm times one sigma fixing m; ``mat`` itself for n <= 1.  Takes a
+    ``[..., side, side]`` stack."""
     for m in range(2, n + 1):
         swaps = (permutation_conjugate(Permutation.transposition(n, j, m), mat, d) for j in range(1, m))
         mat = (mat + sum(swaps)) / m
+    return mat
+
+
+def require_finite(mat: np.ndarray) -> np.ndarray:
+    """``mat`` itself, or DomainError when an entry is not finite: the one
+    finiteness rule, for operators and for the transform pair's stacks."""
+    if not np.isfinite(mat).all():
+        raise DomainError("operator entries must be finite")
     return mat
 
 
@@ -519,12 +546,15 @@ def symmetrize(stats: Statistics, f: ManyBodyOperator) -> ManyBodyOperator:
     return f.with_mat(group_average(stats, f.mat, f.n, f.d))
 
 
-def trace_norm(f: ManyBodyOperator | np.ndarray) -> float:
-    """Sum of singular values."""
+def trace_norm(f: ManyBodyOperator | np.ndarray) -> float | np.ndarray:
+    """Sum of singular values; for a ``[..., side, side]`` stack, an array
+    of one norm per slice from one SVD call.  A 1 x 1 matrix is |z|."""
     mat = f.mat if isinstance(f, ManyBodyOperator) else np.asarray(f)
-    if mat.size == 1:
-        return float(abs(mat.reshape(())))
-    return float(np.linalg.svd(mat, compute_uv=False).sum())
+    if mat.shape[-2:] == (1, 1):
+        norms = np.abs(mat[..., 0, 0])
+    else:
+        norms = np.linalg.svd(mat, compute_uv=False).sum(axis=-1)
+    return float(norms) if mat.ndim == 2 else norms
 
 
 def sequence_trace_norm(seq: OperatorSequence) -> float:
@@ -549,7 +579,17 @@ def random_state_component(
     traceless: bool = False,
     positive: bool = False,
 ) -> ManyBodyOperator:
-    """Random Hermitian component with the full exchange symmetry of a state.
+    """Random Hermitian component with the full exchange symmetry of a state:
+    one ``random_hermitian`` draw made symmetric by ``symmetric_state``."""
+    raw = random_hermitian(rng, d**n)
+    return ManyBodyOperator(n, d, symmetric_state(raw, n, d, stats, traceless, positive), stats)
+
+
+def symmetric_state(
+    raw: np.ndarray, n: int, d: int, stats: Statistics, traceless: bool = False, positive: bool = False
+) -> np.ndarray:
+    """The symmetrizing step of ``random_state_component``, slice by slice
+    of a ``[..., side, side]`` stack of Hermitian draws.
 
     The raw matrix is compressed two-sidedly with the statistics projection
     (for BOLTZMANN: averaged over two-sided permutation conjugations), which
@@ -558,23 +598,23 @@ def random_state_component(
     semidefinite with unit trace; ``traceless`` removes the trace inside the
     symmetric subspace.
     """
-    raw = random_hermitian(rng, d**n)
     if positive:
-        raw = raw @ raw.conj().T
+        raw = raw @ raw.conj().swapaxes(-1, -2)
     if stats is Statistics.BOLTZMANN:
         out = permutation_average(raw, n, d)
     else:
         out = group_compress(stats, raw, n, d)
     if positive:
-        tr = np.trace(out).real
-        if abs(tr) < 1e-14:
+        tr = np.trace(out, axis1=-2, axis2=-1).real[..., None, None]
+        if (abs(tr) < 1e-14).any():
             raise DomainError(f"positive component vanished (stats={stats}, n={n}, d={d})")
         out = out / tr
     if traceless:
         rank = group_rank(stats, n, d)
         if rank > 0:
-            out = out - (np.trace(out) / rank) * symmetrizer_matrix(stats, n, d)
-    return ManyBodyOperator(n, d, out, stats)
+            shift = np.trace(out, axis1=-2, axis2=-1)[..., None, None] / rank
+            out = out - shift * symmetrizer_matrix(stats, n, d)
+    return out
 
 
 def random_sequence(

@@ -424,6 +424,29 @@ def test_cli_reports_io_errors(tmp_path, capsys, case):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_cli_check_out_into_missing_directory_runs_no_check(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setitem(checks.CHECKS, "norm_bound", lambda config: calls.append(config) or [])
+    path = write_cfg(tmp_path, MINIMAL)
+    assert main(["check", str(path), "--out", str(tmp_path / "missing" / "x")]) == 2
+    err = capsys.readouterr().err
+    assert calls == []
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("site", ["matrix-file", "initial-path"])
+def test_cli_names_undecodable_file(tmp_path, capsys, site):
+    (tmp_path / "bad.txt").write_bytes(b"\xff\xfe" + SEQUENCE_COMPONENT.encode())
+    if site == "matrix-file":
+        command, text = "check", MINIMAL.replace(ONE_BODY_ROWS, "file = bad.txt")
+    else:
+        command, text = "evolve", MINIMAL.replace("kind = random\nseed = 3", "kind = file\npath = bad.txt")
+    argv = [command, str(write_cfg(tmp_path, text))] + (["--s", "1"] if command == "evolve" else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "bad.txt" in err and "Traceback" not in err
+
+
 def test_checks_refuse_above_matrix_cap_before_any_draw(tmp_path, monkeypatch):
     # at d=2 and cap 8 the order-3 checks run; the others need side 16 or 32
     sides = []
