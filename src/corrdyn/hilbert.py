@@ -233,7 +233,7 @@ def inversion_parity(rows: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _placement(label_tuples: tuple[tuple[int, ...], ...], n: int, d: int) -> tuple[tuple[int, ...], list[tuple]]:
+def _placement(label_tuples: tuple[tuple[int, ...], ...], n: int, d: int) -> tuple[tuple[int, ...], tuple]:
     """How ``place_product`` lays out its factors: the axis order taking
     the outer product of the factors (row digits, then column digits,
     factor after factor) to the row digits and then the column digits of
@@ -249,7 +249,7 @@ def _placement(label_tuples: tuple[tuple[int, ...], ...], n: int, d: int) -> tup
         legs = 2 * len(labels)
         shapes.append((1,) * offset + (d,) * legs + (1,) * (2 * n - offset - legs))
         offset += legs
-    return tuple(rows[l] for l in range(1, n + 1)) + tuple(cols[l] for l in range(1, n + 1)), shapes
+    return tuple(rows[l] for l in range(1, n + 1)) + tuple(cols[l] for l in range(1, n + 1)), tuple(shapes)
 
 
 def place_product(factors: list[tuple[np.ndarray, tuple[int, ...]]], n: int, d: int) -> np.ndarray:
