@@ -31,11 +31,18 @@ do not depend on t: ``BBGKYSeries`` builds them once per (F0, s), and each
 time point, of the solution or of its derivative, costs only the
 conjugations.
 
-For BOSE and FERMI the series runs in the rank space of the two-sided
-group average S_m = V V^dagger (``hilbert.symmetric_isometry``, rank r).
-``BBGKYSeries`` requires every component it reads in that range,
-S_m F0_m S_m = F0_m, and checks it on entry (``hilbert.range_compress``).
-Three identities then keep every matrix at side r:
+``BBGKYSeries`` requires the statistics' two-sided group average to fix
+every component it reads, and checks it on entry
+(``hilbert.range_compress``): S_m F0_m S_m = F0_m for BOSE and FERMI, with
+S_m = V V^dagger (``hilbert.symmetric_isometry``, rank r), and invariance
+under the twirl for BOLTZMANN.  Then every leg permutation leaves F0_m
+fixed (for FERMI the two parity signs cancel), so each of the C(n, k)
+satellite subsets Z of size k gives the same Tr_{X-Z} F0_{s+n}: one
+partial trace of the last n - k legs, weighted C(n, k), replaces the 2^n
+subset traces, for every statistics.
+
+For BOSE and FERMI the series also runs in the rank space of S_m.  Two
+identities keep every matrix at side r:
 
 - H_m S_m = S_m H_m, so H_m V = V H~_m with H~_m = V^dagger H_m V, and the
   evolution group maps the range to itself: U_m(t) V = V U~_m(t),
@@ -46,15 +53,11 @@ Three identities then keep every matrix at side r:
 - the partial trace of a lift needs no lift: with V's rows split into the
   kept and the traced legs, Tr_k V E V^dagger =
   (V E).reshape(d^s, -1) @ V.reshape(d^s, -1)^T (``hilbert.traced_lift``,
-  V is real);
-- on the checked range every leg permutation leaves F0_m fixed (for FERMI
-  the two parity signs cancel), so each of the C(n, k) satellite subsets Z
-  of size k gives the same Tr_{X-Z} F0_{s+n}: one partial trace of the
-  last n - k legs, weighted C(n, k), replaces the 2^n subset traces.
+  V is real).
 
 A series order of rank 0 (FERMI m > d) is zero on the range and skipped.
-BOLTZMANN data need no symmetry, so every subset is traced and evolved by
-the dense U_m(t): the V = None case of the same construction.
+BOLTZMANN subset sums are evolved by the dense U_m(t): the V = None case of
+the same construction.
 
 The reduced operators of a correlation sequence trace its cluster
 correlations; every satellite count and every order of one call shares one
@@ -68,7 +71,6 @@ no matrix at side d^(s+n).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -86,14 +88,12 @@ from .hamiltonian import (
 from .hilbert import (
     ManyBodyOperator,
     OperatorSequence,
-    Statistics,
     group_average,
     group_rank,
     partial_trace_matrix,
     place_product,
     range_compress,
     rank_compress,
-    trace_keeping,
     trace_norm,
     traced_lift,
 )
@@ -213,20 +213,19 @@ class BBGKYSeries:
         G_k = sum_{n >= k} ((-1)^(n-k) / n!) sum_{|Z| = k} Tr_{X-Z} F0_{s+n},
 
     k = 0..n_max-s, on the legs Y u Z in order, are built once, at
-    construction, and a time point costs one conjugation per k.  For
-    BOLTZMANN every subset is traced (2^(n_max-s+1) - 1 partial traces of
-    the initial data) and G_k is conjugated by the dense U_{s+k}(t).  For
-    BOSE and FERMI each component F0_m, m >= s, must lie in the two-sided
-    range of the group average, S_m F0_m S_m = F0_m (checked on entry, a
-    component that does not raises DomainError naming its order and
-    defect); all subsets of one size then trace alike, G_k takes one
-    partial trace per (k, n) weighted C(n, k), and the series runs in the
-    rank space of the module docstring: G_k is kept as V^dagger G_k V, it
-    is conjugated by U~_{s+k}(t), and it leaves the rank space through one
-    traced lift.  Orders of rank 0 (FERMI s+k > d) contribute nothing and
-    are skipped.  With data supported on at most n_max particles the
-    truncation is exact, so the series matches time integration to its own
-    error.
+    construction, and a time point costs one conjugation per k.  The
+    statistics' two-sided group average must fix each component F0_m,
+    m >= s (checked on entry by ``hilbert.range_compress``; a component
+    that it does not fix raises DomainError naming its order and defect).
+    All subsets of one size then trace alike, and G_k takes one partial
+    trace per (k, n) weighted C(n, k), for every statistics.  For BOLTZMANN
+    G_k is conjugated by the dense U_{s+k}(t).  For BOSE and FERMI the
+    series runs in the rank space of the module docstring: G_k is kept as
+    V^dagger G_k V, it is conjugated by U~_{s+k}(t), and it leaves the rank
+    space through one traced lift.  Orders of rank 0 (FERMI s+k > d)
+    contribute nothing and are skipped.  With data supported on at most
+    n_max particles the truncation is exact, so the series matches time
+    integration to its own error.
     """
 
     def __init__(self, F0: MarginalSequence, s: int, cache: EvolutionCache):
@@ -235,8 +234,7 @@ class BBGKYSeries:
         self.s, self.stats, self.cache = s, F0.stats, cache
         d, stats = cache.spec.d, F0.stats
         for m in range(s, F0.n_max + 1):
-            range_compress(F0.component(m), "marginal", two_sided=True)
-        core = tuple(range(1, s + 1))
+            range_compress(F0.component(m), "marginal")
         #: per k with a nonzero rank, V^dagger G_k V (G_k itself where V is None)
         self.sums: dict[int, np.ndarray] = {}
         for k in range(0, F0.n_max - s + 1):
@@ -244,13 +242,8 @@ class BBGKYSeries:
                 continue
             g = np.zeros((d ** (s + k), d ** (s + k)), dtype=np.complex128)
             for n in range(k, F0.n_max - s + 1):
-                f = F0.component(s + n).mat
                 weight = (-1) ** (n - k) / math.factorial(n)
-                if stats is Statistics.BOLTZMANN:
-                    for z in itertools.combinations(range(s + 1, s + n + 1), k):
-                        g += weight * trace_keeping(f, core + z, s + n, d)
-                else:
-                    g += (weight * math.comb(n, k)) * partial_trace_matrix(f, s + k, s + n, d)
+                g += (weight * math.comb(n, k)) * partial_trace_matrix(F0.component(s + n).mat, s + k, s + n, d)
             self.sums[k] = rank_compress(stats, g, s + k, d)
 
     def _evolved(self, t: float):

@@ -144,16 +144,16 @@ def _cumulant_ratio(
     config: ScenarioConfig, rng: np.random.Generator, spec: InteractionSpec, times: tuple[float, ...]
 ) -> float:
     """Largest ||A(t) f|| / ||f|| of the cumulant of cluster set (s, n) over
-    s = 1..2, n = 1..3 and ``times``, one seeded f per (s, n) drawn first.
-    Times run outermost: the cache keeps one time per order, so each U_m(t)
-    is built once."""
+    s = 1..2, n = 1..3 and ``times``, one seeded f per (s, n) drawn first
+    and its norm taken once.  Times run outermost: the cache keeps one time
+    per order, so each U_m(t) is built once."""
     cache = EvolutionCache(spec)
-    drawn = [(s, n, _random_operator(rng, s + n, config)) for s in (1, 2) for n in (1, 2, 3)]
+    fs = [(ClusterSet.canonical(s, n), _random_operator(rng, s + n, config)) for s in (1, 2) for n in (1, 2, 3)]
+    drawn = [(cluster, f, trace_norm(f)) for cluster, f in fs]
     worst = 0.0
     for t in times:
-        for s, n, f in drawn:
-            out = cumulant_apply(t, ClusterSet.canonical(s, n), f, cache)
-            worst = max(worst, trace_norm(out) / trace_norm(f))
+        for cluster, f, norm in drawn:
+            worst = max(worst, trace_norm(cumulant_apply(t, cluster, f, cache)) / norm)
     return worst
 
 

@@ -65,55 +65,62 @@ Conventions fixed here once:
   exactly (the commutator is linear).  Partitions whose factors agree up to
   a relabeling of particles (one block-size type of an order) form a class.
   With K the Kronecker product of the class's factors on consecutive labels,
-  Phi the class's coupling on those labels, Q_p the leg permutation taking
-  them to p's labels and V the isometry of ``hilbert.symmetric_isometry``
-  (rank r),
+  Phi the class's coupling on those labels and Q_p the leg permutation
+  taking them to p's labels, P_p = Q_p K Q_p^T (Van Loan, "The ubiquitous
+  Kronecker product", J. Comput. Appl. Math. 123, 2000) and
+  Phi_p = Q_p Phi Q_p^T, the couplings being exchange symmetric.  The
+  dynamics read only components that the statistics' two-sided group
+  average fixes, checked on entry by ``hilbert.range_compress``; such a
+  component is invariant under conjugation by every leg permutation (for
+  FERMI the two parity signs cancel).  So [K, Phi] is invariant under the
+  class's stabilizer, whose cosets are the members, and the class sum is
+  its member count |class| times one group average of [K, Phi]:
 
-      P_p = Q_p K Q_p^T,   Phi_p = Q_p Phi Q_p^T,   V^dagger Q_p = eps_p V^dagger:
+      sum_p Q_p [K, Phi] Q_p^T = |class| Twirl([K, Phi]),
+      V^dagger (sum_p Q_p [K, Phi] Q_p^T) V = |class| V^dagger [K, Phi] V,
 
-  the first is Van Loan's ("The ubiquitous Kronecker product", J. Comput.
-  Appl. Math. 123, 2000), the second holds because the couplings are
-  exchange symmetric, and in the third eps_p is the parity sign of Q_p for
-  FERMI and 1 for BOSE.  So
-
-      V^dagger [P_p, Phi_p] = eps_p ((V^dagger K) Phi - (V^dagger Phi) K) Q_p^T,
-
-  and an evaluation applies K to the 2r rows V^dagger and V^dagger Phi
-  factor by factor (``_times_kron``: X (A (x) B) is computed without forming
-  A (x) B, after Van Loan), makes one r x side product with Phi and undoes
-  each member's column legs by one signed gather.  No Kronecker product,
-  d^n x d^n product or coupling is placed per partition or per class, and
-  rank 0 costs nothing.  For BOLTZMANN (V = I) a member is
-  Q_p [K, Phi] Q_p^T, one gather on both legs, with Phi K and
-  K Phi = (Phi^T K^T)^T again factor by factor.  Phi itself is built once
+  the second since V^dagger Q_p = eps_p V^dagger, eps_p the parity sign of
+  Q_p for FERMI and 1 for BOSE.  An order's sum acc is invariant too, so it
+  commutes with S = V V^dagger and V^dagger acc = (V^dagger acc V) V^dagger.
+  An order therefore takes one term per type and finishes once: for
+  BOLTZMANN acc = Twirl(sum_types |class| [K, Phi]), one coset twirl
+  (``hilbert.permutation_average``); for BOSE and FERMI
+  V^dagger acc = (sum_types |class| V^dagger [K, Phi] V) V^dagger, each
+  type's r x r term (V^dagger K)(Phi V) - (V^dagger Phi)(K V).  K is applied
+  factor by factor (``_times_kron``: X (A (x) B) is computed without
+  forming A (x) B, after Van Loan) to the rows V^dagger or Phi and, as
+  K X = (X^T K^T)^T, to the columns V or Phi.  No Kronecker product,
+  d^n x d^n product or coupling is placed per partition or per class, no
+  member is relabeled, and rank 0 costs nothing.  Phi itself is built once
   per plan by adding each coupling on the entries its embedding reaches
   (``hilbert.add_embedded``), as is H_n.  This class term
-  (``_OrderPlan.term``) is the only implementation of the interaction
-  sum: ``von_neumann_rhs`` lifts it as V (V^dagger acc),
-  the integrator adds it to its rows as is, the tabulated orders read their
-  blocks off it, and ``generalized_rhs`` differentiates the cluster
-  correlation by the product rule along the orders' right-hand sides.
-* The drift.  For data of any symmetry (``von_neumann_rhs``,
-  ``generalized_rhs``) -[g_n, H_n] is one dense commutator.  The
-  integrator requires BOSE and FERMI components in the range of the group
-  average on the ket side, S_n g_n = g_n (checked on entry by
-  ``hilbert.range_compress``; the bra side is free), and the order-n
-  equation keeps that range.  It carries the rows y_n = V^dagger g_n,
-  r x side, and since H_n commutes with S_n,
+  (``_OrderPlan.term``, finished by ``_OrderPlan.finish``) is the only
+  implementation of the interaction sum: ``von_neumann_rhs`` lifts it as
+  V (V^dagger acc), the integrator adds it to its rows as is, the
+  tabulated orders read their blocks off it, and ``generalized_rhs``
+  differentiates the cluster correlation by the product rule along the
+  orders' right-hand sides.
+* The drift.  ``von_neumann_rhs`` and ``generalized_rhs`` take -[g_n, H_n]
+  as one dense commutator.  On the domain of the dynamics a BOSE or FERMI
+  component satisfies S_n g_n S_n = g_n, so S_n g_n = g_n in particular,
+  and the order-n equation keeps that range.  The integrator carries the
+  rows y_n = V^dagger g_n, r x side, and since H_n commutes with S_n,
   V^dagger [g_n, H_n] = y_n H_n - H~_n y_n with H~_n = V^dagger H_n V
   from the plans' shared ``hamiltonian.EvolutionCache``: r x side products
   in place of two side x side GEMMs, nothing at rank 0.  g_n = V y_n is
   rebuilt only where a Kronecker product reads it and on output.
 * Small orders of the RK4 right-hand side are tabulated on the same rows.
   With row-major vec, vec(A X B) = (A (x) B^T) vec X, the drift is
-  (i/hbar)(I_r (x) H^T - H~ (x) I) vec y_n; a block-size type's term is
-  linear in its monomial (the outer product of its raveled components), so
-  its block of columns is the class term of the unit monomials, one batch:
-  factor j runs through its unit matrices along batch axis j, and the
-  C-order flattening of the batch is the monomial's order.  The block is
-  not lifted (it is already V^dagger acc) and is multiplied by
-  (x)_k (V_k (x) I), which maps the
-  monomial of the rows to that of the components, vec g_k =
+  (i/hbar)(I_r (x) H^T - H~ (x) I) vec y_n; a block-size type's finished
+  term is linear in its monomial (the outer product of its raveled
+  components), so its block of columns is the finished class term of the
+  unit monomials, one batch: factor j runs through its unit matrices along
+  batch axis j, and the C-order flattening of the batch is the monomial's
+  order.  The unit matrices are not invariant, so the block is the linear
+  map that agrees with the order's interaction sum on the domain, which
+  the integrator's state keeps.  The block is not lifted (it is
+  already V^dagger acc) and is multiplied by (x)_k (V_k (x) I), which maps
+  the monomial of the rows to that of the components, vec g_k =
   (V_k (x) I) vec y_k.  Built once per ``integrate_hierarchy`` call, an
   order's block costs one GEMV per stage; ``TABULATED_MAX_ENTRIES``, counted
   in the full layout, keeps tabulation where the GEMV is faster (orders
@@ -123,6 +130,7 @@ Conventions fixed here once:
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from typing import Callable
@@ -136,12 +144,11 @@ from .hilbert import (
     ManyBodyOperator,
     OperatorSequence,
     Statistics,
-    _row_permutation_map,
     add_embedded,
     group_average,
     group_compress,
     group_rank,
-    inversion_parity,
+    permutation_average,
     place_product,
     range_compress,
     rank_compress,
@@ -202,8 +209,8 @@ def _sub_tuples(elements: tuple) -> tuple[tuple[tuple, tuple[int, ...], tuple[in
     """The proper sub-tuples Q of ``elements`` that hold its first element,
     in enumeration order: per Q its relabeling q (``_relabeled``), its
     sorted labels and the rest's sorted labels.  The pair (q, |rest|) is
-    Q's relabeling class.  A function of the labels alone, so it is cached
-    like ``_relabelings``."""
+    Q's relabeling class.  A function of the labels alone, so it is
+    cached."""
     first, others = elements[0], elements[1:]
     out = []
     for r in range(len(others)):
@@ -499,10 +506,10 @@ def _times_kron(x: np.ndarray, mats: list[np.ndarray]) -> np.ndarray:
     return x
 
 
-def _consecutive(legs: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
-    """Consecutive labels 1..n in runs of the lengths of ``legs``."""
-    ends = itertools.accumulate(map(len, legs))
-    return [tuple(range(end - len(labels) + 1, end + 1)) for end, labels in zip(ends, legs)]
+def _consecutive(sizes: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Consecutive labels 1..n in runs of the given ``sizes``."""
+    ends = itertools.accumulate(sizes)
+    return [tuple(range(end - size + 1, end + 1)) for end, size in zip(ends, sizes)]
 
 
 def _meeting_couplings(blocks: list[tuple[int, ...]], spec: InteractionSpec, n: int) -> np.ndarray | None:
@@ -519,92 +526,72 @@ def _meeting_couplings(blocks: list[tuple[int, ...]], spec: InteractionSpec, n: 
     return out
 
 
-@lru_cache(maxsize=None)
-def _relabelings(members: tuple[tuple[tuple[int, ...], ...], ...], n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The leg permutations Q of a class's members, one row each: the column
-    index map ``undo``, (Y Q^T)[:, b] = Y[:, undo[b]], Q taking the legs of
-    consecutive labels, in factor order, to the labels the member's label
-    tuples carry; and the parity of each Q."""
-    images = [tuple(l for labels in m for l in labels) for m in members]
-    undo = np.stack([_row_permutation_map(image, n, d) for image in images])
-    parity = inversion_parity(np.array(images))
-    undo.flags.writeable = parity.flags.writeable = False
-    return undo, parity
-
-
 class _OrderPlan:
     """Right-hand side of hierarchy order n on component matrices (orders
-    <= n), with V (``symmetric_isometry``, rank r) and the classes built
-    once, and H_n and H~_n = V^dagger H_n V from ``cache``.  The interaction
-    sum is V^dagger acc (acc when V is None), acc = (i/hbar) sum_p
-    [P_p, Phi_p] over the multi-block partitions p that some coupling
-    support reaches.  A class is a block-size type (sizes
-    descending): ``types`` maps it to its members' block label tuples, each
-    sorted and in size order (ties keep theirs), and to Phi on the
-    consecutive labels of K.  ``term`` is a type's class term (module
-    docstring) for its factor matrices: ``interaction`` passes it the
-    components, ``_TabulatedOrders`` every factor's unit matrices as one
-    broadcast batch, in the factor order of the type's monomial.  ``types``
-    is empty when no partition is reached or r is zero, and then no term
-    need be evaluated."""
+    <= n) that the group average fixes (``hilbert.range_compress``), with
+    V (``symmetric_isometry``, rank r) and the classes built once, and H_n
+    and H~_n = V^dagger H_n V from ``cache``.  The interaction sum is
+    V^dagger acc (acc when V is None), acc = (i/hbar) sum_p [P_p, Phi_p]
+    over the multi-block partitions p that some coupling support reaches.
+    A class is a block-size type (sizes descending): ``types`` maps it to
+    its member count |class| and to Phi on the consecutive labels of K.
+    ``term`` is a type's class term (module docstring) for its factor
+    matrices, and ``finish`` turns the sum of an order's class terms into
+    V^dagger acc: ``interaction`` passes ``term`` the components,
+    ``_TabulatedOrders`` every factor's unit matrices as one broadcast
+    batch, in the factor order of the type's monomial.  ``types`` is empty
+    when no partition is reached or r is zero, and then no term need be
+    evaluated."""
 
     def __init__(self, n: int, stats: Statistics, cache: EvolutionCache):
         self.n, self.d, self.hbar, self.stats = n, cache.spec.d, cache.spec.hbar, stats
         self.h, self.h_tilde = cache.hamiltonian(n), cache.hamiltonian(n, stats)
         self.v = symmetric_isometry(stats, n, self.d)
         self.rank = len(self.h_tilde)
-        grouped: dict[tuple[int, ...], list] = {}
-        for p in set_partitions(range(1, n + 1)):
-            if self.rank and p.size >= 2:
-                legs = tuple(sorted((tuple(sorted(b)) for b in p.blocks), key=lambda labels: -len(labels)))
-                grouped.setdefault(tuple(map(len, legs)), []).append(legs)
-        self.types: dict[tuple[int, ...], tuple[tuple, np.ndarray]] = {}
-        for sizes, members in grouped.items():
-            phi = _meeting_couplings(_consecutive(members[0]), cache.spec, n)
+        partitions = set_partitions(range(1, n + 1)) if self.rank else []
+        counts = Counter(tuple(sorted(map(len, p.blocks), reverse=True)) for p in partitions if p.size >= 2)
+        self.types: dict[tuple[int, ...], tuple[int, np.ndarray]] = {}
+        for sizes, count in counts.items():
+            phi = _meeting_couplings(_consecutive(sizes), cache.spec, n)
             if phi is not None:
-                self.types[sizes] = (tuple(members), phi)
+                self.types[sizes] = (count, phi)
 
     @cached_property
-    def _layouts(self) -> dict[tuple[int, ...], tuple]:
-        """Per block-size type: Phi, the 2r rows V^dagger over V^dagger Phi,
-        and the members' index maps ``undo`` and signs.  The maps undo the
-        column legs (both legs for BOLTZMANN, where the rows and the signs
-        are None), one m x side row block per type."""
-        layouts = {}
-        for sizes, (members, phi) in self.types.items():
-            undo, parity = _relabelings(members, self.n, self.d)
-            if self.v is None:
-                layouts[sizes] = (phi, None, undo, None)
-            else:
-                signs = np.array([self.stats.permutation_sign(bit) for bit in parity])
-                layouts[sizes] = (phi, np.concatenate([self.v.T, self.v.T @ phi]), undo, signs)
-        return layouts
+    def _layouts(self) -> dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]]:
+        """Per block-size type, Phi V and V^dagger Phi (BOSE and FERMI)."""
+        return {sizes: (phi @ self.v, self.v.T @ phi) for sizes, (_, phi) in self.types.items()}
 
     def term(self, sizes: tuple[int, ...], mats: list[np.ndarray]) -> np.ndarray:
-        """Type ``sizes``' share of V^dagger acc, less the factor i/hbar:
-        sum_p eps_p ((V^dagger K) Phi - (V^dagger Phi) K) Q_p^T over the
-        members (sum_p Q_p [K, Phi] Q_p^T for BOLTZMANN), K the Kronecker
-        product of the factor matrices ``mats`` on consecutive labels.  K is
-        never formed: ``_times_kron`` applies it to the rows V^dagger and
-        V^dagger Phi in one pass, and for BOLTZMANN to Phi and, as
-        K Phi = (Phi^T K^T)^T, to Phi^T.  Leading axes of the factors are
-        batch axes, broadcast against each other."""
-        phi, rows, undo, signs = self._layouts[sizes]
-        if rows is None:
-            k_phi = _times_kron(phi.T, [m.swapaxes(-1, -2) for m in mats]).swapaxes(-1, -2)
-            return (k_phi - _times_kron(phi, mats))[..., undo[:, :, None], undo[:, None, :]].sum(axis=-3)
-        y = _times_kron(rows, mats)
-        return signs @ (y[..., : self.rank, :] @ phi - y[..., self.rank :, :])[..., undo]
+        """Type ``sizes``' class term, less the factor i/hbar: |class| [K, Phi]
+        for BOLTZMANN, |class| V^dagger [K, Phi] V =
+        |class| ((V^dagger K)(Phi V) - (V^dagger Phi)(K V)) for BOSE and
+        FERMI, K the Kronecker product of the factor matrices ``mats`` on
+        consecutive labels.  K is never formed: ``_times_kron`` applies it to
+        the rows of Phi or V^dagger, and as K X = (X^T K^T)^T to the columns
+        of Phi or V.  Leading axes of the factors are batch axes, broadcast
+        against each other."""
+        count, phi = self.types[sizes]
+        transposed = [m.swapaxes(-1, -2) for m in mats]
+        if self.v is None:
+            k_phi = _times_kron(phi.T, transposed).swapaxes(-1, -2)
+            return count * (k_phi - _times_kron(phi, mats))
+        phi_v, vt_phi = self._layouts[sizes]
+        k_v = _times_kron(self.v.T, transposed).swapaxes(-1, -2)
+        return count * (_times_kron(self.v.T, mats) @ phi_v - vt_phi @ k_v)
+
+    def finish(self, terms: np.ndarray) -> np.ndarray:
+        """V^dagger acc from the sum of an order's class terms, less the
+        factor i/hbar: its twirl for BOLTZMANN, ``terms`` V^dagger for BOSE
+        and FERMI (module docstring)."""
+        return permutation_average(terms, self.n, self.d) if self.v is None else terms @ self.v.T
 
     def interaction(self, comps: dict[int, np.ndarray]) -> np.ndarray:
         """V^dagger acc for the components ``comps``, one term per type."""
-        acc = np.zeros((self.rank, len(self.h)), dtype=np.complex128)
-        for sizes in self._layouts:
-            acc += self.term(sizes, [comps[k] for k in sizes])
-        return (1j / self.hbar) * acc
+        terms = sum(self.term(sizes, [comps[k] for k in sizes]) for sizes in self.types)
+        return (1j / self.hbar) * self.finish(terms)
 
     def __call__(self, comps: dict[int, np.ndarray]) -> np.ndarray:
-        """g'_n for components of any symmetry."""
+        """g'_n for components that the group average fixes."""
         out = -commutator_generator(comps[self.n], self.h, self.hbar)
         if self.types:
             proj = self.interaction(comps)
@@ -632,17 +619,29 @@ class _OrderPlan:
         return self.h.size**2 * (1 + len(self.types))
 
 
+def _fixed_mats(g: OperatorSequence, m: int) -> dict[int, np.ndarray]:
+    """``_component_mats`` with orders 1..m checked by the dynamics' one
+    domain rule, ``hilbert.range_compress``."""
+    mats = _component_mats(g, m)
+    for n in range(1, m + 1):
+        range_compress(g.component(n), "correlation")
+    return mats
+
+
 def von_neumann_rhs(g: OperatorSequence, n: int, spec: InteractionSpec) -> ManyBodyOperator:
     """Time derivative of the n-particle correlation component.
 
     -N_n g_n plus the symmetrized sum over the multi-block partitions p of
     the commutator of p's product of lower components with Phi_p, the sum of
-    the k-body couplings whose support meets every block of p.  Couplings
-    without a matching Phi^(k) contribute zero.  For n = 1 this is just
-    -N_1 g_1.
+    the k-body couplings whose support meets every block of p, taken as one
+    class term per block-size type (``_OrderPlan``).  Couplings without a
+    matching Phi^(k) contribute zero.  For n = 1 this is just -N_1 g_1.
+    The statistics' two-sided group average must fix each component of
+    orders 1..n (``hilbert.range_compress``); the first that it does not fix
+    raises DomainError naming its order and the defect.
     """
     plan = _OrderPlan(n, g.stats, EvolutionCache(spec))
-    return ManyBodyOperator(n, spec.d, plan(_component_mats(g, n)), g.stats)
+    return ManyBodyOperator(n, spec.d, plan(_fixed_mats(g, n)), g.stats)
 
 
 def generalized_rhs(
@@ -658,14 +657,16 @@ def generalized_rhs(
     sub-tuple, with the two-sided group average outermost.  The interaction
     sum is thus the order plans' alone.  The group averages inside g'_n need
     no undoing: they act on the ket side of label subsets Q, and the outer
-    average absorbs them, S_m (S_Q (x) I) = S_m.
+    average absorbs them, S_m (S_Q (x) I) = S_m.  The components of orders
+    1..|X| must be fixed by the two-sided group average, as for
+    ``von_neumann_rhs``.
     """
     labels = cluster.declusterize()
     m, d = len(labels), g.d
     if tuple(sorted(labels)) != tuple(range(1, m + 1)):
         raise DomainError("cluster set must flatten to labels 1..s+n")
     local, _ = _relabeled(tuple(el.labels for el in cluster.elements))
-    mats = _component_mats(g, m)
+    mats = _fixed_mats(g, m)
     cache = EvolutionCache(spec)
     rates = {n: _OrderPlan(n, g.stats, cache)(mats) for n in range(1, m + 1)}
     singletons = [tuple((l,) for l in range(1, k + 1)) for k in range(1, m + 1)]
@@ -699,16 +700,16 @@ class _TabulatedOrders:
 
     Row block n of W holds the drift (i/hbar)(I_r (x) H^T - H~ (x) I) on
     vec y_n, H~ = V^dagger H V, and, per block-size type lambda of order n,
-    the type's class term (i/hbar) ``_OrderPlan.term`` (already V^dagger
-    acc, so not lifted) as a linear map of its monomial, the outer product
-    of the raveled rows of sizes lambda: the term at every unit monomial of
-    the components, all columns one batch whose factor j holds its unit
-    matrices along batch axis j (shapes (N_1, 1, s_1, s_1),
+    the type's finished class term (i/hbar) ``_OrderPlan.finish(term)``
+    (V^dagger acc, so not lifted) as a linear map of its monomial, the
+    outer product of the raveled rows of sizes lambda: the term at every
+    unit monomial of the components, all columns one batch whose factor j
+    holds its unit matrices along batch axis j (shapes (N_1, 1, s_1, s_1),
     (1, N_2, s_2, s_2), ...), times (x)_k (V_k (x) I), since
-    vec g_k = (V_k (x) I) vec y_k.  A call applies
-    W to the flat rows of orders 1..m followed by one monomial per type;
-    the monomials of one degree are written by one product of gathers from
-    the state, with index arrays built once.
+    vec g_k = (V_k (x) I) vec y_k.  A call applies W to the flat rows of
+    orders 1..m followed by one monomial per type; the monomials of one
+    degree are written by one product of gathers from the state, with
+    index arrays built once.
     """
 
     def __init__(self, plans: list[_OrderPlan], bounds: list[int]):
@@ -726,7 +727,7 @@ class _TabulatedOrders:
                     batch = [1] * len(sizes)
                     batch[j] = -1
                     units.append(np.eye(plan.d ** (2 * k)).reshape(*batch, plan.d**k, plan.d**k))
-                block = (1j / plan.hbar) * plan.term(sizes, units).reshape(side**2, -1).T
+                block = (1j / plan.hbar) * plan.finish(plan.term(sizes, units)).reshape(side**2, -1).T
                 lifts = [plans[k - 1].v for k in sizes]
                 if any(v is not None for v in lifts):
                     lift = np.ones((1, 1))
@@ -774,13 +775,14 @@ def integrate_hierarchy(
     ``steps`` uniform steps from 0 to t_final on one flat state: the ket-side
     rows y_n = V_n^dagger g_n (r_n x d^n, V_n the ``symmetric_isometry`` of
     the order) raveled and concatenated by order, with y_n = g_n for
-    BOLTZMANN and n = 1.  Each BOSE or FERMI component of ``g0`` must lie in
-    the range of the group average on the ket side, S_n g_n = g_n, its bra
-    side being arbitrary; a component that does not raises DomainError.
-    The order-n equation keeps that range, so g_n = V_n y_n throughout and
-    no drift is evaluated at side d^n x d^n.  The right-hand side of order
-    n only reads orders <= n.  The leading orders whose block fits
-    ``TABULATED_MAX_ENTRIES`` are one matrix built once per call
+    BOLTZMANN and n = 1.  The statistics' two-sided group average must fix
+    every component of ``g0`` (``hilbert.range_compress``: S_n g_n S_n = g_n
+    for BOSE and FERMI, invariance under the twirl for BOLTZMANN); the first
+    component that it does not fix raises DomainError naming its order and
+    the defect.  The order-n equation keeps that domain, so g_n = V_n y_n
+    throughout and no drift is evaluated at side d^n x d^n.  The right-hand
+    side of order n only reads orders <= n.  The leading orders whose block
+    fits ``TABULATED_MAX_ENTRIES`` are one matrix built once per call
     (``_TabulatedOrders``), so each stage costs them one GEMV; the orders
     above evaluate ``_OrderPlan.rows`` on views of the state, with each
     lower component rebuilt once per stage as V_k y_k for its Kronecker
@@ -790,11 +792,10 @@ def integrate_hierarchy(
     if steps < 1:
         raise DomainError("steps must be >= 1")
     d, n_max = g0.d, g0.n_max
-    y = np.concatenate([
-        range_compress(g0.component(n), "correlation", two_sided=False).ravel() for n in range(1, n_max + 1)
-    ])
+    mats = _fixed_mats(g0, n_max)
     cache = EvolutionCache(spec)
     plans = [_OrderPlan(n, g0.stats, cache) for n in range(1, n_max + 1)]
+    y = np.concatenate([(mats[p.n] if p.v is None else p.v.T @ mats[p.n]).ravel() for p in plans])
     m = next((i for i, plan in enumerate(plans) if plan.tabulated_entries() > TABULATED_MAX_ENTRIES), n_max)
     bounds = [0, *itertools.accumulate(plan.rank * d**plan.n for plan in plans)]
     table = _TabulatedOrders(plans[:m], bounds)

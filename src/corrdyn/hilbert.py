@@ -17,13 +17,13 @@ with r rows or columns in place of the d^{3n} dense product with S_n.
 ``rank_compress`` and ``rank_lift`` are the two halves of the latter, for
 callers that work on the r x r matrix V^dagger M V in between;
 ``traced_lift`` is a lift followed by a partial trace, which never forms
-the d^n x d^n lift, and ``range_compress`` is the one check that a
-component lies in the range of the average (ket side or both sides).
+the d^n x d^n lift, and ``range_compress`` is the dynamics' one domain
+rule: the statistics' two-sided group average fixes the component.
 ``symmetrizer_matrix`` builds S_n itself, used only for the traceless shift
 of the state sampler and read by the benchmark's cache counters.  The
-two-sided twirl of BOLTZMANN samples, ``permutation_average``, is a coset
-product of n(n-1)/2 transpositions, and every Fermi sign is one rule, the
-inversion count of ``inversion_parity``.
+two-sided twirl of BOLTZMANN, ``permutation_average``, is a coset product
+of n(n-1)/2 transpositions, and every Fermi sign is one rule, the inversion
+count of ``inversion_parity`` (``Permutation.parity``, ``symmetric_isometry``).
 
 The placement, the twirl, the group averages, the sampler's symmetrizing
 step ``symmetric_state`` and ``trace_norm`` also take ``[..., side, side]``
@@ -314,16 +314,6 @@ def partial_trace_matrix(mat: np.ndarray, s: int, n: int, d: int) -> np.ndarray:
     return np.einsum("ajbj->ab", np.asarray(mat, dtype=np.complex128).reshape(ds, dm, ds, dm))
 
 
-def trace_keeping(mat: np.ndarray, keep: tuple[int, ...], n: int, d: int) -> np.ndarray:
-    """Trace out the particles of 1..n not in ``keep``; the kept particles
-    stay in ascending order."""
-    kept = [i for i in range(n) if i + 1 in keep]
-    cols = [n + i if i + 1 in keep else i for i in range(n)]
-    legs = np.asarray(mat, dtype=np.complex128).reshape((d,) * (2 * n))
-    out = np.einsum(legs, list(range(n)) + cols, kept + [n + i for i in kept])
-    return out.reshape(d ** len(kept), d ** len(kept))
-
-
 @lru_cache(maxsize=None)
 def symmetric_isometry(stats: Statistics, n: int, d: int) -> np.ndarray | None:
     """Isometry V onto the (anti)symmetric n-particle subspace, S = V V^dagger.
@@ -418,22 +408,30 @@ def traced_lift(stats: Statistics, mat: np.ndarray, s: int, n: int, d: int) -> n
     return (v @ mat).reshape(d**s, cols) @ v.reshape(d**s, cols).T
 
 
-def range_compress(op: ManyBodyOperator, what: str, *, two_sided: bool) -> np.ndarray:
-    """Rank-space image of a component in the range of its group average
-    S_n = V V^dagger: the rows V^dagger M, or V^dagger M V when
-    ``two_sided``; M itself where V is None.  Raises DomainError, naming
-    the ``what`` component's order and the defect, when max |M - S M| (max
-    |M - S M S|) exceeds ``HERMITICITY_TOL`` max(1, max |M|)."""
-    v = symmetric_isometry(op.stats, op.n, op.d)
-    if v is None:
-        return op.mat
-    out = v.T @ op.mat @ v if two_sided else v.T @ op.mat
-    back = v @ out @ v.T if two_sided else v @ out
-    defect = float(np.abs(op.mat - back).max()) / max(1.0, float(np.abs(op.mat).max()))
+def range_compress(op: ManyBodyOperator, what: str) -> np.ndarray:
+    """Rank-space image of a component M that the statistics' two-sided
+    group average fixes, the one domain rule of the dynamics.
+
+    For BOSE and FERMI the rule is S M S = M with S = V V^dagger (so S M = M,
+    and M = 0 for a FERMI order above d), and the image is V^dagger M V.
+    The BOLTZMANN twirl fixes M exactly when M is invariant under
+    conjugation by the n-1 adjacent transpositions P, which generate the
+    group, and the image is M.  Raises DomainError, naming the ``what``
+    component's order and the defect, when max |M - S M S| (the largest
+    max |M - P M P^T|) exceeds ``HERMITICITY_TOL`` max(1, max |M|)."""
+    mat, n, d = op.mat, op.n, op.d
+    v = symmetric_isometry(op.stats, n, d)
+    if v is not None:
+        out, image = v.T @ mat @ v, "S M S"
+        fixed = [v @ out @ v.T]
+    else:
+        out, image = mat, "P M P^T"
+        fixed = (permutation_conjugate(Permutation.transposition(n, j, j + 1), mat, d) for j in range(1, n))
+    scale = max(1.0, float(np.abs(mat).max()))
+    defect = max((float(np.abs(mat - x).max()) for x in fixed), default=0.0) / scale
     if defect > HERMITICITY_TOL:
-        image = "S M S" if two_sided else "S M"
         raise DomainError(
-            f"{op.stats} {what} component {op.n} is not in the range of the group average: "
+            f"{op.stats} {what} component {n} is not fixed by the two-sided group average: "
             f"max relative deviation |M - {image}| = {defect:.3e}"
         )
     return out

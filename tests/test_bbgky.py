@@ -43,18 +43,19 @@ from corrdyn.hamiltonian import (
 from corrdyn.hilbert import (
     ManyBodyOperator,
     OperatorSequence,
+    Permutation,
     Statistics,
     embed_operator,
     group_rank,
     partial_trace,
     partial_trace_matrix,
     permutation_average,
+    permutation_conjugate,
     place_product,
     random_hermitian,
     random_sequence,
     random_state_component,
     symmetrizer_matrix,
-    trace_keeping,
     trace_norm,
 )
 from corrdyn import oracles
@@ -474,7 +475,8 @@ def test_series_derivative_equals_chain_rhs(stats):
 def _series_lane(geometry, couplings, data):
     """Spec and initial marginals: ``data`` is a statistics name, with the
     marginals of a random exchange-symmetric density sequence, or "raw", with
-    random Hermitian Boltzmann marginals that no permutation leaves fixed."""
+    random Hermitian Boltzmann marginals that no permutation leaves fixed and
+    that the series therefore rejects."""
     d, n_max = geometry
     rng = np.random.default_rng([d, n_max, len(couplings)])
     pots = {k: permutation_average(random_hermitian(rng, d**k), k, d) for k in couplings}
@@ -494,9 +496,20 @@ def _series_lane(geometry, couplings, data):
 @pytest.mark.parametrize("geometry", [(2, 5), (3, 3), (2, 4)], ids=["d2n5", "d3n3", "d2n4"])
 def test_series_subset_form_matches_partition_and_density_references(geometry, couplings, data):
     # BOSE and FERMI run in the rank space of the two-sided group average;
-    # at FERMI d=2 n_max=4 the orders 3 and 4 have rank 0 and are skipped
+    # at FERMI d=2 n_max=4 the orders 3 and 4 have rank 0 and are skipped.
+    # Raw marginals are rejected: the error names the first order the series
+    # reads that the twirl does not fix (order 2) and its defect
     spec, f0 = _series_lane(geometry, couplings, data)
     cache = EvolutionCache(spec)
+    if data == "raw":
+        mat = f0.component(2).mat
+        swapped = permutation_conjugate(Permutation.transposition(2, 1, 2), mat, f0.d)
+        defect = np.abs(mat - swapped).max() / max(1.0, np.abs(mat).max())
+        message = "boltzmann marginal component 2 .*" + re.escape(f"|M - P M P^T| = {defect:.3e}") + "$"
+        for s in (1, 2):
+            with pytest.raises(DomainError, match=message):
+                BBGKYSeries(f0, s, cache)
+        return
     n_max = f0.n_max
     density = oracles.density_from_marginals(f0)
     built = {s: BBGKYSeries(f0, s, cache) for s in (1, 2)}
@@ -530,13 +543,9 @@ def test_series_subset_form_matches_partition_and_density_references(geometry, c
             close(series, oracles.partition_series(f0, t, s, cache))
             close(derivative, oracles.partition_series_time_derivative(f0, t, s, cache))
             # the density route evolves the triangular inverse of the data,
-            # which equals the series only when the data is exchange symmetric
-            # or at most one satellite is traced
-            if data != "raw":
-                close(series, f_t.component(s))
-                close(derivative, df_t.component(s))
-            elif t != 0.0 and n_max - s >= 2:
-                assert trace_norm(series - f_t.component(s)) > 1e-3 * trace_norm(series)
+            # which equals the series on exchange-symmetric data
+            close(series, f_t.component(s))
+            close(derivative, df_t.component(s))
 
 
 @pytest.mark.parametrize("stats", QUANTUM, ids=str)
@@ -600,23 +609,23 @@ def _counting(monkeypatch, module, name):
 def test_evolve_builds_the_subset_sums_once(tmp_path, capsys, monkeypatch):
     # d=2 Bose n_max=6, s=1: on the checked two-sided range every satellite
     # subset of one size traces alike, so G_0..G_5 take one partial trace per
-    # (k, n), sum_k (6 - k) = 21 for the whole run, not 21 per time point,
-    # and no subset is traced on its own
-    subsets = _counting(monkeypatch, bbgky, "trace_keeping")
+    # (k, n), sum_k (6 - k) = 21 for the whole run, not 21 per time point
     traces = _counting(monkeypatch, bbgky, "partial_trace_matrix")
     assert cli.main(_evolve_n6(tmp_path, "bose")) == 0
     assert capsys.readouterr().out.count("time ") == 4
-    assert subsets == []
     assert len(traces) == 21
 
 
 def test_boltzmann_evolve_traces_every_subset_once(tmp_path, capsys, monkeypatch):
-    # BOLTZMANN data need not be exchange invariant: G_0..G_5 take
-    # sum_n 2^n = 63 subset traces for the whole run
-    subsets = _counting(monkeypatch, bbgky, "trace_keeping")
+    # BOLTZMANN data are checked invariant under the twirl as well, so every
+    # satellite subset of one size traces alike: the same 21 partial traces
+    # as for Bose, where the subset form took sum_n 2^n = 63 subset traces,
+    # and the partial trace of the last legs is the only trace taken
+    traces = _counting(monkeypatch, bbgky, "partial_trace_matrix")
     assert cli.main(_evolve_n6(tmp_path, "boltzmann")) == 0
     assert capsys.readouterr().out.count("time ") == 4
-    assert len(subsets) == 63
+    assert len(traces) == 21
+    assert {(keep, n - keep) for _, keep, n, _ in traces} == {(1 + k, n - k) for n in range(6) for k in range(n + 1)}
 
 
 def test_series_hermiticity_preserved():

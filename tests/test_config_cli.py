@@ -565,6 +565,23 @@ def test_cli_evolve_from_sequence_file(tmp_path):
     assert op0.n == 1
 
 
+def test_cli_evolve_rejects_a_non_invariant_boltzmann_sequence_file(tmp_path, capsys):
+    # the series reads only marginals that the twirl fixes: a Boltzmann
+    # density whose order-2 component is a raw Hermitian draw exits 2 with
+    # the order named, and writes nothing
+    from corrdyn.hilbert import ManyBodyOperator, OperatorSequence, random_hermitian, write_sequence
+
+    rng = np.random.default_rng(18)
+    comps = {n: ManyBodyOperator(n, 2, random_hermitian(rng, 2**n)) for n in (1, 2)}
+    with (tmp_path / "initial.seq").open("w") as fh:
+        write_sequence(OperatorSequence(d=2, stats=Statistics.BOLTZMANN, n_max=2, f0=1.0, components=comps), fh)
+    path = write_cfg(tmp_path, MINIMAL.replace("kind = random\nseed = 3", "kind = file\npath = initial.seq"))
+    out = tmp_path / "f1.ops"
+    assert main(["evolve", str(path), "--s", "1", "--out", str(out)]) == 2
+    assert "error: boltzmann marginal component 2 is not fixed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_determinism_scenario_reports_are_byte_identical(tmp_path):
     scenario = SCENARIOS / "determinism.cfg"
     # the child process imports corrdyn from this checkout, installed or not

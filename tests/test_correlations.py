@@ -1,6 +1,7 @@
 import functools
 import gc
 import itertools
+import re
 from collections import Counter
 
 import numpy as np
@@ -43,6 +44,7 @@ from corrdyn.hilbert import (
     random_sequence,
     random_state_component,
     symmetric_isometry,
+    symmetric_state,
     symmetrize,
     symmetrizer_matrix,
     trace_norm,
@@ -69,13 +71,14 @@ def mixed_spec(seed=22, d=2):
     return InteractionSpec(d=d, one_body=random_hermitian(rng, d), potentials=pots)
 
 
-def ket_symmetric_sequence(rng, d, stats, n_max):
-    # Gaussian components, (anti)symmetric on the ket side (raw for
-    # BOLTZMANN), with a raw bra side: neither Hermitian nor exchange invariant
+def invariant_sequence(rng, d, stats, n_max):
+    # complex Gaussian components made invariant by the sampler's symmetrizing
+    # step (the twirl for BOLTZMANN, S X S for BOSE and FERMI): fixed by the
+    # two-sided group average, as the dynamics require, but not Hermitian
     comps = {}
     for n in range(1, n_max + 1):
         raw = rng.normal(size=(d**n, d**n)) + 1j * rng.normal(size=(d**n, d**n))
-        comps[n] = ManyBodyOperator(n, d, group_average(stats, raw, n, d), stats)
+        comps[n] = ManyBodyOperator(n, d, symmetric_state(raw, n, d, stats), stats)
     return CorrelationSequence(d=d, stats=stats, n_max=n_max, components=comps)
 
 
@@ -451,14 +454,20 @@ def test_rhs_free_coupling_reduces_to_drift():
 
 
 def test_rhs_rank_zero_order_is_pure_drift():
-    # Fermi at d=2, n=3 has no antisymmetric state: the projected interaction
-    # sum vanishes, and the drift stays dense on inputs that are not symmetric
-    spec = pair_spec()
+    # Fermi at d=2, n=3 has no antisymmetric state, so S g_3 S = 0: the rule
+    # rejects a nonzero order-3 component, naming it, and on the zero one it
+    # admits the interaction sum vanishes and the right-hand side is the
+    # drift of zero
+    spec, stats = pair_spec(), Statistics.FERMI
     rng = np.random.default_rng(64)
-    comps = {n: ManyBodyOperator(n, 2, random_hermitian(rng, 2**n), Statistics.FERMI) for n in (1, 2, 3)}
-    g = OperatorSequence(d=2, stats=Statistics.FERMI, n_max=3, components=comps)
-    expected = -commutator_generator(comps[3].mat, hamiltonian_matrix(3, spec), spec.hbar)
-    assert np.array_equal(von_neumann_rhs(g, 3, spec).mat, expected)
+    raw = {n: random_hermitian(rng, 2**n) for n in (1, 2, 3)}
+    comps = {n: ManyBodyOperator(n, 2, group_compress(stats, raw[n], n, 2), stats) for n in (1, 2)}
+    nonzero = {**comps, 3: ManyBodyOperator(3, 2, raw[3], stats)}
+    nonzero = OperatorSequence(d=2, stats=stats, n_max=3, components=nonzero)
+    with pytest.raises(DomainError, match="fermi correlation component 3 "):
+        von_neumann_rhs(nonzero, 3, spec)
+    g = OperatorSequence(d=2, stats=stats, n_max=3, components=comps)
+    assert not von_neumann_rhs(g, 3, spec).mat.any()
 
 
 @pytest.mark.parametrize("stats", ALL_STATS)
@@ -480,36 +489,19 @@ def test_rhs_two_particle_term_enumeration(stats):
     assert np.allclose(out.mat, drift + interaction, atol=1e-12)
 
 
-def _plan_legs(plan, spec):
-    # the plan's own member order: blocks by descending size, labels ascending
-    return plan, lambda block: tuple(sorted(block))
-
-
-def _ascending_reversed_legs(plan, spec):
-    # blocks by ascending size, each block's labels in descending order: a
-    # factor and leg order unlike the plan's, so the relabeling is general
-    types = {}
-    for members, _ in plan.types.values():
-        legs = tuple(tuple(sorted((labels[::-1] for labels in m), key=len)) for m in members)
-        phi = correlations._meeting_couplings(correlations._consecutive(legs[0]), spec, plan.n)
-        types[tuple(map(len, legs[0]))] = (legs, phi)
-    plan.types = types
-    return plan, lambda block: tuple(sorted(block, reverse=True))
-
-
 @pytest.mark.parametrize("stats", ALL_STATS, ids=str)
 @pytest.mark.parametrize(
-    "d, n, couplings", [(2, 3, (2,)), (2, 4, (2,)), (2, 4, (2, 3)), (3, 3, (2, 3)), (3, 4, (2,)), (4, 4, (2,))]
+    "d, n, couplings",
+    [(2, 3, (2,)), (2, 4, (2,)), (2, 4, (2, 3)), (3, 3, (2, 3)), (3, 4, (2,)), (4, 4, (2,)), (2, 5, (2, 3))],
 )
-@pytest.mark.parametrize("arrange", [_plan_legs, _ascending_reversed_legs], ids=["sorted", "unsorted"])
-def test_support_row_blocks_match_placed_products(stats, d, n, couplings, arrange):
-    # one Kronecker product and one coupling per block-size type, relabeled
-    # per member, gives sum_p V^T [P_p, Phi_p] as a loop placing P_p and
-    # embedding every support that meets each block of p; the factors are
-    # not symmetric, so a wrong leg order shows, and the members with an odd
-    # leg permutation (such as ((1, 3), (2,)) of type (2, 1)) test the Fermi
-    # sign.  ``arrange`` may regroup the members in another factor and leg
-    # order, which the class term must follow as well
+def test_support_row_blocks_match_placed_products(stats, d, n, couplings):
+    # one term per block-size type, |class| times one Kronecker product and
+    # one coupling on consecutive labels, finished by one twirl (BOLTZMANN)
+    # or one compression (BOSE, FERMI), gives sum_p V^T [P_p, Phi_p] as a
+    # loop placing P_p and embedding every support that meets each block of
+    # p; the factors are invariant but not Hermitian, and the members with an
+    # odd leg permutation (such as ((1, 3), (2,)) of type (2, 1)) carry the
+    # Fermi sign in the loop
     rng = np.random.default_rng(76)
     pots = {k: permutation_average(random_hermitian(rng, d**k), k, d) for k in couplings}
     spec = InteractionSpec(d=d, one_body=random_hermitian(rng, d), potentials=pots, hbar=0.7)
@@ -520,17 +512,16 @@ def test_support_row_blocks_match_placed_products(stats, d, n, couplings, arrang
     if not plan.types:
         return
     if n == 4:
-        assert len(plan.types[(2, 2)][0]) == 3  # a type with tied sizes
-    assert any(correlations._relabelings(members, n, d)[1].any() for members, _ in plan.types.values())
-    plan, leg_order = arrange(plan, spec)
+        assert plan.types[(2, 2)][0] == 3  # a type with tied sizes
     side = d**n
-    comps = {k: rng.normal(size=(d**k, d**k)) + 1j * rng.normal(size=(d**k, d**k)) for k in range(1, n)}
+    g = invariant_sequence(rng, d, stats, n - 1)
+    comps = {k: op.mat for k, op in g.components.items()}
     got = plan.interaction(comps)
     v = symmetric_isometry(stats, n, d)
     vt = np.eye(side) if v is None else v.T
     expected = np.zeros((rank, side), dtype=np.complex128)
     for p in set_partitions(range(1, n + 1))[1:]:
-        product = place_product([(comps[len(b)], leg_order(b)) for b in p.blocks], n, d)
+        product = place_product([(comps[len(b)], tuple(sorted(b))) for b in p.blocks], n, d)
         phi = sum(
             (
                 embed_matrix(pots[k], z, n, d)
@@ -544,33 +535,19 @@ def test_support_row_blocks_match_placed_products(stats, d, n, couplings, arrang
     assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
 
 
-def test_boltzmann_layouts_keep_one_row_per_member():
-    # the BOLTZMANN class term gathers both legs by broadcasting one m x side
-    # map; a flat two-sided index (m x side^2 per class) took 47.7 MB here
-    d, n = 2, 7
-    rng = np.random.default_rng(78)
-    pots = {k: permutation_average(random_hermitian(rng, d**k), k, d) for k in (2, 3)}
-    spec = InteractionSpec(d=d, one_body=random_hermitian(rng, d), potentials=pots)
-    plan = correlations._OrderPlan(n, Statistics.BOLTZMANN, EvolutionCache(spec))
-    assert plan.types
-    for sizes, (members, phi) in plan.types.items():
-        arrays = [x for x in plan._layouts[sizes] if isinstance(x, np.ndarray) and x is not phi]
-        assert [x.shape for x in arrays] == [(len(members), d**n)]
-
-
 def test_generic_order_places_no_product(monkeypatch):
     # d=4 Fermi, n_max=4: orders 2-4 run the generic plan (order 4, side 256,
     # reaches 7 partitions of the block-size types (3, 1) and (2, 2)), and
     # no step places a Kronecker product or embeds a matrix: the class term
     # applies each type's factors leg by leg, and the Hamiltonian and the
     # couplings are added on their reached entries.  The components are
-    # ket-side antisymmetric, as the integrator requires, and raw on the bra
-    # side
+    # fixed by the two-sided group average, as the integrator requires, and
+    # not Hermitian
     d, n_max = 4, 4
     rng = np.random.default_rng(77)
     pots = {2: permutation_average(random_hermitian(rng, d**2), 2, d)}
     spec = InteractionSpec(d=d, one_body=random_hermitian(rng, d), potentials=pots)
-    g0 = ket_symmetric_sequence(rng, d, Statistics.FERMI, n_max)
+    g0 = invariant_sequence(rng, d, Statistics.FERMI, n_max)
     calls = Counter()
 
     def counting(name, function):
@@ -716,15 +693,13 @@ def _partition_loop_generalized_rhs(g, cluster, spec):
 def test_generalized_rhs_matches_partition_loop(stats, d, n_max, couplings, raw):
     # the product rule on the exponential formula gives the interaction sum
     # over the partitions of the cluster elements, on canonical and on
-    # reordered or paired cluster sets, for data symmetric or not
+    # reordered or paired cluster sets, for the correlations of a state and
+    # for raw complex Gaussian draws made invariant (not Hermitian)
     rng = np.random.default_rng(78)
     pots = {k: permutation_average(random_hermitian(rng, d**k), k, d) for k in couplings}
     spec = InteractionSpec(d=d, one_body=random_hermitian(rng, d), potentials=pots, hbar=0.7)
     if raw:
-        shapes = {n: (d**n, d**n) for n in range(1, n_max + 1)}
-        mats = {n: rng.normal(size=sh) + 1j * rng.normal(size=sh) for n, sh in shapes.items()}
-        comps = {n: ManyBodyOperator(n, d, mat, stats) for n, mat in mats.items()}
-        g = OperatorSequence(d=d, stats=stats, n_max=n_max, components=comps)
+        g = invariant_sequence(rng, d, stats, n_max)
     else:
         g = density_to_correlations(random_sequence(rng, d, stats, n_max))
     clusters = [ClusterSet.canonical(s, m - s) for m in range(1, n_max + 1) for s in range(1, m + 1)]
@@ -857,7 +832,7 @@ def test_integrate_matches_reference_rk4(stats, d, n_max, couplings, generic, mo
     rng = np.random.default_rng(74)
     pots = {k: permutation_average(random_hermitian(rng, d**k), k, d) for k in couplings}
     spec = InteractionSpec(d=d, one_body=random_hermitian(rng, d), potentials=pots)
-    g0 = ket_symmetric_sequence(rng, d, stats, n_max)
+    g0 = invariant_sequence(rng, d, stats, n_max)
     expected, diverged = reference_rk4(g0, 0.1, 3, spec)
     assert diverged is None
 
@@ -884,7 +859,7 @@ def test_integrate_evaluates_no_dense_drift(monkeypatch):
     rng = np.random.default_rng(81)
     pots = {2: permutation_average(random_hermitian(rng, 16), 2, 4)}
     spec = InteractionSpec(d=4, one_body=random_hermitian(rng, 4), potentials=pots)
-    g0 = ket_symmetric_sequence(rng, 4, Statistics.FERMI, 4)
+    g0 = invariant_sequence(rng, 4, Statistics.FERMI, 4)
     expected, _ = reference_rk4(g0, 0.1, 1, spec)
 
     def refuse(*args, **kwargs):
@@ -898,35 +873,84 @@ def test_integrate_evaluates_no_dense_drift(monkeypatch):
 
 @pytest.mark.parametrize("stats", QUANTUM, ids=str)
 def test_integrate_rejects_components_outside_the_group_average_range(stats):
-    # a raw order-2 component is not (anti)symmetric on the ket side; the
-    # error names the order and the relative defect max |g - S g|
+    # a raw order-2 component is not fixed by the two-sided group average;
+    # the error names the order and the relative defect max |g - S g S|
     d, n_max = 3, 3
     rng = np.random.default_rng(82)
-    g0 = ket_symmetric_sequence(rng, d, stats, n_max)
+    g0 = invariant_sequence(rng, d, stats, n_max)
     raw = rng.normal(size=(d**2, d**2)) + 1j * rng.normal(size=(d**2, d**2))
     comps = {**g0.components, 2: ManyBodyOperator(2, d, raw, stats)}
     g0 = CorrelationSequence(d=d, stats=stats, n_max=n_max, components=comps)
-    defect = np.abs(raw - group_average(stats, raw, 2, d)).max() / max(1.0, np.abs(raw).max())
-    with pytest.raises(DomainError, match=f"component 2 .* = {defect:.3e}$"):
+    defect = np.abs(raw - group_compress(stats, raw, 2, d)).max() / max(1.0, np.abs(raw).max())
+    with pytest.raises(DomainError, match="component 2 .* = " + re.escape(f"{defect:.3e}") + "$"):
         integrate_hierarchy(g0, 0.1, 1, mixed_spec(d=d))
 
 
 @pytest.mark.parametrize("stats", QUANTUM, ids=str)
-def test_integrate_accepts_ket_symmetric_data_with_any_bra_side(stats):
-    # the domain is S_n g_n = g_n alone: neither Hermiticity nor a symmetric
-    # bra side is required
+def test_integrate_rejects_ket_symmetric_data_with_a_raw_bra_side(stats):
+    # S g = g alone is not the domain: a component (anti)symmetric on the ket
+    # side only is off S g S, and the error names its order and the defect
     d, n_max = 3, 3
     rng = np.random.default_rng(83)
-    g0 = ket_symmetric_sequence(rng, d, stats, n_max)
-    for n in (2, 3):
-        mat = g0.component(n).mat
-        assert np.abs(mat - mat.conj().T).max() > 0.1
-        assert np.abs(mat - group_average(stats, mat.T, n, d).T).max() > 0.1
-    spec = mixed_spec(d=d)
-    expected, _ = reference_rk4(g0, 0.1, 2, spec)
-    out = integrate_hierarchy(g0, 0.1, 2, spec)
+    comps = {}
     for n in range(1, n_max + 1):
-        assert np.linalg.norm(out.component(n).mat - expected[n]) <= 1e-13 * np.linalg.norm(expected[n])
+        raw = rng.normal(size=(d**n, d**n)) + 1j * rng.normal(size=(d**n, d**n))
+        comps[n] = ManyBodyOperator(n, d, group_average(stats, raw, n, d), stats)
+    g0 = CorrelationSequence(d=d, stats=stats, n_max=n_max, components=comps)
+    mat = comps[2].mat
+    defect = np.abs(mat - group_compress(stats, mat, 2, d)).max() / max(1.0, np.abs(mat).max())
+    assert defect > 0.1
+    with pytest.raises(DomainError, match="component 2 .* = " + re.escape(f"{defect:.3e}") + "$"):
+        integrate_hierarchy(g0, 0.1, 2, mixed_spec(d=d))
+
+
+@pytest.mark.parametrize("stats", ALL_STATS, ids=str)
+def test_integrate_keeps_components_fixed_by_the_group_average(stats):
+    # the hierarchy keeps the domain of its entries: after 50 steps the
+    # components still pass the one rule, so they can be handed on to any
+    # entry of the dynamics
+    d, n_max = 2, 4
+    rng = np.random.default_rng(85)
+    g0 = invariant_sequence(rng, d, stats, n_max)
+    spec = mixed_spec(d=d)
+    out = integrate_hierarchy(g0, 0.5, 50, spec)
+    for n in range(1, n_max + 1):
+        hilbert.range_compress(out.component(n), "correlation")
+    assert integrate_hierarchy(out, 0.1, 2, spec).n_max == n_max
+
+
+_ENTRIES = {
+    "von_neumann_rhs": lambda g, spec: von_neumann_rhs(g, 3, spec),
+    "generalized_rhs": lambda g, spec: generalized_rhs(g, ClusterSet.canonical(2, 1), spec),
+    "integrate_hierarchy": lambda g, spec: integrate_hierarchy(g, 0.1, 1, spec),
+    "BBGKYSeries": lambda g, spec: bbgky.BBGKYSeries(g, 1, EvolutionCache(spec)),
+}
+
+
+@pytest.mark.parametrize("stats", ALL_STATS, ids=str)
+@pytest.mark.parametrize("entry", list(_ENTRIES))
+def test_dynamics_reject_components_the_group_average_does_not_fix(entry, stats):
+    # the one domain rule at each entry of the dynamics: an invariant
+    # sequence whose order-2 component is a raw complex draw, untwirled for
+    # BOLTZMANN and off S g S for BOSE and FERMI, is rejected, and the error
+    # names order 2 and the defect
+    d, n_max = 3, 3
+    rng = np.random.default_rng(84)
+    g = invariant_sequence(rng, d, stats, n_max)
+    raw = rng.normal(size=(d**2, d**2)) + 1j * rng.normal(size=(d**2, d**2))
+    if stats is Statistics.BOLTZMANN:
+        image, fixed = "P M P^T", hilbert.permutation_conjugate(hilbert.Permutation.transposition(2, 1, 2), raw, d)
+    else:
+        image, fixed = "S M S", group_compress(stats, raw, 2, d)
+    defect = np.abs(raw - fixed).max() / max(1.0, np.abs(raw).max())
+    comps = {**g.components, 2: ManyBodyOperator(2, d, raw, stats)}
+    if entry == "BBGKYSeries":
+        bad, what = bbgky.MarginalSequence(d=d, stats=stats, n_max=n_max, components=comps), "marginal"
+    else:
+        bad, what = CorrelationSequence(d=d, stats=stats, n_max=n_max, components=comps), "correlation"
+    message = f"{stats} {what} component 2 .*" + re.escape(f"|M - {image}| = {defect:.3e}") + "$"
+    with pytest.raises(DomainError, match=message):
+        _ENTRIES[entry](bad, mixed_spec(d=d))
 
 
 def test_integrate_reports_divergence_step():

@@ -416,33 +416,34 @@ def test_traced_lift_is_lift_then_partial_trace(stats, d, n):
             assert np.abs(out - expected).max(initial=0.0) <= 1e-13 * max(1.0, np.abs(k).max(initial=0.0))
 
 
-def _defect_message(stats, image, defect):
-    """The end of ``range_compress``'s error for an order-2 "test" component."""
-    return f"{stats} test component 2 .*" + re.escape(f"|M - {image}| = {defect:.3e}") + "$"
-
-
-@pytest.mark.parametrize("stats", [Statistics.BOSE, Statistics.FERMI], ids=str)
-def test_range_compress_checks_one_or_both_sides(stats):
-    d, n = 3, 2
+@pytest.mark.parametrize("stats", list(Statistics), ids=str)
+def test_range_compress_checks_the_two_sided_group_average(stats):
+    # the one domain rule: the statistics' two-sided group average fixes M.
+    # A fixed component compresses to V^T M V (M itself for BOLTZMANN); for
+    # BOSE and FERMI a ket-side image S M, raw on the bra side, is off S M S,
+    # and for BOLTZMANN a raw draw is off its conjugates by the adjacent
+    # transpositions, which generate the twirl's group
+    d, n = 3, 3
     rng = np.random.default_rng(3)
     raw = rng.standard_normal((d**n, d**n)) + 1j * rng.standard_normal((d**n, d**n))
+    fixed = ManyBodyOperator(n, d, hilbert.symmetric_state(raw, n, d, stats), stats)
     v = symmetric_isometry(stats, n, d)
-    ket = ManyBodyOperator(n, d, group_average(stats, raw, n, d), stats)
-    both = ManyBodyOperator(n, d, group_compress(stats, raw, n, d), stats)
-    # the rows V^T M on the ket side, V^T M V on both sides
-    assert np.array_equal(range_compress(ket, "test", two_sided=False), v.T @ ket.mat)
-    assert np.array_equal(range_compress(both, "test", two_sided=True), v.T @ both.mat @ v)
-    # a ket-side image has a raw bra side, which only the two-sided check sees
-    defect = np.abs(ket.mat - both.mat).max() / max(1.0, np.abs(ket.mat).max())
-    with pytest.raises(DomainError, match=_defect_message(stats, "S M S", defect)):
-        range_compress(ket, "test", two_sided=True)
-    defect = np.abs(raw - ket.mat).max() / max(1.0, np.abs(raw).max())
-    with pytest.raises(DomainError, match=_defect_message(stats, "S M", defect)):
-        range_compress(ManyBodyOperator(n, d, raw, stats), "test", two_sided=False)
-    # identity averages take anything
-    assert np.array_equal(range_compress(ManyBodyOperator(n, d, raw), "test", two_sided=True), raw)
+    assert np.array_equal(range_compress(fixed, "test"), fixed.mat if v is None else v.T @ fixed.mat @ v)
+    if v is None:
+        bad, image = raw, "P M P^T"
+        swaps = [permutation_conjugate(Permutation.transposition(n, j, j + 1), raw, d) for j in range(1, n)]
+        deviation = max(np.abs(raw - x).max() for x in swaps)
+    else:
+        bad, image = group_average(stats, raw, n, d), "S M S"
+        deviation = np.abs(bad - group_compress(stats, bad, n, d)).max()
+    defect = deviation / max(1.0, np.abs(bad).max())
+    assert defect > 0.1
+    message = f"{stats} test component {n} .*" + re.escape(f"|M - {image}| = {defect:.3e}") + "$"
+    with pytest.raises(DomainError, match=message):
+        range_compress(ManyBodyOperator(n, d, bad, stats), "test")
+    # one particle has nothing to exchange
     one = raw[:d, :d]
-    assert np.array_equal(range_compress(ManyBodyOperator(1, d, one, stats), "test", two_sided=True), one)
+    assert np.array_equal(range_compress(ManyBodyOperator(1, d, one, stats), "test"), one)
 
 
 def test_symmetric_isometry_is_none_for_identity_averages():
