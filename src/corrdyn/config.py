@@ -153,6 +153,8 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         raise ConfigError(f"{path}: bad [system] value: {exc}") from exc
     if d < 2:
         raise ConfigError(f"{path}: d must be >= 2, got {d}")
+    if seed < 0:
+        raise ConfigError(f"{path}: [system] seed must be >= 0, got {seed}")
     if not 1 <= n_max <= 8:
         raise ConfigError(f"{path}: n_max must lie in 1..8, got {n_max}")
     if not (np.isfinite(hbar) and hbar > 0):
@@ -192,6 +194,8 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
             init_seed = int(init_sec.get("seed", seed))
         except ValueError as exc:
             raise ConfigError(f"{path}: bad [initial] seed {init_sec.get('seed')!r}") from exc
+        if init_seed < 0:
+            raise ConfigError(f"{path}: [initial] seed must be >= 0, got {init_seed}")
         raw_positive = str(init_sec.get("positive", "true")).lower()
         if raw_positive not in parser.BOOLEAN_STATES:
             raise ConfigError(f"{path}: [initial] positive must be a boolean, got {raw_positive!r}")

@@ -81,47 +81,45 @@ Conventions fixed here once:
 
   the second since V^dagger Q_p = eps_p V^dagger, eps_p the parity sign of
   Q_p for FERMI and 1 for BOSE.  An order's sum acc is invariant too, so it
-  commutes with S = V V^dagger and V^dagger acc = (V^dagger acc V) V^dagger.
-  An order therefore takes one term per type and finishes once: for
-  BOLTZMANN acc = Twirl(sum_types |class| [K, Phi]), one coset twirl
-  (``hilbert.permutation_average``); for BOSE and FERMI
-  V^dagger acc = (sum_types |class| V^dagger [K, Phi] V) V^dagger, each
-  type's r x r term (V^dagger K)(Phi V) - (V^dagger Phi)(K V).  K is applied
-  factor by factor (``_times_kron``: X (A (x) B) is computed without
-  forming A (x) B, after Van Loan) to the rows V^dagger or Phi and, as
-  K X = (X^T K^T)^T, to the columns V or Phi.  No Kronecker product,
+  commutes with S = V V^dagger, and its image lifts to
+  V (V^dagger acc V) V^dagger = S acc S = S acc.
+  An order therefore takes one term per type and finishes once, as the
+  image V^dagger acc V: for BOLTZMANN acc = Twirl(sum_types |class| [K, Phi]),
+  one coset twirl (``hilbert.permutation_average``); for BOSE and FERMI
+  V^dagger acc V = sum_types |class| V^dagger [K, Phi] V, each type's
+  r x r term (V^dagger K)(Phi V) - (V^dagger Phi)(K V), summed as it is.
+  K is applied factor by factor (``_times_kron``: X (A (x) B) is computed
+  without forming A (x) B, after Van Loan) to the rows V^dagger or Phi and,
+  as K X = (X^T K^T)^T, to the columns V or Phi.  No Kronecker product,
   d^n x d^n product or coupling is placed per partition or per class, no
-  member is relabeled, and rank 0 costs nothing.  Phi itself is built once
-  per plan by adding each coupling on the entries its embedding reaches
-  (``hilbert.add_embedded``), as is H_n.  This class term
-  (``_OrderPlan.term``, finished by ``_OrderPlan.finish``) is the only
-  implementation of the interaction sum: ``von_neumann_rhs`` lifts it as
-  V (V^dagger acc), the integrator adds it to its rows as is, the
-  tabulated orders read their blocks off it, and ``generalized_rhs``
-  differentiates the cluster correlation by the product rule along the
-  orders' right-hand sides.
-* The drift.  ``von_neumann_rhs`` and ``generalized_rhs`` take -[g_n, H_n]
-  as one dense commutator.  On the domain of the dynamics a BOSE or FERMI
-  component satisfies S_n g_n S_n = g_n, so S_n g_n = g_n in particular,
-  and the order-n equation keeps that range.  The integrator carries the
-  rows y_n = V^dagger g_n, r x side, and since H_n commutes with S_n,
-  V^dagger [g_n, H_n] = y_n H_n - H~_n y_n with H~_n = V^dagger H_n V
-  from the plans' shared ``hamiltonian.EvolutionCache``: r x side products
-  in place of two side x side GEMMs, nothing at rank 0.  g_n = V y_n is
-  rebuilt only where a Kronecker product reads it and on output.
-* Small orders of the RK4 right-hand side are tabulated on the same rows.
+  member is relabeled, and rank 0 costs nothing.  Phi is built once per
+  plan by ``hamiltonian.add_couplings``, the one coupling sum (H_n is its
+  one-block case).  This class term (``_OrderPlan.term``, finished by
+  ``_OrderPlan.finish``) is the only implementation of the interaction sum,
+  for ``von_neumann_rhs``, the integrator, its tabulated orders and the
+  product rule of ``generalized_rhs``.
+* The drift.  Every order of the hierarchy reads and returns its rank-space
+  image K_n = V^dagger g_n V, the output of ``hilbert.range_compress``
+  (g_n itself for BOLTZMANN and n = 1).  H_n commutes with S_n, so
+  V^dagger [g_n, H_n] V = [K_n, H~_n] with H~_n = V^dagger H_n V from the
+  plans' shared ``hamiltonian.EvolutionCache``: one r x r commutator for
+  every statistics.  The integrator's state is the images; g_n =
+  V K_n V^dagger (``hilbert.rank_lift``) is rebuilt only where a Kronecker
+  product reads it, and ``von_neumann_rhs`` and ``generalized_rhs`` lift
+  an order's result once.
+* Small orders of the RK4 right-hand side are tabulated on the same images.
   With row-major vec, vec(A X B) = (A (x) B^T) vec X, the drift is
-  (i/hbar)(I_r (x) H^T - H~ (x) I) vec y_n; a block-size type's finished
+  (i/hbar)(I_r (x) H~^T - H~ (x) I_r) vec K_n; a block-size type's finished
   term is linear in its monomial (the outer product of its raveled
   components), so its block of columns is the finished class term of the
   unit monomials, one batch: factor j runs through its unit matrices along
   batch axis j, and the C-order flattening of the batch is the monomial's
   order.  The unit matrices are not invariant, so the block is the linear
   map that agrees with the order's interaction sum on the domain, which
-  the integrator's state keeps.  The block is not lifted (it is
-  already V^dagger acc) and is multiplied by (x)_k (V_k (x) I), which maps
-  the monomial of the rows to that of the components, vec g_k =
-  (V_k (x) I) vec y_k.  Built once per ``integrate_hierarchy`` call, an
+  the integrator's state keeps.  The block is already the image
+  V^dagger acc V and is multiplied by (x)_k (V_k (x) V_k), which maps the
+  monomial of the images to that of the components, vec g_k =
+  (V_k (x) V_k) vec K_k.  Built once per ``integrate_hierarchy`` call, an
   order's block costs one GEMV per stage; ``TABULATED_MAX_ENTRIES``, counted
   in the full layout, keeps tabulation where the GEMV is faster (orders
   1-3 at d = 2, 1-2 at d = 3, order 1 at d = 4).
@@ -139,12 +137,11 @@ import numpy as np
 
 from .combinatorics import ClusterSet, block_labels, set_partitions
 from .errors import DomainError, IntegrationError, TruncationError
-from .hamiltonian import EvolutionCache, InteractionSpec, commutator_generator
+from .hamiltonian import EvolutionCache, InteractionSpec, add_couplings, commutator_generator
 from .hilbert import (
     ManyBodyOperator,
     OperatorSequence,
     Statistics,
-    add_embedded,
     group_average,
     group_compress,
     group_rank,
@@ -512,49 +509,39 @@ def _consecutive(sizes: tuple[int, ...]) -> list[tuple[int, ...]]:
     return [tuple(range(end - size + 1, end + 1)) for end, size in zip(ends, sizes)]
 
 
-def _meeting_couplings(blocks: list[tuple[int, ...]], spec: InteractionSpec, n: int) -> np.ndarray | None:
-    """Sum of the embedded k-body couplings whose support meets every block
-    (label tuples covering 1..n), or None when no support does, by k
-    ascending and then lexicographically; also the coupling of ``bbgky_rhs``."""
-    out = None
-    for k, phi in spec.potentials.items():
-        for z in itertools.combinations(range(1, n + 1), k):
-            if all(set(b).intersection(z) for b in blocks):
-                if out is None:
-                    out = np.zeros((spec.d**n, spec.d**n), dtype=np.complex128)
-                add_embedded(out, phi, z, n, spec.d)
-    return out
-
-
 class _OrderPlan:
-    """Right-hand side of hierarchy order n on component matrices (orders
-    <= n) that the group average fixes (``hilbert.range_compress``), with
-    V (``symmetric_isometry``, rank r) and the classes built once, and H_n
-    and H~_n = V^dagger H_n V from ``cache``.  The interaction sum is
-    V^dagger acc (acc when V is None), acc = (i/hbar) sum_p [P_p, Phi_p]
+    """Right-hand side of hierarchy order n in the rank space of the group
+    average: K'_n = V^dagger g'_n V from the image K_n = V^dagger g_n V of a
+    component that the group average fixes (``hilbert.range_compress``; g_n
+    itself where V is None) and the lower components, with V
+    (``symmetric_isometry``, rank r), H~_n = V^dagger H_n V from ``cache``
+    and the classes built once.  The interaction sum is
+    V^dagger acc V (acc when V is None), acc = (i/hbar) sum_p [P_p, Phi_p]
     over the multi-block partitions p that some coupling support reaches.
     A class is a block-size type (sizes descending): ``types`` maps it to
     its member count |class| and to Phi on the consecutive labels of K.
     ``term`` is a type's class term (module docstring) for its factor
     matrices, and ``finish`` turns the sum of an order's class terms into
-    V^dagger acc: ``interaction`` passes ``term`` the components,
+    V^dagger acc V: ``interaction`` passes ``term`` the components,
     ``_TabulatedOrders`` every factor's unit matrices as one broadcast
     batch, in the factor order of the type's monomial.  ``types`` is empty
     when no partition is reached or r is zero, and then no term need be
     evaluated."""
 
     def __init__(self, n: int, stats: Statistics, cache: EvolutionCache):
-        self.n, self.d, self.hbar, self.stats = n, cache.spec.d, cache.spec.hbar, stats
-        self.h, self.h_tilde = cache.hamiltonian(n), cache.hamiltonian(n, stats)
+        self.n, self.d, self.hbar = n, cache.spec.d, cache.spec.hbar
+        self.h_tilde = cache.hamiltonian(n, stats)
         self.v = symmetric_isometry(stats, n, self.d)
         self.rank = len(self.h_tilde)
         partitions = set_partitions(range(1, n + 1)) if self.rank else []
         counts = Counter(tuple(sorted(map(len, p.blocks), reverse=True)) for p in partitions if p.size >= 2)
         self.types: dict[tuple[int, ...], tuple[int, np.ndarray]] = {}
+        phi = None  # a buffer that no support met is still zero and serves the next type
         for sizes, count in counts.items():
-            phi = _meeting_couplings(_consecutive(sizes), cache.spec, n)
-            if phi is not None:
-                self.types[sizes] = (count, phi)
+            if phi is None:
+                phi = np.zeros((self.d**n, self.d**n), dtype=np.complex128)
+            if add_couplings(phi, _consecutive(sizes), cache.spec, n):
+                self.types[sizes], phi = (count, phi), None
 
     @cached_property
     def _layouts(self) -> dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]]:
@@ -580,34 +567,23 @@ class _OrderPlan:
         return count * (_times_kron(self.v.T, mats) @ phi_v - vt_phi @ k_v)
 
     def finish(self, terms: np.ndarray) -> np.ndarray:
-        """V^dagger acc from the sum of an order's class terms, less the
-        factor i/hbar: its twirl for BOLTZMANN, ``terms`` V^dagger for BOSE
-        and FERMI (module docstring)."""
-        return permutation_average(terms, self.n, self.d) if self.v is None else terms @ self.v.T
+        """V^dagger acc V from the sum of an order's class terms, less the
+        factor i/hbar: its twirl for BOLTZMANN, ``terms`` itself for BOSE and
+        FERMI (module docstring)."""
+        return permutation_average(terms, self.n, self.d) if self.v is None else terms
 
     def interaction(self, comps: dict[int, np.ndarray]) -> np.ndarray:
-        """V^dagger acc for the components ``comps``, one term per type."""
+        """V^dagger acc V for the components ``comps``, one term per type."""
         terms = sum(self.term(sizes, [comps[k] for k in sizes]) for sizes in self.types)
         return (1j / self.hbar) * self.finish(terms)
 
-    def __call__(self, comps: dict[int, np.ndarray]) -> np.ndarray:
-        """g'_n for components that the group average fixes."""
-        out = -commutator_generator(comps[self.n], self.h, self.hbar)
-        if self.types:
-            proj = self.interaction(comps)
-            out += proj if self.v is None else self.v @ proj
-        return out
-
-    def rows(self, y: np.ndarray, comps: dict[int, np.ndarray]) -> np.ndarray:
-        """V^dagger g'_n for a component g_n = V y in the range of S_n, given
-        its rows ``y`` and the lower components ``comps``.  H commutes with
-        S_n, so V^dagger [g_n, H] = y H - (V^dagger H V) y: the drift costs
-        r x side products, and ``interaction`` already returns V^dagger acc.
-        For V None the rows are g_n and this is ``__call__``."""
-        if self.v is None:
-            out = -commutator_generator(y, self.h, self.hbar)
-        else:
-            out = (1j / self.hbar) * (y @ self.h - self.h_tilde @ y)
+    def __call__(self, image: np.ndarray, comps: dict[int, np.ndarray]) -> np.ndarray:
+        """K'_n = V^dagger g'_n V from the image ``image`` = V^dagger g_n V
+        and the lower components ``comps``.  H_n commutes with S_n, so
+        V^dagger [g_n, H_n] V = [K_n, H~_n]: the drift is one r x r
+        commutator for every statistics, and ``interaction`` already returns
+        V^dagger acc V."""
+        out = -commutator_generator(image, self.h_tilde, self.hbar)
         if self.types:
             out += self.interaction(comps)
         return out
@@ -615,17 +591,15 @@ class _OrderPlan:
     def tabulated_entries(self) -> int:
         """Entries of this order's block of the tabulated right-hand side,
         counted in the full layout: side^2 x side^2 for the drift and for
-        each block-size type, whatever the rank of the rows."""
-        return self.h.size**2 * (1 + len(self.types))
+        each block-size type, whatever the rank of the image."""
+        return self.d ** (4 * self.n) * (1 + len(self.types))
 
 
-def _fixed_mats(g: OperatorSequence, m: int) -> dict[int, np.ndarray]:
-    """``_component_mats`` with orders 1..m checked by the dynamics' one
-    domain rule, ``hilbert.range_compress``."""
-    mats = _component_mats(g, m)
-    for n in range(1, m + 1):
-        range_compress(g.component(n), "correlation")
-    return mats
+def _images(g: OperatorSequence, m: int) -> dict[int, np.ndarray]:
+    """The rank-space images V^dagger g_n V of orders 1..m by the dynamics'
+    one domain rule, ``hilbert.range_compress``, which checks them."""
+    _require_orders(g, m)
+    return {n: range_compress(g.component(n), "correlation") for n in range(1, m + 1)}
 
 
 def von_neumann_rhs(g: OperatorSequence, n: int, spec: InteractionSpec) -> ManyBodyOperator:
@@ -638,10 +612,13 @@ def von_neumann_rhs(g: OperatorSequence, n: int, spec: InteractionSpec) -> ManyB
     matching Phi^(k) contribute zero.  For n = 1 this is just -N_1 g_1.
     The statistics' two-sided group average must fix each component of
     orders 1..n (``hilbert.range_compress``); the first that it does not fix
-    raises DomainError naming its order and the defect.
+    raises DomainError naming its order and the defect.  The plan's image
+    K'_n is lifted once, as V K'_n V^dagger (``hilbert.rank_lift``).
     """
+    images = _images(g, n)
     plan = _OrderPlan(n, g.stats, EvolutionCache(spec))
-    return ManyBodyOperator(n, spec.d, plan(_fixed_mats(g, n)), g.stats)
+    rate = plan(images[n], _component_mats(g, n))
+    return ManyBodyOperator(n, spec.d, rank_lift(g.stats, rate, n, spec.d), g.stats)
 
 
 def generalized_rhs(
@@ -659,16 +636,18 @@ def generalized_rhs(
     no undoing: they act on the ket side of label subsets Q, and the outer
     average absorbs them, S_m (S_Q (x) I) = S_m.  The components of orders
     1..|X| must be fixed by the two-sided group average, as for
-    ``von_neumann_rhs``.
+    ``von_neumann_rhs``, and each order's rate is lifted from its image.
     """
     labels = cluster.declusterize()
     m, d = len(labels), g.d
     if tuple(sorted(labels)) != tuple(range(1, m + 1)):
         raise DomainError("cluster set must flatten to labels 1..s+n")
     local, _ = _relabeled(tuple(el.labels for el in cluster.elements))
-    mats = _fixed_mats(g, m)
+    images = _images(g, m)
+    mats = _component_mats(g, m)
     cache = EvolutionCache(spec)
-    rates = {n: _OrderPlan(n, g.stats, cache)(mats) for n in range(1, m + 1)}
+    plans = [_OrderPlan(n, g.stats, cache) for n in range(1, m + 1)]
+    rates = {p.n: rank_lift(g.stats, p(images[p.n], mats), p.n, d) for p in plans}
     singletons = [tuple((l,) for l in range(1, k + 1)) for k in range(1, m + 1)]
     memo, memo_rates = {q: mats[len(q)] for q in singletons}, {q: rates[len(q)] for q in singletons}
     whole = {} if local in memo else _reconstructions(mats, m, d, {})  # all singletons: C' = g'_m
@@ -683,31 +662,32 @@ def generalized_rhs(
 
 #: Largest block, side^2 x side^2 (1 + T_n) entries, that an order's
 #: right-hand side is tabulated in (T_n its block-size types).  The count is
-#: taken in the full layout, not on the rows y_n = V^dagger g_n the state
-#: carries, so the rank does not move an order across it.  Per evaluation
-#: of one order (Bose, two-body coupling, one BLAS thread, 2-vCPU x86 host;
-#: the order's share of the GEMV against ``_OrderPlan.rows``), the GEMV wins
-#: up to here (side 4, 8 and 9: 2.4-7.8 us against 32-55 us for the
-#: generic plan) and still at side 16 (d = 4 and d = 2: 34-39 and 23-24 us
-#: against 68-69 and 65-104 us), which this bound leaves generic; it loses
-#: at side 27 (221-238 us against 52-99 us).
+#: taken in the full layout, not on the images K_n = V^dagger g_n V the
+#: state carries, so the rank does not move an order across it.  Per
+#: evaluation of one order (Bose, two-body coupling, one BLAS thread, 2-vCPU
+#: x86 host; the order's share of the GEMV against the generic plan, then on
+#: the rows V^dagger g_n), the GEMV wins up to here (side 4, 8 and 9:
+#: 2.4-7.8 us against 32-55 us) and still at side 16 (d = 4 and d = 2:
+#: 34-39 and 23-24 us against 68-69 and 65-104 us), which this bound leaves
+#: generic; it loses at side 27 (221-238 us against 52-99 us).
 TABULATED_MAX_ENTRIES = 2**14
 
 
 class _TabulatedOrders:
     """Right-hand side of orders 1..m as one matrix W on the flat state of
-    rows y_n = V_n^dagger g_n (g_n itself where V_n is None).
+    images K_n = V_n^dagger g_n V_n (g_n itself where V_n is None).
 
-    Row block n of W holds the drift (i/hbar)(I_r (x) H^T - H~ (x) I) on
-    vec y_n, H~ = V^dagger H V, and, per block-size type lambda of order n,
-    the type's finished class term (i/hbar) ``_OrderPlan.finish(term)``
-    (V^dagger acc, so not lifted) as a linear map of its monomial, the
-    outer product of the raveled rows of sizes lambda: the term at every
-    unit monomial of the components, all columns one batch whose factor j
-    holds its unit matrices along batch axis j (shapes (N_1, 1, s_1, s_1),
-    (1, N_2, s_2, s_2), ...), times (x)_k (V_k (x) I), since
-    vec g_k = (V_k (x) I) vec y_k.  A call applies W to the flat rows of
-    orders 1..m followed by one monomial per type; the monomials of one
+    Row block n of W holds the drift (i/hbar)(I_r (x) H~^T - H~ (x) I_r) on
+    vec K_n, H~ = V^dagger H V (H itself where V is None), and, per
+    block-size type lambda of order n, the type's finished class term
+    (i/hbar) ``_OrderPlan.finish(term)`` (V^dagger acc V, the order's
+    image) as a linear map of its monomial, the outer product of the
+    raveled images of sizes lambda: the term at every unit monomial of the
+    components, all columns one batch whose factor j holds its unit
+    matrices along batch axis j (shapes (N_1, 1, s_1, s_1),
+    (1, N_2, s_2, s_2), ...), times (x)_k (V_k (x) V_k), since
+    vec g_k = (V_k (x) V_k) vec K_k.  A call applies W to the flat images
+    of orders 1..m followed by one monomial per type; the monomials of one
     degree are written by one product of gathers from the state, with
     index arrays built once.
     """
@@ -716,8 +696,8 @@ class _TabulatedOrders:
         self.length = width = bounds[len(plans)]
         blocks, types = [], []
         for plan, row in zip(plans, bounds):
-            side = plan.h.shape[0]
-            drift = np.kron(np.eye(plan.rank), plan.h.T) - np.kron(plan.h_tilde, np.eye(side))
+            side, eye = plan.d**plan.n, np.eye(plan.rank)
+            drift = np.kron(eye, plan.h_tilde.T) - np.kron(plan.h_tilde, eye)
             blocks.append((row, row, (1j / plan.hbar) * drift))
             for sizes in sorted(plan.types, reverse=True):
                 # factor j's unit matrices along batch axis j: the C-order
@@ -728,12 +708,11 @@ class _TabulatedOrders:
                     batch[j] = -1
                     units.append(np.eye(plan.d ** (2 * k)).reshape(*batch, plan.d**k, plan.d**k))
                 block = (1j / plan.hbar) * plan.finish(plan.term(sizes, units)).reshape(side**2, -1).T
-                lifts = [plans[k - 1].v for k in sizes]
-                if any(v is not None for v in lifts):
+                if plan.v is not None:  # vec g_k = (V_k (x) V_k) vec K_k, I where V_k is None
                     lift = np.ones((1, 1))
-                    for k, v in zip(sizes, lifts):
-                        eye = np.eye(plan.d**k)
-                        lift = np.kron(lift, np.kron(eye if v is None else v, eye))
+                    for k in sizes:
+                        v = plans[k - 1].v
+                        lift = np.kron(lift, np.eye(plan.d ** (2 * k)) if v is None else np.kron(v, v))
                     block = block @ lift
                 types.append((row, [(bounds[k - 1], bounds[k]) for k in sizes], block))
         # the monomials of one degree take one contiguous run of columns, so
@@ -772,51 +751,49 @@ def integrate_hierarchy(
 ) -> CorrelationSequence:
     """Classical fixed-step RK4 for the coupled correlation hierarchy.
 
-    ``steps`` uniform steps from 0 to t_final on one flat state: the ket-side
-    rows y_n = V_n^dagger g_n (r_n x d^n, V_n the ``symmetric_isometry`` of
-    the order) raveled and concatenated by order, with y_n = g_n for
-    BOLTZMANN and n = 1.  The statistics' two-sided group average must fix
-    every component of ``g0`` (``hilbert.range_compress``: S_n g_n S_n = g_n
-    for BOSE and FERMI, invariance under the twirl for BOLTZMANN); the first
-    component that it does not fix raises DomainError naming its order and
-    the defect.  The order-n equation keeps that domain, so g_n = V_n y_n
-    throughout and no drift is evaluated at side d^n x d^n.  The right-hand
-    side of order n only reads orders <= n.  The leading orders whose block
-    fits ``TABULATED_MAX_ENTRIES`` are one matrix built once per call
+    ``steps`` uniform steps from 0 to t_final on one flat state: the
+    rank-space images K_n = V_n^dagger g_n V_n (r_n x r_n, V_n the
+    ``symmetric_isometry`` of the order) of ``hilbert.range_compress``,
+    raveled and concatenated by order, with K_n = g_n for BOLTZMANN and
+    n = 1.  The statistics' two-sided group average must fix every component
+    of ``g0`` (S_n g_n S_n = g_n for BOSE and FERMI, invariance under the
+    twirl for BOLTZMANN); the first component that it does not fix raises
+    DomainError naming its order and the defect.  The order-n equation keeps
+    that domain, so g_n = V_n K_n V_n^dagger throughout, and it only reads
+    orders <= n.  The leading orders whose block fits
+    ``TABULATED_MAX_ENTRIES`` are one matrix built once per call
     (``_TabulatedOrders``), so each stage costs them one GEMV; the orders
-    above evaluate ``_OrderPlan.rows`` on views of the state, with each
-    lower component rebuilt once per stage as V_k y_k for its Kronecker
-    products.  Raises IntegrationError with the step index if values stop
-    being finite.
+    above evaluate their ``_OrderPlan`` on views of the state, with each
+    lower component lifted once per stage (``hilbert.rank_lift``) for its
+    Kronecker products.  The result is g0_n + V_n (K_n(T) - K_n(0)) V_n^dagger,
+    which is V_n K_n(T) V_n^dagger on the domain and g0 itself at t = 0.
+    Raises IntegrationError with the step index if values stop being finite.
     """
     if steps < 1:
         raise DomainError("steps must be >= 1")
-    d, n_max = g0.d, g0.n_max
-    mats = _fixed_mats(g0, n_max)
+    d, n_max, stats = g0.d, g0.n_max, g0.stats
+    images = _images(g0, n_max)
     cache = EvolutionCache(spec)
-    plans = [_OrderPlan(n, g0.stats, cache) for n in range(1, n_max + 1)]
-    y = np.concatenate([(mats[p.n] if p.v is None else p.v.T @ mats[p.n]).ravel() for p in plans])
+    plans = [_OrderPlan(n, stats, cache) for n in range(1, n_max + 1)]
+    y0 = np.concatenate([images[n].ravel() for n in range(1, n_max + 1)])
     m = next((i for i, plan in enumerate(plans) if plan.tabulated_entries() > TABULATED_MAX_ENTRIES), n_max)
-    bounds = [0, *itertools.accumulate(plan.rank * d**plan.n for plan in plans)]
+    bounds = [0, *itertools.accumulate(plan.rank**2 for plan in plans)]
     table = _TabulatedOrders(plans[:m], bounds)
 
-    def rows(state: np.ndarray, n: int) -> np.ndarray:
-        return state[bounds[n - 1]:bounds[n]].reshape(-1, d**n)
-
-    def component(state: np.ndarray, n: int) -> np.ndarray:
-        v = plans[n - 1].v
-        return rows(state, n) if v is None else v @ rows(state, n)
+    def image(state: np.ndarray, n: int) -> np.ndarray:
+        r = plans[n - 1].rank
+        return state[bounds[n - 1]:bounds[n]].reshape(r, r)
 
     def rhs(state: np.ndarray) -> np.ndarray:
         out = np.empty_like(state)
         out[:table.length] = table(state)
         if m < n_max:
-            comps = {n: component(state, n) for n in range(1, n_max)}
+            comps = {n: rank_lift(stats, image(state, n), n, d) for n in range(1, n_max)}
             for plan in plans[m:]:
-                out[bounds[plan.n - 1]:bounds[plan.n]] = plan.rows(rows(state, plan.n), comps).ravel()
+                out[bounds[plan.n - 1]:bounds[plan.n]] = plan(image(state, plan.n), comps).ravel()
         return out
 
-    h = t_final / steps
+    y, h = y0, t_final / steps
     for step in range(steps):
         k1 = rhs(y)
         k2 = rhs(y + 0.5 * h * k1)
@@ -825,5 +802,8 @@ def integrate_hierarchy(
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.isfinite(y).all():
             raise IntegrationError("hierarchy integration diverged", step)
-    comps = {n: ManyBodyOperator(n, d, component(y, n), g0.stats) for n in range(1, n_max + 1)}
-    return CorrelationSequence(d=d, stats=g0.stats, n_max=n_max, f0=0j, components=comps)
+    delta, comps = y - y0, {}
+    for n in range(1, n_max + 1):
+        mat = g0.component(n).mat + rank_lift(stats, image(delta, n), n, d)
+        comps[n] = ManyBodyOperator(n, d, mat, stats)
+    return CorrelationSequence(d=d, stats=stats, n_max=n_max, f0=0j, components=comps)

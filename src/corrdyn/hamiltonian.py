@@ -119,12 +119,22 @@ def hamiltonian_matrix(n: int, spec: InteractionSpec) -> np.ndarray:
     out = np.zeros((d**n, d**n), dtype=np.complex128)
     for i in range(1, n + 1):
         add_embedded(out, spec.one_body, (i,), n, d)
-    for k, phi in spec.potentials.items():
-        if k > n:
-            continue
-        for combo in itertools.combinations(range(1, n + 1), k):
-            add_embedded(out, phi, combo, n, d)
+    add_couplings(out, [tuple(range(1, n + 1))], spec, n)
     return out
+
+
+def add_couplings(out: np.ndarray, blocks: list[tuple[int, ...]], spec: InteractionSpec, n: int) -> bool:
+    """Add each k-body coupling whose support meets every one of ``blocks``
+    (label tuples covering 1..n) to the d^n x d^n ``out`` in place, by k
+    ascending, then lexicographically; whether any did.  One block gives
+    H_n's couplings, a partition's blocks those of the hierarchy and chain."""
+    met = False
+    for k, phi in spec.potentials.items():
+        for z in itertools.combinations(range(1, n + 1), k):
+            if all(set(b).intersection(z) for b in blocks):
+                add_embedded(out, phi, z, n, spec.d)
+                met = True
+    return met
 
 
 def build_hamiltonian(n: int, spec: InteractionSpec) -> ManyBodyOperator:

@@ -88,11 +88,13 @@ class Permutation:
     def identity(cls, n: int) -> "Permutation":
         return cls(tuple(range(1, n + 1)))
 
-    @classmethod
-    def transposition(cls, n: int, i: int, j: int) -> "Permutation":
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def transposition(n: int, i: int, j: int) -> "Permutation":
+        """The swap of i and j, built once per (n, i, j) for the twirl's gathers."""
         images = list(range(1, n + 1))
         images[i - 1], images[j - 1] = j, i
-        return cls(tuple(images))
+        return Permutation(tuple(images))
 
     @property
     def n(self) -> int:

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -387,6 +388,24 @@ def test_cli_reports_config_errors(tmp_path, capsys, text, files, command):
     argv = [command, str(write_cfg(tmp_path, text))] + (["--s", "1"] if command == "evolve" else [])
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "evolve"])
+@pytest.mark.parametrize(
+    "anchor, section",
+    [("n_max = 2\nseed = 3", "system"), ("kind = random\nseed = 3", "initial")],
+    ids=["system", "initial"],
+)
+def test_negative_seed_is_a_config_error(tmp_path, capsys, anchor, section, command):
+    # numpy's generators refuse a negative seed; the scenario is refused at
+    # load, naming the key, so neither command reaches a draw
+    path = write_cfg(tmp_path, MINIMAL.replace(anchor, anchor.replace("seed = 3", "seed = -1")))
+    with pytest.raises(ConfigError, match=re.escape(f"[{section}] seed must be >= 0, got -1")):
+        load_scenario(path)
+    argv = [command, str(path)] + (["--s", "1"] if command == "evolve" else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"[{section}] seed" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -497,11 +497,12 @@ def test_rhs_two_particle_term_enumeration(stats):
 def test_support_row_blocks_match_placed_products(stats, d, n, couplings):
     # one term per block-size type, |class| times one Kronecker product and
     # one coupling on consecutive labels, finished by one twirl (BOLTZMANN)
-    # or one compression (BOSE, FERMI), gives sum_p V^T [P_p, Phi_p] as a
-    # loop placing P_p and embedding every support that meets each block of
-    # p; the factors are invariant but not Hermitian, and the members with an
-    # odd leg permutation (such as ((1, 3), (2,)) of type (2, 1)) carry the
-    # Fermi sign in the loop
+    # or left as the r x r image (BOSE, FERMI), gives V^T acc V, and
+    # (V^T acc V) V^T is sum_p V^T [P_p, Phi_p] as a loop placing P_p and
+    # embedding every support that meets each block of p; the factors are
+    # invariant but not Hermitian, and the members with an odd leg
+    # permutation (such as ((1, 3), (2,)) of type (2, 1)) carry the Fermi
+    # sign in the loop
     rng = np.random.default_rng(76)
     pots = {k: permutation_average(random_hermitian(rng, d**k), k, d) for k in couplings}
     spec = InteractionSpec(d=d, one_body=random_hermitian(rng, d), potentials=pots, hbar=0.7)
@@ -532,7 +533,8 @@ def test_support_row_blocks_match_placed_products(stats, d, n, couplings):
             np.zeros((side, side)),
         )
         expected += (1j / spec.hbar) * vt @ (product @ phi - phi @ product)
-    assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
+    assert got.shape == (rank, rank)
+    assert np.linalg.norm(got @ vt - expected) <= 1e-13 * np.linalg.norm(expected)
 
 
 def test_generic_order_places_no_product(monkeypatch):
@@ -825,10 +827,10 @@ def reference_rk4(g0, t_final, steps, spec):
 )
 def test_integrate_matches_reference_rk4(stats, d, n_max, couplings, generic, monkeypatch):
     # the tabulated leading orders and the generic plans above them step like
-    # RK4 over the one-order right-hand side, on components that are not
-    # Hermitian: raw for BOLTZMANN, ket-side (anti)symmetric with a raw bra
-    # side for BOSE and FERMI.  Tabulated orders evaluate no drift, and no
-    # BOSE or FERMI order evaluates a dense drift commutator
+    # RK4 over the one-order right-hand side, on components that are fixed by
+    # the two-sided group average and not Hermitian.  Tabulated orders
+    # evaluate no drift, and each generic order's drift is one commutator of
+    # its r x r image, so no BOSE or FERMI order evaluates a side-d^n drift
     rng = np.random.default_rng(74)
     pots = {k: permutation_average(random_hermitian(rng, d**k), k, d) for k in couplings}
     spec = InteractionSpec(d=d, one_body=random_hermitian(rng, d), potentials=pots)
@@ -845,9 +847,9 @@ def test_integrate_matches_reference_rk4(stats, d, n_max, couplings, generic, mo
 
     monkeypatch.setattr(correlations, "commutator_generator", counting)
     out = integrate_hierarchy(g0, 0.1, 3, spec)
-    assert set(sides) == ({d**n for n in generic} if stats is Statistics.BOLTZMANN else set())
+    assert set(sides) == {group_rank(stats, n, d) for n in generic}
     for n in range(1, n_max + 1):
-        if not group_rank(stats, n, d):  # FERMI above d: the rows are empty
+        if not group_rank(stats, n, d):  # FERMI above d: the image is 0 x 0
             assert not out.component(n).mat.any()
         gap = np.linalg.norm(out.component(n).mat - expected[n])
         assert gap <= 1e-13 * np.linalg.norm(expected[n])
@@ -855,20 +857,32 @@ def test_integrate_matches_reference_rk4(stats, d, n_max, couplings, generic, mo
 
 def test_integrate_evaluates_no_dense_drift(monkeypatch):
     # d=4 Fermi n_max=4: orders 2-4 (side 16, 64, 256; rank 6, 4, 1) carry
-    # their rows V^dagger g_n, so no side-d^n drift commutator is formed
+    # their images V^dagger g_n V, so every drift commutator the integrator
+    # forms is r x r, and so is each order's drift in von_neumann_rhs and
+    # generalized_rhs, which lift the order's image once
     rng = np.random.default_rng(81)
     pots = {2: permutation_average(random_hermitian(rng, 16), 2, 4)}
     spec = InteractionSpec(d=4, one_body=random_hermitian(rng, 4), potentials=pots)
     g0 = invariant_sequence(rng, 4, Statistics.FERMI, 4)
     expected, _ = reference_rk4(g0, 0.1, 1, spec)
+    sides = []
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("dense drift commutator evaluated")
+    def recording(f, h, hbar):
+        sides.append(f.shape[0])
+        return commutator_generator(f, h, hbar)
 
-    monkeypatch.setattr(correlations, "commutator_generator", refuse)
+    monkeypatch.setattr(correlations, "commutator_generator", recording)
     out = integrate_hierarchy(g0, 0.1, 1, spec)
+    assert set(sides) == {6, 4, 1}
     for n in range(1, 5):
         assert np.linalg.norm(out.component(n).mat - expected[n]) <= 1e-13 * np.linalg.norm(expected[n])
+    for n in range(1, 5):
+        sides.clear()
+        von_neumann_rhs(g0, n, spec)
+        assert sides == [group_rank(Statistics.FERMI, n, 4)]
+    sides.clear()
+    generalized_rhs(g0, ClusterSet.canonical(2, 2), spec)
+    assert sides == [4, 6, 4, 1]
 
 
 @pytest.mark.parametrize("stats", QUANTUM, ids=str)
