@@ -170,6 +170,7 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     require_hermitian("one_body", one_body, ConfigError)
 
     potentials: dict[int, np.ndarray] = {}
+    sections: dict[int, str] = {}
     for name in parser.sections():
         if not name.startswith("potential."):
             continue
@@ -179,6 +180,8 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
             raise ConfigError(f"{path}: bad potential section name [{name}]") from exc
         if k < 2:
             raise ConfigError(f"{path}: potential order must be >= 2, got [{name}]")
+        if sections.setdefault(k, name) != name:
+            raise ConfigError(f"{path}: [{sections[k]}] and [{name}] both give the potential of order {k}")
         mat = _load_matrix(parser[name], d**k, base, f"[{name}]")
         require_hermitian(f"potential k={k}", mat, ConfigError)
         potentials[k] = mat

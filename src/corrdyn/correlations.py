@@ -40,7 +40,7 @@ Conventions fixed here once:
   give one term under the average, and by (ii) that term needs only the
   compressed factors.  With K(X) = V^dagger X V (r x r) and the maps
   W_{a,b} = (V_a (x) V_b)^dagger V_{a+b} (``_rank_map``, cached per
-  (stats, a, b, d)),
+  (stats, (a, b), d)),
 
       K(R_n)  = K(g_n) + sum_class count W^T (K(g_j) (x) K(R_{n-j})) W,
       K(C(q)) = K(R_|q|) - sum_class count W^T (K(C(q')) (x) K(R_k)) W:
@@ -86,15 +86,20 @@ Conventions fixed here once:
   An order therefore takes one term per type and finishes once, as the
   image V^dagger acc V: for BOLTZMANN acc = Twirl(sum_types |class| [K, Phi]),
   one coset twirl (``hilbert.permutation_average``); for BOSE and FERMI
-  V^dagger acc V = sum_types |class| V^dagger [K, Phi] V, each type's
-  r x r term (V^dagger K)(Phi V) - (V^dagger Phi)(K V), summed as it is.
-  K is applied factor by factor (``_times_kron``: X (A (x) B) is computed
-  without forming A (x) B, after Van Loan) to the rows V^dagger or Phi and,
-  as K X = (X^T K^T)^T, to the columns V or Phi.  No Kronecker product,
+  V^dagger acc V = sum_types |class| V^dagger [K, Phi] V, summed as it is.
+  The factors are read as their images K_k: on the domain
+  g_k = V_k K_k V_k^dagger, so K = L ((x)_k K_k) L^dagger with
+  L = (x)_k V_k over the type's sizes, and the r x r term is
+  W^T ((x)_k K_k) X - Y ((x)_k K_k) W with W = L^dagger V (``_rank_map``),
+  X = L^dagger Phi V and Y = V^dagger Phi L, built once per plan.  For
+  BOLTZMANN (L = V = I) the same formula reads X = Y = Phi and no W.
+  (x)_k K_k is applied factor by factor (``_times_kron``: X (A (x) B) is
+  computed without forming A (x) B, after Van Loan) to the rows of Y and,
+  as K X = (X^T K^T)^T, to the columns of X.  No Kronecker product,
   d^n x d^n product or coupling is placed per partition or per class, no
-  member is relabeled, and rank 0 costs nothing.  Phi is built once per
-  plan by ``hamiltonian.add_couplings``, the one coupling sum (H_n is its
-  one-block case).  This class term (``_OrderPlan.term``, finished by
+  member is relabeled, no lower order is lifted, and rank 0 costs nothing.
+  Phi is built by ``hamiltonian.add_couplings``, the one coupling sum (H_n
+  is its one-block case).  This class term (``_OrderPlan.term``, finished by
   ``_OrderPlan.finish``) is the only implementation of the interaction sum,
   for ``von_neumann_rhs``, the integrator, its tabulated orders and the
   product rule of ``generalized_rhs``.
@@ -103,26 +108,22 @@ Conventions fixed here once:
   (g_n itself for BOLTZMANN and n = 1).  H_n commutes with S_n, so
   V^dagger [g_n, H_n] V = [K_n, H~_n] with H~_n = V^dagger H_n V from the
   plans' shared ``hamiltonian.EvolutionCache``: one r x r commutator for
-  every statistics.  The integrator's state is the images; g_n =
-  V K_n V^dagger (``hilbert.rank_lift``) is rebuilt only where a Kronecker
-  product reads it, and ``von_neumann_rhs`` and ``generalized_rhs`` lift
-  an order's result once.
+  every statistics.  The integrator's state is the images, which the
+  plans read as they are; ``von_neumann_rhs`` and ``generalized_rhs`` lift
+  an order's result once (``hilbert.rank_lift``).
 * Small orders of the RK4 right-hand side are tabulated on the same images.
   With row-major vec, vec(A X B) = (A (x) B^T) vec X, the drift is
   (i/hbar)(I_r (x) H~^T - H~ (x) I_r) vec K_n; a block-size type's finished
   term is linear in its monomial (the outer product of its raveled
-  components), so its block of columns is the finished class term of the
-  unit monomials, one batch: factor j runs through its unit matrices along
-  batch axis j, and the C-order flattening of the batch is the monomial's
-  order.  The unit matrices are not invariant, so the block is the linear
-  map that agrees with the order's interaction sum on the domain, which
-  the integrator's state keeps.  The block is already the image
-  V^dagger acc V and is multiplied by (x)_k (V_k (x) V_k), which maps the
-  monomial of the images to that of the components, vec g_k =
-  (V_k (x) V_k) vec K_k.  Built once per ``integrate_hierarchy`` call, an
-  order's block costs one GEMV per stage; ``TABULATED_MAX_ENTRIES``, counted
-  in the full layout, keeps tabulation where the GEMV is faster (orders
-  1-3 at d = 2, 1-2 at d = 3, order 1 at d = 4).
+  images), so its block of columns is the finished class term of the
+  unit monomials, one batch: factor j runs through the r_k x r_k unit
+  matrices of its image along batch axis j, and the C-order flattening of
+  the batch is the monomial's order.  The block is the linear map from the
+  monomial of the images to the image V^dagger acc V that agrees with the
+  order's interaction sum on the domain, which the integrator's state
+  keeps.  Built once per ``integrate_hierarchy`` call, an order's block
+  costs one GEMV per stage; ``TABULATED_MAX_ENTRIES``, counted in the full
+  layout, tabulates orders 1-3 at d = 2, 1-2 at d = 3 and order 1 at d = 4.
 """
 
 from __future__ import annotations
@@ -130,7 +131,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -270,14 +271,13 @@ def _split_sum(
 
 
 @lru_cache(maxsize=None)
-def _rank_map(stats: Statistics, a: int, b: int, d: int) -> np.ndarray:
-    """W = (V_a (x) V_b)^dagger V_(a+b), r_a r_b x r_(a+b), with V the
-    ``symmetric_isometry`` of each order (the identity where it is None)."""
-    legs = []
-    for k in (a, b):
-        v = symmetric_isometry(stats, k, d)
-        legs.append(np.eye(d**k) if v is None else v)
-    out = np.kron(*legs).T @ symmetric_isometry(stats, a + b, d)
+def _rank_map(stats: Statistics, sizes: tuple[int, ...], d: int) -> np.ndarray:
+    """W = L^dagger V_n, prod_k r_k x r_n, with L = (x)_k V_k over the orders
+    k in ``sizes``, n their sum and V the ``symmetric_isometry`` of each
+    order (the identity where it is None), as (V_n^dagger L)^T with L
+    applied leg by leg (``_times_kron``), never formed."""
+    legs = [np.eye(d**k) if (v := symmetric_isometry(stats, k, d)) is None else v for k in sizes]
+    out = _times_kron(symmetric_isometry(stats, sum(sizes), d).T, legs).T
     out.flags.writeable = False
     return out
 
@@ -286,7 +286,7 @@ def _rank_product(a: np.ndarray, b: np.ndarray, stats: Statistics, i: int, j: in
     """Rank-space class term W^T (a (x) b) W of rank-space factors ``a`` (i
     particles) and ``b`` (j particles): V^dagger (V_i a V_i^dagger (x)
     V_j b V_j^dagger) V, with W from ``_rank_map`` (real, so W^dagger = W^T)."""
-    w = _rank_map(stats, i, j, d)
+    w = _rank_map(stats, (i, j), d)
     ra, rb = len(a), len(b)
     return w.T @ (a[:, None, :, None] * b[None, :, None, :]).reshape(ra * rb, ra * rb) @ w
 
@@ -488,18 +488,22 @@ def clusterize(g: OperatorSequence, s: int, n: int) -> ClusterCorrelation:
 
 
 def _times_kron(x: np.ndarray, mats: list[np.ndarray]) -> np.ndarray:
-    """x (mats[0] (x) mats[1] (x) ...) on the rows of ``x`` (..., rows,
-    side), without forming the Kronecker product: factor by factor, the
-    columns are viewed as (left, s, right) and the s legs multiplied by
-    the factor, one reshape and one matmul by its transpose each (Van
-    Loan, 2000).  Leading axes of the factors broadcast as batch axes."""
-    *_, rows, side = x.shape
-    right = side
+    """x (mats[0] (x) mats[1] (x) ... (x) I) on the rows of ``x`` (...,
+    rows, s_1 s_2 ... s), factor j being s_j x t_j, without forming the
+    Kronecker product: factor by factor, the columns are viewed as
+    (left, s_j, right) and the s_j legs mapped to t_j by the factor, one
+    reshape and one matmul by its transpose each (Van Loan, 2000); the
+    trailing s legs that no factor covers are left as they are.  Leading
+    axes of the factors broadcast as batch axes; a zero side gives an empty
+    result."""
+    rows, right = x.shape[-2:]
+    left = 1
     for m in mats:
-        s = m.shape[-1]
+        s, t = m.shape[-2:]
         right //= s
-        x = np.matmul(m.swapaxes(-1, -2)[..., None, :, :], x.reshape(*x.shape[:-2], -1, s, right))
-        x = x.reshape(*x.shape[:-3], rows, side)
+        x = np.matmul(m.swapaxes(-1, -2)[..., None, :, :], x.reshape(*x.shape[:-2], rows * left, s, right))
+        left *= t
+        x = x.reshape(*x.shape[:-3], rows, left * right)
     return x
 
 
@@ -511,18 +515,19 @@ def _consecutive(sizes: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 class _OrderPlan:
     """Right-hand side of hierarchy order n in the rank space of the group
-    average: K'_n = V^dagger g'_n V from the image K_n = V^dagger g_n V of a
-    component that the group average fixes (``hilbert.range_compress``; g_n
-    itself where V is None) and the lower components, with V
+    average: K'_n = V^dagger g'_n V from the images K_k = V_k^dagger g_k V_k
+    of orders k <= n, each of a component that the group average fixes
+    (``hilbert.range_compress``; g_k itself where V_k is None), with V
     (``symmetric_isometry``, rank r), H~_n = V^dagger H_n V from ``cache``
     and the classes built once.  The interaction sum is
     V^dagger acc V (acc when V is None), acc = (i/hbar) sum_p [P_p, Phi_p]
     over the multi-block partitions p that some coupling support reaches.
     A class is a block-size type (sizes descending): ``types`` maps it to
-    its member count |class| and to Phi on the consecutive labels of K.
-    ``term`` is a type's class term (module docstring) for its factor
-    matrices, and ``finish`` turns the sum of an order's class terms into
-    V^dagger acc V: ``interaction`` passes ``term`` the components,
+    its member count |class| and to (x, y, w), the (X, Y, W) of the module
+    docstring, or (Phi, Phi, None) where V is None, so that a BOSE or FERMI
+    plan keeps no side x side array.  ``term`` is a type's class term for
+    its factor images, and ``finish`` turns the sum of an order's class
+    terms into V^dagger acc V: ``interaction`` passes ``term`` the images,
     ``_TabulatedOrders`` every factor's unit matrices as one broadcast
     batch, in the factor order of the type's monomial.  ``types`` is empty
     when no partition is reached or r is zero, and then no term need be
@@ -535,36 +540,32 @@ class _OrderPlan:
         self.rank = len(self.h_tilde)
         partitions = set_partitions(range(1, n + 1)) if self.rank else []
         counts = Counter(tuple(sorted(map(len, p.blocks), reverse=True)) for p in partitions if p.size >= 2)
-        self.types: dict[tuple[int, ...], tuple[int, np.ndarray]] = {}
+        self.types: dict[tuple[int, ...], tuple[int, np.ndarray, np.ndarray, np.ndarray | None]] = {}
         phi = None  # a buffer that no support met is still zero and serves the next type
         for sizes, count in counts.items():
             if phi is None:
                 phi = np.zeros((self.d**n, self.d**n), dtype=np.complex128)
             if add_couplings(phi, _consecutive(sizes), cache.spec, n):
-                self.types[sizes], phi = (count, phi), None
-
-    @cached_property
-    def _layouts(self) -> dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]]:
-        """Per block-size type, Phi V and V^dagger Phi (BOSE and FERMI)."""
-        return {sizes: (phi @ self.v, self.v.T @ phi) for sizes, (_, phi) in self.types.items()}
+                if self.v is None:
+                    layout = (phi, phi, None)
+                else:  # V_k = I for the trailing blocks of size 1, left to _times_kron
+                    legs = [symmetric_isometry(stats, k, self.d) for k in sizes if k > 1]
+                    x, y = _times_kron(self.v.T @ phi.T, legs).T, _times_kron(self.v.T @ phi, legs)
+                    layout = (x, y, _rank_map(stats, sizes, self.d))
+                self.types[sizes], phi = (count, *layout), None
 
     def term(self, sizes: tuple[int, ...], mats: list[np.ndarray]) -> np.ndarray:
         """Type ``sizes``' class term, less the factor i/hbar: |class| [K, Phi]
-        for BOLTZMANN, |class| V^dagger [K, Phi] V =
-        |class| ((V^dagger K)(Phi V) - (V^dagger Phi)(K V)) for BOSE and
-        FERMI, K the Kronecker product of the factor matrices ``mats`` on
-        consecutive labels.  K is never formed: ``_times_kron`` applies it to
-        the rows of Phi or V^dagger, and as K X = (X^T K^T)^T to the columns
-        of Phi or V.  Leading axes of the factors are batch axes, broadcast
-        against each other."""
-        count, phi = self.types[sizes]
-        transposed = [m.swapaxes(-1, -2) for m in mats]
-        if self.v is None:
-            k_phi = _times_kron(phi.T, transposed).swapaxes(-1, -2)
-            return count * (k_phi - _times_kron(phi, mats))
-        phi_v, vt_phi = self._layouts[sizes]
-        k_v = _times_kron(self.v.T, transposed).swapaxes(-1, -2)
-        return count * (_times_kron(self.v.T, mats) @ phi_v - vt_phi @ k_v)
+        for BOLTZMANN and |class| V^dagger [K, Phi] V for BOSE and FERMI,
+        read from the factors' images ``mats`` as
+        |class| (W^T ((x)_k K_k) X - Y ((x)_k K_k) W) (module docstring).
+        ``_times_kron`` applies (x)_k K_k to the rows of y and, as
+        K X = (X^T K^T)^T, to the columns of x.  Leading axes of the factors
+        are batch axes, broadcast against each other."""
+        count, x, y, w = self.types[sizes]
+        k_x = _times_kron(x.T, [m.swapaxes(-1, -2) for m in mats]).swapaxes(-1, -2)
+        y_k = _times_kron(y, mats)
+        return count * (k_x - y_k if w is None else w.T @ k_x - y_k @ w)
 
     def finish(self, terms: np.ndarray) -> np.ndarray:
         """V^dagger acc V from the sum of an order's class terms, less the
@@ -572,20 +573,20 @@ class _OrderPlan:
         FERMI (module docstring)."""
         return permutation_average(terms, self.n, self.d) if self.v is None else terms
 
-    def interaction(self, comps: dict[int, np.ndarray]) -> np.ndarray:
-        """V^dagger acc V for the components ``comps``, one term per type."""
-        terms = sum(self.term(sizes, [comps[k] for k in sizes]) for sizes in self.types)
+    def interaction(self, images: dict[int, np.ndarray]) -> np.ndarray:
+        """V^dagger acc V for the lower images ``images``, one term per type."""
+        terms = sum(self.term(sizes, [images[k] for k in sizes]) for sizes in self.types)
         return (1j / self.hbar) * self.finish(terms)
 
-    def __call__(self, image: np.ndarray, comps: dict[int, np.ndarray]) -> np.ndarray:
+    def __call__(self, image: np.ndarray, images: dict[int, np.ndarray]) -> np.ndarray:
         """K'_n = V^dagger g'_n V from the image ``image`` = V^dagger g_n V
-        and the lower components ``comps``.  H_n commutes with S_n, so
+        and the lower images ``images``.  H_n commutes with S_n, so
         V^dagger [g_n, H_n] V = [K_n, H~_n]: the drift is one r x r
         commutator for every statistics, and ``interaction`` already returns
         V^dagger acc V."""
         out = -commutator_generator(image, self.h_tilde, self.hbar)
         if self.types:
-            out += self.interaction(comps)
+            out += self.interaction(images)
         return out
 
     def tabulated_entries(self) -> int:
@@ -617,7 +618,7 @@ def von_neumann_rhs(g: OperatorSequence, n: int, spec: InteractionSpec) -> ManyB
     """
     images = _images(g, n)
     plan = _OrderPlan(n, g.stats, EvolutionCache(spec))
-    rate = plan(images[n], _component_mats(g, n))
+    rate = plan(images[n], images)
     return ManyBodyOperator(n, spec.d, rank_lift(g.stats, rate, n, spec.d), g.stats)
 
 
@@ -647,7 +648,7 @@ def generalized_rhs(
     mats = _component_mats(g, m)
     cache = EvolutionCache(spec)
     plans = [_OrderPlan(n, g.stats, cache) for n in range(1, m + 1)]
-    rates = {p.n: rank_lift(g.stats, p(images[p.n], mats), p.n, d) for p in plans}
+    rates = {p.n: rank_lift(g.stats, p(images[p.n], images), p.n, d) for p in plans}
     singletons = [tuple((l,) for l in range(1, k + 1)) for k in range(1, m + 1)]
     memo, memo_rates = {q: mats[len(q)] for q in singletons}, {q: rates[len(q)] for q in singletons}
     whole = {} if local in memo else _reconstructions(mats, m, d, {})  # all singletons: C' = g'_m
@@ -665,11 +666,11 @@ def generalized_rhs(
 #: taken in the full layout, not on the images K_n = V^dagger g_n V the
 #: state carries, so the rank does not move an order across it.  Per
 #: evaluation of one order (Bose, two-body coupling, one BLAS thread, 2-vCPU
-#: x86 host; the order's share of the GEMV against the generic plan, then on
-#: the rows V^dagger g_n), the GEMV wins up to here (side 4, 8 and 9:
-#: 2.4-7.8 us against 32-55 us) and still at side 16 (d = 4 and d = 2:
-#: 34-39 and 23-24 us against 68-69 and 65-104 us), which this bound leaves
-#: generic; it loses at side 27 (221-238 us against 52-99 us).
+#: x86 host; the order's share of the GEMV against the generic plan, both on
+#: the images), the GEMV wins up to here (side 4, 8 and 9: 0.7-6.1 us against
+#: 27-32 us) and still at side 16 (d = 4 and d = 2: 13.5-13.7 and 3.5-3.6 us
+#: against 36.5-37.2 and 49.1-49.7 us) and side 27 (18.2-21.5 us against
+#: 39.2 us), which this bound leaves generic.
 TABULATED_MAX_ENTRIES = 2**14
 
 
@@ -683,10 +684,9 @@ class _TabulatedOrders:
     (i/hbar) ``_OrderPlan.finish(term)`` (V^dagger acc V, the order's
     image) as a linear map of its monomial, the outer product of the
     raveled images of sizes lambda: the term at every unit monomial of the
-    components, all columns one batch whose factor j holds its unit
-    matrices along batch axis j (shapes (N_1, 1, s_1, s_1),
-    (1, N_2, s_2, s_2), ...), times (x)_k (V_k (x) V_k), since
-    vec g_k = (V_k (x) V_k) vec K_k.  A call applies W to the flat images
+    images, all columns one batch whose factor j holds the r_j x r_j unit
+    matrices along batch axis j (shapes (r_1^2, 1, r_1, r_1),
+    (1, r_2^2, r_2, r_2), ...).  A call applies W to the flat images
     of orders 1..m followed by one monomial per type; the monomials of one
     degree are written by one product of gathers from the state, with
     index arrays built once.
@@ -696,7 +696,7 @@ class _TabulatedOrders:
         self.length = width = bounds[len(plans)]
         blocks, types = [], []
         for plan, row in zip(plans, bounds):
-            side, eye = plan.d**plan.n, np.eye(plan.rank)
+            eye = np.eye(plan.rank)
             drift = np.kron(eye, plan.h_tilde.T) - np.kron(plan.h_tilde, eye)
             blocks.append((row, row, (1j / plan.hbar) * drift))
             for sizes in sorted(plan.types, reverse=True):
@@ -706,14 +706,9 @@ class _TabulatedOrders:
                 for j, k in enumerate(sizes):
                     batch = [1] * len(sizes)
                     batch[j] = -1
-                    units.append(np.eye(plan.d ** (2 * k)).reshape(*batch, plan.d**k, plan.d**k))
-                block = (1j / plan.hbar) * plan.finish(plan.term(sizes, units)).reshape(side**2, -1).T
-                if plan.v is not None:  # vec g_k = (V_k (x) V_k) vec K_k, I where V_k is None
-                    lift = np.ones((1, 1))
-                    for k in sizes:
-                        v = plans[k - 1].v
-                        lift = np.kron(lift, np.eye(plan.d ** (2 * k)) if v is None else np.kron(v, v))
-                    block = block @ lift
+                    r = plans[k - 1].rank
+                    units.append(np.eye(r**2).reshape(*batch, r, r))
+                block = (1j / plan.hbar) * plan.finish(plan.term(sizes, units)).reshape(-1, plan.rank**2).T
                 types.append((row, [(bounds[k - 1], bounds[k]) for k in sizes], block))
         # the monomials of one degree take one contiguous run of columns, so
         # that a call writes them all with one product of gathered factors
@@ -763,10 +758,9 @@ def integrate_hierarchy(
     orders <= n.  The leading orders whose block fits
     ``TABULATED_MAX_ENTRIES`` are one matrix built once per call
     (``_TabulatedOrders``), so each stage costs them one GEMV; the orders
-    above evaluate their ``_OrderPlan`` on views of the state, with each
-    lower component lifted once per stage (``hilbert.rank_lift``) for its
-    Kronecker products.  The result is g0_n + V_n (K_n(T) - K_n(0)) V_n^dagger,
-    which is V_n K_n(T) V_n^dagger on the domain and g0 itself at t = 0.
+    above evaluate their ``_OrderPlan`` on views of the state, and only the
+    result g0_n + V_n (K_n(T) - K_n(0)) V_n^dagger is lifted: it is
+    V_n K_n(T) V_n^dagger on the domain and g0 itself at t = 0.
     Raises IntegrationError with the step index if values stop being finite.
     """
     if steps < 1:
@@ -788,9 +782,9 @@ def integrate_hierarchy(
         out = np.empty_like(state)
         out[:table.length] = table(state)
         if m < n_max:
-            comps = {n: rank_lift(stats, image(state, n), n, d) for n in range(1, n_max)}
+            images = {n: image(state, n) for n in range(1, n_max)}
             for plan in plans[m:]:
-                out[bounds[plan.n - 1]:bounds[plan.n]] = plan(image(state, plan.n), comps).ravel()
+                out[bounds[plan.n - 1]:bounds[plan.n]] = plan(image(state, plan.n), images).ravel()
         return out
 
     y, h = y0, t_final / steps

@@ -408,6 +408,25 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys, anchor, section, comm
     assert err.startswith("error: ") and f"[{section}] seed" in err and "Traceback" not in err
 
 
+def potential_section(name: str) -> str:
+    rows = "".join("\n    " + " ".join("0+0j" for _ in range(4)) for _ in range(4))
+    return f"\n[{name}]\nrows ={rows}\n"
+
+
+@pytest.mark.parametrize("command", ["check", "evolve"])
+@pytest.mark.parametrize("duplicate", ["potential.02", "potential.+2"])
+def test_duplicate_coupling_order_is_a_config_error(tmp_path, capsys, duplicate, command):
+    # both sections parse as k = 2, so the later one would silently replace
+    # the earlier; the scenario is refused at load, naming both sections
+    path = write_cfg(tmp_path, MINIMAL + potential_section("potential.2") + potential_section(duplicate))
+    with pytest.raises(ConfigError, match=re.escape(f"[potential.2] and [{duplicate}] both give the potential of order 2")):
+        load_scenario(path)
+    argv = [command, str(path)] + (["--s", "1"] if command == "evolve" else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"[{duplicate}]" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "case",
     [

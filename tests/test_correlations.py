@@ -43,6 +43,7 @@ from corrdyn.hilbert import (
     random_hermitian,
     random_sequence,
     random_state_component,
+    rank_compress,
     symmetric_isometry,
     symmetric_state,
     symmetrize,
@@ -517,7 +518,7 @@ def test_support_row_blocks_match_placed_products(stats, d, n, couplings):
     side = d**n
     g = invariant_sequence(rng, d, stats, n - 1)
     comps = {k: op.mat for k, op in g.components.items()}
-    got = plan.interaction(comps)
+    got = plan.interaction({k: rank_compress(stats, comps[k], k, d) for k in comps})
     v = symmetric_isometry(stats, n, d)
     vt = np.eye(side) if v is None else v.T
     expected = np.zeros((rank, side), dtype=np.complex128)
@@ -542,9 +543,10 @@ def test_generic_order_places_no_product(monkeypatch):
     # reaches 7 partitions of the block-size types (3, 1) and (2, 2)), and
     # no step places a Kronecker product or embeds a matrix: the class term
     # applies each type's factors leg by leg, and the Hamiltonian and the
-    # couplings are added on their reached entries.  The components are
-    # fixed by the two-sided group average, as the integrator requires, and
-    # not Hermitian
+    # couplings are added on their reached entries.  The plans read the
+    # lower orders' images as views of the state, so the only lifts
+    # V K V^T are the n_max of the result.  The components are fixed by the
+    # two-sided group average, as the integrator requires, and not Hermitian
     d, n_max = 4, 4
     rng = np.random.default_rng(77)
     pots = {2: permutation_average(random_hermitian(rng, d**2), 2, d)}
@@ -560,11 +562,12 @@ def test_generic_order_places_no_product(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(correlations, "place_product", counting("place_product", place_product))
+    monkeypatch.setattr(correlations, "rank_lift", counting("rank_lift", hilbert.rank_lift))
     for module in (hilbert, hamiltonian, correlations, bbgky):
         if hasattr(module, "embed_matrix"):
             monkeypatch.setattr(module, "embed_matrix", counting("embed_matrix", embed_matrix))
     integrate_hierarchy(g0, 0.1, 1, spec)
-    assert calls == {}
+    assert calls == {"rank_lift": n_max}
 
 
 @pytest.mark.parametrize("sides", [(2, 3), (2, 3, 4)])
@@ -590,6 +593,60 @@ def test_times_kron_matches_dense_kronecker(sides):
         factors = [b[(0,) * j + (i,) + (0,) * (len(sides) - j - 1)] for j, (b, i) in enumerate(zip(batches, index))]
         expected = x @ functools.reduce(np.kron, factors)
         assert np.abs(got[index] - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize(
+    "rows, shapes, rest",
+    [
+        (5, [(2, 3), (3, 2)], 1),
+        (4, [(4, 2), (1, 3), (2, 2)], 1),
+        (0, [(2, 3), (3, 1)], 1),
+        (3, [(2, 0), (3, 2)], 1),
+        (3, [(3, 2), (2, 0)], 1),
+        (3, [(4, 2)], 6),
+        (0, [(2, 0)], 3),
+    ],
+    ids=["square-rows", "three-factors", "zero-rows", "zero-width-first", "zero-width-last", "identity-rest", "empty-rest"],
+)
+def test_times_kron_takes_rectangular_factors(rows, shapes, rest):
+    # x (A (x) B (x) ... (x) I_rest) for s_j x t_j factors: the result is
+    # rows x prod t_j rest, empty where a side is zero
+    rng = np.random.default_rng(80)
+    x = rng.normal(size=(rows, int(np.prod([s for s, _ in shapes])) * rest)) + 0j
+    mats = [rng.normal(size=shape) + 1j * rng.normal(size=shape) for shape in shapes]
+    expected = x @ functools.reduce(np.kron, [*mats, np.eye(rest)])
+    got = correlations._times_kron(x, mats)
+    assert got.shape == expected.shape
+    assert np.abs(got - expected).max(initial=0.0) <= 1e-13 * np.abs(expected).max(initial=1.0)
+
+
+@pytest.mark.parametrize("stats", QUANTUM, ids=str)
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("sizes", [(1, 1), (2, 1), (1, 2), (2, 2), (2, 1, 1), (3, 1)], ids=str)
+def test_rank_map_matches_kronecker_of_isometries(stats, d, sizes):
+    # W = (V_a (x) V_b (x) ...)^T V_n with the identity where an order has no
+    # isometry; Fermi at d = 2 reaches rank 0, as the whole ((2, 1) and
+    # above) and as a leg ((3, 1))
+    legs = [np.eye(d**k) if (v := symmetric_isometry(stats, k, d)) is None else v for k in sizes]
+    v = symmetric_isometry(stats, sum(sizes), d)
+    expected = functools.reduce(np.kron, legs).T @ v
+    got = correlations._rank_map(stats, sizes, d)
+    assert got.shape == expected.shape == (int(np.prod([leg.shape[1] for leg in legs])), group_rank(stats, sum(sizes), d))
+    assert np.abs(got - expected).max(initial=0.0) <= 1e-14
+    if stats is Statistics.FERMI and d == 2 and sum(sizes) > 2:
+        assert got.size == 0
+
+
+@pytest.mark.parametrize("stats", QUANTUM, ids=str)
+@pytest.mark.parametrize("d, n", [(2, 3), (2, 4), (3, 3), (3, 4), (4, 4)])
+def test_quantum_plan_keeps_no_dense_coupling(stats, d, n):
+    # a Bose or Fermi plan holds each type's coupling only as its images
+    # X = L^T Phi V, Y = V^T Phi L and W = L^T V, none of them side x side
+    plan = correlations._OrderPlan(n, stats, EvolutionCache(mixed_spec(d=d)))
+    assert bool(plan.types) == (plan.rank > 0)
+    side = d**n
+    for _, *arrays in plan.types.values():
+        assert all(a.shape != (side, side) for a in arrays)
 
 
 @pytest.mark.parametrize("stats", ALL_STATS)
