@@ -128,9 +128,14 @@ def cmd_info(args: argparse.Namespace) -> int:
         terms = sum(math.comb(n, k) for k in config.potentials)
         rank = group_rank(config.stats, n, config.d)
         print(f"{n:5d}  {config.d**n:11d}  {bell_number(n):10d}  {terms:15d}  {rank:10d}")
+    # the eigensystem the run uses: H~_n for Bose and Fermi, H_n for Boltzmann
     cache = EvolutionCache(config.interaction_spec())
-    within_cap = [n for n in range(1, config.n_max + 1) if config.d**n <= config.matrix_cap]
-    print("eigh error " + " ".join(f"{cache.reconstruction_error(n):.1e}" for n in within_cap))
+    orders = [
+        n for n in range(1, config.n_max + 1)
+        if config.d**n <= config.matrix_cap and group_rank(config.stats, n, config.d)
+    ]
+    errors = " ".join(f"{cache.reconstruction_error(n, config.stats):.1e}" for n in orders)
+    print(f"eigh error {errors or 'none within matrix_cap'}")
     cap_ok = config.d**config.n_max <= config.matrix_cap
     print(f"\nmatrix cap {config.matrix_cap}: {'ok' if cap_ok else 'EXCEEDED'}")
     return 0

@@ -91,15 +91,20 @@ Conventions fixed here once:
   g_k = V_k K_k V_k^dagger, so K = L ((x)_k K_k) L^dagger with
   L = (x)_k V_k over the type's sizes, and the r x r term is
   W^T ((x)_k K_k) X - Y ((x)_k K_k) W with W = L^dagger V (``_rank_map``),
-  X = L^dagger Phi V and Y = V^dagger Phi L, built once per plan.  For
-  BOLTZMANN (L = V = I) the same formula reads X = Y = Phi and no W.
+  X = L^dagger Phi V and Y = V^dagger Phi L, built once per plan from
+  Phi V, one leg contraction on V per coupling support, with
+  Y = (conj(Phi V))^T L as Phi is Hermitian and V real.  For BOLTZMANN
+  (L = V = I) the same formula reads X = Y = Phi and no W.
   (x)_k K_k is applied factor by factor (``_times_kron``: X (A (x) B) is
   computed without forming A (x) B, after Van Loan) to the rows of Y and,
   as K X = (X^T K^T)^T, to the columns of X.  No Kronecker product,
   d^n x d^n product or coupling is placed per partition or per class, no
   member is relabeled, no lower order is lifted, and rank 0 costs nothing.
-  Phi is built by ``hamiltonian.add_couplings``, the one coupling sum (H_n
-  is its one-block case).  This class term (``_OrderPlan.term``, finished by
+  Which supports enter Phi is one rule, ``hamiltonian.coupling_supports``
+  (H_n is its one-block case): ``hamiltonian.add_couplings`` places them
+  in the dense Phi of BOLTZMANN, and ``hamiltonian.couplings_times``
+  contracts them on V's legs for BOSE and FERMI, so no d^n x d^n Phi is
+  placed there.  This class term (``_OrderPlan.term``, finished by
   ``_OrderPlan.finish``) is the only implementation of the interaction sum,
   for ``von_neumann_rhs``, the integrator, its tabulated orders and the
   product rule of ``generalized_rhs``.
@@ -107,10 +112,11 @@ Conventions fixed here once:
   image K_n = V^dagger g_n V, the output of ``hilbert.range_compress``
   (g_n itself for BOLTZMANN and n = 1).  H_n commutes with S_n, so
   V^dagger [g_n, H_n] V = [K_n, H~_n] with H~_n = V^dagger H_n V from the
-  plans' shared ``hamiltonian.EvolutionCache``: one r x r commutator for
-  every statistics.  The integrator's state is the images, which the
-  plans read as they are; ``von_neumann_rhs`` and ``generalized_rhs`` lift
-  an order's result once (``hilbert.rank_lift``).
+  plans' shared ``hamiltonian.EvolutionCache``, which builds it in rank
+  space without H_n: one r x r commutator for every statistics.  The
+  integrator's state is the images, which the plans read as they are;
+  ``von_neumann_rhs`` and ``generalized_rhs`` lift an order's result once
+  (``hilbert.rank_lift``).
 * Small orders of the RK4 right-hand side are tabulated on the same images.
   With row-major vec, vec(A X B) = (A (x) B^T) vec X, the drift is
   (i/hbar)(I_r (x) H~^T - H~ (x) I_r) vec K_n; a block-size type's finished
@@ -138,7 +144,7 @@ import numpy as np
 
 from .combinatorics import ClusterSet, block_labels, set_partitions
 from .errors import DomainError, IntegrationError, TruncationError
-from .hamiltonian import EvolutionCache, InteractionSpec, add_couplings, commutator_generator
+from .hamiltonian import EvolutionCache, InteractionSpec, add_couplings, commutator_generator, couplings_times
 from .hilbert import (
     ManyBodyOperator,
     OperatorSequence,
@@ -524,14 +530,16 @@ class _OrderPlan:
     over the multi-block partitions p that some coupling support reaches.
     A class is a block-size type (sizes descending): ``types`` maps it to
     its member count |class| and to (x, y, w), the (X, Y, W) of the module
-    docstring, or (Phi, Phi, None) where V is None, so that a BOSE or FERMI
-    plan keeps no side x side array.  ``term`` is a type's class term for
-    its factor images, and ``finish`` turns the sum of an order's class
-    terms into V^dagger acc V: ``interaction`` passes ``term`` the images,
-    ``_TabulatedOrders`` every factor's unit matrices as one broadcast
-    batch, in the factor order of the type's monomial.  ``types`` is empty
-    when no partition is reached or r is zero, and then no term need be
-    evaluated."""
+    docstring, or (Phi, Phi, None) where V is None.  A BOSE or FERMI plan
+    keeps no side x side array and builds none: X and Y come from Phi V,
+    one leg contraction on V per coupling support
+    (``hamiltonian.couplings_times``), and H~_n from the cache's rank-space
+    build.  ``term`` is a type's class term for its factor images, and
+    ``finish`` turns the sum of an order's class terms into V^dagger acc V:
+    ``interaction`` passes ``term`` the images, ``_TabulatedOrders`` every
+    factor's unit matrices as one broadcast batch, in the factor order of
+    the type's monomial.  ``types`` is empty when no partition is reached or
+    r is zero, and then no term need be evaluated."""
 
     def __init__(self, n: int, stats: Statistics, cache: EvolutionCache):
         self.n, self.d, self.hbar = n, cache.spec.d, cache.spec.hbar
@@ -541,18 +549,20 @@ class _OrderPlan:
         partitions = set_partitions(range(1, n + 1)) if self.rank else []
         counts = Counter(tuple(sorted(map(len, p.blocks), reverse=True)) for p in partitions if p.size >= 2)
         self.types: dict[tuple[int, ...], tuple[int, np.ndarray, np.ndarray, np.ndarray | None]] = {}
-        phi = None  # a buffer that no support met is still zero and serves the next type
+        phi = None  # BOLTZMANN: a buffer that no support met is still zero and serves the next type
         for sizes, count in counts.items():
-            if phi is None:
-                phi = np.zeros((self.d**n, self.d**n), dtype=np.complex128)
-            if add_couplings(phi, _consecutive(sizes), cache.spec, n):
-                if self.v is None:
-                    layout = (phi, phi, None)
-                else:  # V_k = I for the trailing blocks of size 1, left to _times_kron
-                    legs = [symmetric_isometry(stats, k, self.d) for k in sizes if k > 1]
-                    x, y = _times_kron(self.v.T @ phi.T, legs).T, _times_kron(self.v.T @ phi, legs)
-                    layout = (x, y, _rank_map(stats, sizes, self.d))
-                self.types[sizes], phi = (count, *layout), None
+            blocks = _consecutive(sizes)
+            if self.v is None:
+                if phi is None:
+                    phi = np.zeros((self.d**n, self.d**n), dtype=np.complex128)
+                if add_couplings(phi, blocks, cache.spec, n):
+                    self.types[sizes], phi = (count, phi, phi, None), None
+            elif (phi_v := couplings_times(self.v, blocks, cache.spec, n)) is not None:
+                # X = L^T (Phi V) and, Phi Hermitian and V real, Y = (Phi^T V)^T L = conj(Phi V)^T L;
+                # V_k = I for the trailing blocks of size 1, left to _times_kron
+                legs = [symmetric_isometry(stats, k, self.d) for k in sizes if k > 1]
+                x, y = _times_kron(phi_v.T, legs).T, _times_kron(phi_v.conj().T, legs)
+                self.types[sizes] = (count, x, y, _rank_map(stats, sizes, self.d))
 
     def term(self, sizes: tuple[int, ...], mats: list[np.ndarray]) -> np.ndarray:
         """Type ``sizes``' class term, less the factor i/hbar: |class| [K, Phi]

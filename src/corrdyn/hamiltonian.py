@@ -8,13 +8,14 @@ matrix, so the n-particle Hamiltonian is
 with H_0 = 0.  Evolution is unitary conjugation computed in the eigenbasis,
 cached per particle count and statistics (``EvolutionCache``: for BOSE and
 FERMI the eigensystem of H_m restricted to the range of the group
-average); the spectral route keeps the group law and trace norms exact to
-rounding.
+average, built there from the couplings without forming H_m); the spectral
+route keeps the group law and trace norms exact to rounding.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,11 +27,12 @@ from .hilbert import (
     Statistics,
     add_embedded,
     all_permutations,
+    apply_embedded,
     embed_matrix,
     permutation_conjugate,
     place_product,
-    rank_compress,
     require_hermitian,
+    symmetric_isometry,
 )
 
 
@@ -123,18 +125,60 @@ def hamiltonian_matrix(n: int, spec: InteractionSpec) -> np.ndarray:
     return out
 
 
+def coupling_supports(
+    blocks: list[tuple[int, ...]], spec: InteractionSpec, n: int
+) -> list[tuple[np.ndarray, tuple[int, ...]]]:
+    """The k-body couplings whose support meets every one of ``blocks``
+    (label tuples covering 1..n), as (Phi^(k), support) by k ascending, then
+    lexicographically.  One block gives H_n's couplings, a partition's
+    blocks those of the hierarchy and chain."""
+    return [
+        (phi, z)
+        for k, phi in spec.potentials.items()
+        for z in itertools.combinations(range(1, n + 1), k)
+        if all(set(b).intersection(z) for b in blocks)
+    ]
+
+
 def add_couplings(out: np.ndarray, blocks: list[tuple[int, ...]], spec: InteractionSpec, n: int) -> bool:
-    """Add each k-body coupling whose support meets every one of ``blocks``
-    (label tuples covering 1..n) to the d^n x d^n ``out`` in place, by k
-    ascending, then lexicographically; whether any did.  One block gives
-    H_n's couplings, a partition's blocks those of the hierarchy and chain."""
-    met = False
-    for k, phi in spec.potentials.items():
-        for z in itertools.combinations(range(1, n + 1), k):
-            if all(set(b).intersection(z) for b in blocks):
-                add_embedded(out, phi, z, n, spec.d)
-                met = True
-    return met
+    """Add the couplings of ``coupling_supports`` to the d^n x d^n ``out``
+    in place; whether there were any."""
+    supports = coupling_supports(blocks, spec, n)
+    for phi, z in supports:
+        add_embedded(out, phi, z, n, spec.d)
+    return bool(supports)
+
+
+def couplings_times(
+    v: np.ndarray, blocks: list[tuple[int, ...]], spec: InteractionSpec, n: int
+) -> np.ndarray | None:
+    """Phi v for the sum Phi of the couplings of ``coupling_supports`` and a
+    d^n x c matrix ``v``, one leg contraction per support
+    (``hilbert.apply_embedded``), with no d^n x d^n Phi; None when no
+    support meets the blocks."""
+    supports = coupling_supports(blocks, spec, n)
+    if not supports:
+        return None
+    return sum(apply_embedded(phi, z, v, n, spec.d) for phi, z in supports)
+
+
+def rank_hamiltonian(m: int, spec: InteractionSpec, v: np.ndarray) -> np.ndarray:
+    """H~_m = V^dagger H_m V for an isometry ``v`` (d^m x r, real) whose
+    columns are symmetric or antisymmetric, without forming H_m.  A leg
+    permutation P gives P V = +-V, and the couplings are exchange
+    symmetric, so every placement of a k-body term compresses alike:
+
+        H~_m = V^dagger [m (h (x) I) V + sum_k C(m, k) (Phi^(k) (x) I) V],
+
+    each (a (x) I) V one contraction on V's leading legs
+    (``hilbert.apply_embedded``), with C(m, k) the count of H_m's supports
+    of size k (``coupling_supports`` of the one block 1..m)."""
+    d = spec.d
+    hv = m * apply_embedded(spec.one_body, (1,), v, m, d)
+    sizes = Counter(len(z) for _, z in coupling_supports([tuple(range(1, m + 1))], spec, m))
+    for k, count in sizes.items():
+        hv += count * apply_embedded(spec.potentials[k], tuple(range(1, k + 1)), v, m, d)
+    return v.T @ hv
 
 
 def build_hamiltonian(n: int, spec: InteractionSpec) -> ManyBodyOperator:
@@ -187,9 +231,13 @@ class EvolutionCache:
     its eigendecomposition, cached per (m, stats), and ``propagator``
     U~_m(t), read-only, kept per (m, stats) for its last t only: a
     cumulant's blocks of one size, or a series' value and rate at one time,
-    share one build.  Where V is None (BOLTZMANN, the default, and m <= 1)
-    H~_m is the dense H_m.  A rank-0 order (FERMI m > d) has a 0 x 0 H~_m;
-    callers skip it.
+    share one build.  H~_m is built in rank space (``rank_hamiltonian``):
+    V's columns are (anti)symmetric, so every placement of a coupling
+    compresses alike and one contraction on V's leading legs per coupling
+    order gives it, with no d^m x d^m H_m.  Where V is None (BOLTZMANN, the
+    default, and m <= 1) H~_m is the dense H_m of ``hamiltonian_matrix``.
+    A rank-0 order (FERMI m > d) has a 0 x 0 H~_m; callers skip it.  The
+    side d^m is held to ``matrix_side_cap`` for every statistics.
 
     Immutable after construction apart from memoization.
     """
@@ -201,11 +249,18 @@ class EvolutionCache:
         self._last: dict[tuple[int, Statistics], tuple[float, np.ndarray]] = {}
 
     def hamiltonian(self, m: int, stats: Statistics = Statistics.BOLTZMANN) -> np.ndarray:
-        """H~_m = V^dagger H_m V for the group average of ``stats``; the
-        cached H_m itself where V is None."""
+        """H~_m = V^dagger H_m V for the group average of ``stats``, built
+        from the couplings on V's legs (``rank_hamiltonian``) with no
+        d^m x d^m H_m; the cached H_m itself where V is None.  Either way
+        the side d^m must fit ``matrix_side_cap``."""
         if (m, stats) not in self._ham:
-            h = hamiltonian_matrix(m, self.spec) if stats is Statistics.BOLTZMANN else self.hamiltonian(m)
-            self._ham[m, stats] = rank_compress(stats, h, m, self.spec.d)
+            self.spec.check_side(m)  # before V, d^m x r, is built
+            v = symmetric_isometry(stats, m, self.spec.d)
+            if v is not None:
+                h = rank_hamiltonian(m, self.spec, v)
+            else:
+                h = hamiltonian_matrix(m, self.spec) if stats is Statistics.BOLTZMANN else self.hamiltonian(m)
+            self._ham[m, stats] = h
         return self._ham[m, stats]
 
     def eigensystem(
@@ -216,12 +271,13 @@ class EvolutionCache:
             self._eig[m, stats] = (w, v)
         return self._eig[m, stats]
 
-    def reconstruction_error(self, m: int) -> float:
-        """Largest entry of W diag(w) W^dagger - H_m for the cached dense
-        eigensystem (w, W) of H_m."""
-        w, v = self.eigensystem(m)
-        h = self.hamiltonian(m)
-        return float(np.abs((v * w) @ v.conj().T - h).max())
+    def reconstruction_error(self, m: int, stats: Statistics = Statistics.BOLTZMANN) -> float:
+        """Largest entry of W diag(w) W^dagger - H~_m for the cached
+        eigensystem (w, W) of H~_m, the one the evolution of ``stats`` uses
+        (the dense H_m where V is None); 0 at rank 0."""
+        w, v = self.eigensystem(m, stats)
+        h = self.hamiltonian(m, stats)
+        return float(np.abs((v * w) @ v.conj().T - h).max(initial=0.0))
 
     def propagator(self, m: int, t: float, stats: Statistics = Statistics.BOLTZMANN) -> np.ndarray:
         """U~_m(t) = exp(-i t H~_m / hbar) via the cached eigenbasis; the

@@ -7,7 +7,9 @@ partial traces are index arithmetic on that digit decomposition.  Placing
 factors on labels as a block product is one outer product plus one cached
 axis permutation, with no d^n x d^n matrix products.  An embedding, one
 factor tensored with identity legs, is added in place on the d^(n+k)
-entries it reaches (``add_embedded``), so no identity is ever placed.
+entries it reaches (``add_embedded``), so no identity is ever placed, and
+its product with a d^n x c matrix is one contraction on the matrix's row
+legs (``apply_embedded``), so no embedding need be formed.
 
 The statistics group average S_n is represented here only, as the
 occupation-number isometry V_n with S_n = V_n V_n^dagger
@@ -280,8 +282,7 @@ def _embedding_subscripts(positions: tuple[int, ...], n: int) -> tuple[tuple[int
     matrix to its entries that an embedding at ``positions`` can reach: the
     row legs of the other particles, each tied to its column leg, then the
     row and the column legs of ``positions`` in their order."""
-    if len(set(positions)) != len(positions) or not set(positions) <= set(range(1, n + 1)):
-        raise DomainError(f"positions {positions} are not distinct labels of 1..{n}")
+    _require_positions(positions, n)
     cols = [n + p - 1 if p in positions else p - 1 for p in range(1, n + 1)]
     rest = [p - 1 for p in range(1, n + 1) if p not in positions]
     kept = [p - 1 for p in positions] + [n + p - 1 for p in positions]
@@ -299,6 +300,33 @@ def add_embedded(out: np.ndarray, a: np.ndarray, positions: tuple[int, ...], n: 
     legs, reached = _embedding_subscripts(tuple(positions), n)
     view = np.einsum(out.reshape((d,) * (2 * n)), legs, reached)
     view += np.asarray(a).reshape((d,) * (2 * len(positions)))
+
+
+def apply_embedded(a: np.ndarray, positions: tuple[int, ...], v: np.ndarray, n: int, d: int) -> np.ndarray:
+    """``embed_matrix(a, positions, n, d) @ v`` for a d^n x c matrix ``v``,
+    without forming the embedding: v's rows are viewed as n legs of d, the
+    legs at ``positions`` moved to the front and contracted with ``a`` in
+    one matmul, then moved back.  At the leading positions 1..k it is
+    ``a @ v.reshape(d^k, -1)`` reshaped back to v's shape."""
+    order, inverse = _leg_order(tuple(positions), n)
+    legs = np.asarray(v).reshape((d,) * n + (-1,)).transpose(order)
+    out = (np.asarray(a) @ legs.reshape(d ** len(positions), -1)).reshape(legs.shape)
+    return out.transpose(inverse).reshape(v.shape)
+
+
+@lru_cache(maxsize=None)
+def _leg_order(positions: tuple[int, ...], n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The axis order that moves the row legs at ``positions`` of a
+    (d,)*n + (c,) view to the front, the other axes kept in order, and its
+    inverse."""
+    _require_positions(positions, n)
+    order = (*(p - 1 for p in positions), *(i for i in range(n + 1) if i + 1 not in positions))
+    return order, tuple(int(i) for i in np.argsort(order))
+
+
+def _require_positions(positions: tuple[int, ...], n: int) -> None:
+    if len(set(positions)) != len(positions) or not set(positions) <= set(range(1, n + 1)):
+        raise DomainError(f"positions {positions} are not distinct labels of 1..{n}")
 
 
 def embed_matrix(a: np.ndarray, positions: tuple[int, ...], n: int, d: int) -> np.ndarray:

@@ -266,6 +266,27 @@ def test_cli_info_prints_eigh_error_per_order(tmp_path, capsys, cap, orders):
     assert all(0.0 <= error <= 1e-10 for error in errors)
 
 
+@pytest.mark.parametrize("stats, orders", [("bose", [1, 2, 3, 4]), ("fermi", [1, 2])])
+def test_cli_info_eigh_error_reads_the_run_eigensystem(tmp_path, capsys, stats, orders):
+    # Bose and Fermi runs diagonalize H~_n, so the line reports that
+    # eigensystem, one value per order of nonzero group rank
+    text = MINIMAL.replace("n_max = 2", "n_max = 4").replace("stats = boltzmann", f"stats = {stats}")
+    path = write_cfg(tmp_path, text + PAIR_POTENTIAL)
+    assert main(["info", str(path)]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("eigh error")]
+    cache = EvolutionCache(load_scenario(path).interaction_spec())
+    expected = [f"{cache.reconstruction_error(n, Statistics(stats)):.1e}" for n in orders]
+    assert lines == ["eigh error " + " ".join(expected)]
+
+
+def test_cli_info_eigh_error_with_no_order_within_cap(tmp_path, capsys):
+    # a cap below d leaves no order to diagonalize, and the line says so
+    text = MINIMAL.replace("n_max = 2", "n_max = 2\nmatrix_cap = 1") + PAIR_POTENTIAL
+    assert main(["info", str(write_cfg(tmp_path, text))]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("eigh error")]
+    assert lines == ["eigh error none within matrix_cap"]
+
+
 def test_run_checks_captures_numpy_errors(tmp_path, monkeypatch):
     def singular(config):
         raise np.linalg.LinAlgError("SVD did not converge")

@@ -637,16 +637,54 @@ def test_rank_map_matches_kronecker_of_isometries(stats, d, sizes):
         assert got.size == 0
 
 
+@pytest.fixture
+def dense_builds(monkeypatch):
+    """Names of the dense builders called while the fixture is active:
+    ``hamiltonian_matrix`` and ``add_embedded``, through which every
+    d^n x d^n Hamiltonian and coupling is placed."""
+    calls = []
+
+    def spy(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    spy(hamiltonian, "hamiltonian_matrix")
+    spy(hamiltonian, "add_embedded")
+    spy(hilbert, "add_embedded")
+    return calls
+
+
 @pytest.mark.parametrize("stats", QUANTUM, ids=str)
 @pytest.mark.parametrize("d, n", [(2, 3), (2, 4), (3, 3), (3, 4), (4, 4)])
-def test_quantum_plan_keeps_no_dense_coupling(stats, d, n):
+def test_quantum_plan_keeps_no_dense_coupling(stats, d, n, dense_builds):
     # a Bose or Fermi plan holds each type's coupling only as its images
-    # X = L^T Phi V, Y = V^T Phi L and W = L^T V, none of them side x side
+    # X = L^T Phi V, Y = V^T Phi L and W = L^T V, none of them side x side,
+    # and neither the plan nor H~_m (m >= 2) places a dense Hamiltonian or
+    # coupling on the way
+    cache = EvolutionCache(mixed_spec(d=d))
+    for m in range(2, n + 1):
+        cache.hamiltonian(m, stats)
     plan = correlations._OrderPlan(n, stats, EvolutionCache(mixed_spec(d=d)))
+    assert dense_builds == []
     assert bool(plan.types) == (plan.rank > 0)
     side = d**n
     for _, *arrays in plan.types.values():
         assert all(a.shape != (side, side) for a in arrays)
+
+
+@pytest.mark.parametrize("d, n", [(2, 3), (3, 3)])
+def test_boltzmann_plan_places_dense_coupling(d, n, dense_builds):
+    # where V is None the plan keeps the dense Phi and H_n
+    plan = correlations._OrderPlan(n, Statistics.BOLTZMANN, EvolutionCache(mixed_spec(d=d)))
+    assert {"hamiltonian_matrix", "add_embedded"} <= set(dense_builds)
+    side = d**n
+    for _, x, y, w in plan.types.values():
+        assert x.shape == y.shape == (side, side) and w is None
 
 
 @pytest.mark.parametrize("stats", ALL_STATS)

@@ -18,9 +18,11 @@ from corrdyn.hamiltonian import (
 from corrdyn.hilbert import (
     ManyBodyOperator,
     Statistics,
+    group_rank,
     permutation_average,
     place_product,
     random_hermitian,
+    rank_compress,
     trace_norm,
 )
 from corrdyn.oracles import loop_embed
@@ -247,6 +249,30 @@ def test_cache_reconstruction_error(two_body_spec):
     for m in (1, 2, 3):
         h = cache.hamiltonian(m)
         assert cache.reconstruction_error(m) <= 1e-10 * max(1.0, float(np.abs(h).max()))
+
+
+@pytest.mark.parametrize("stats", [Statistics.BOSE, Statistics.FERMI], ids=str)
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("couplings", [(2,), (2, 3), ()], ids=["pair", "pair+triple", "free"])
+def test_rank_hamiltonian_matches_dense_compression(stats, d, couplings):
+    # H~_m built on the isometry's legs equals V^T H_m V of the dense H_m at
+    # every order within the cap (a Fermi order above d is 0 x 0), and the
+    # cap still holds above it
+    rng = np.random.default_rng(33)
+    pots = {k: permutation_average(random_hermitian(rng, d**k), k, d) for k in couplings}
+    spec = InteractionSpec(d=d, one_body=random_hermitian(rng, d), potentials=pots, matrix_side_cap=256)
+    cache = EvolutionCache(spec)
+    top = next(m for m in itertools.count(1) if d ** (m + 1) > spec.matrix_side_cap)
+    for m in range(2, top + 1):
+        expected = rank_compress(stats, hamiltonian_matrix(m, spec), m, d)
+        got = cache.hamiltonian(m, stats)
+        rank = group_rank(stats, m, d)
+        assert got.shape == expected.shape == (rank, rank)
+        assert np.abs(got - expected).max(initial=0.0) <= 1e-14 * np.abs(expected).max(initial=0.0)
+    if stats is Statistics.FERMI and d < top:
+        assert cache.hamiltonian(d + 1, stats).shape == (0, 0)
+    with pytest.raises(ResourceCapError):
+        cache.hamiltonian(top + 1, stats)
 
 
 def test_evolve_blocks_single_block_equals_group(two_body_spec):

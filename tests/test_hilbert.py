@@ -17,6 +17,7 @@ from corrdyn.hilbert import (
     Statistics,
     add_embedded,
     all_permutations,
+    apply_embedded,
     embed_matrix,
     embed_operator,
     group_average,
@@ -215,6 +216,30 @@ def test_add_embedded_rejects_bad_positions_and_layout():
         add_embedded(out, np.eye(2), (4,), 3, 2)
     with pytest.raises(DomainError):
         add_embedded(out.T, np.eye(2), (1,), 3, 2)
+
+
+@pytest.mark.parametrize("n, d", [(1, 2), (3, 2), (4, 3), (2, 4)])
+def test_apply_embedded_matches_embedded_product(n, d):
+    # the leg contraction is the product with the embedding, for every
+    # ordered choice of distinct positions, on several columns and on none
+    rng = np.random.default_rng(41)
+    for k in range(1, min(n, 3) + 1):
+        for positions in itertools.permutations(range(1, n + 1), k):
+            a = rng.normal(size=(d**k, d**k)) + 1j * rng.normal(size=(d**k, d**k))
+            for cols in (5, 1, 0):
+                v = rng.normal(size=(d**n, cols)) + 1j * rng.normal(size=(d**n, cols))
+                expected = embed_matrix(a, positions, n, d) @ v
+                got = apply_embedded(a, positions, v, n, d)
+                assert got.shape == v.shape
+                assert np.abs(got - expected).max(initial=0.0) <= 1e-13 * np.abs(expected).max(initial=1.0)
+
+
+def test_apply_embedded_rejects_bad_positions():
+    v = np.ones((8, 2))
+    with pytest.raises(DomainError):
+        apply_embedded(np.eye(4), (2, 2), v, 3, 2)
+    with pytest.raises(DomainError):
+        apply_embedded(np.eye(2), (0,), v, 3, 2)
 
 
 def test_partial_trace_noop_and_factorized():
