@@ -81,9 +81,9 @@ from .errors import DomainError, TruncationError
 from .hamiltonian import (
     EvolutionCache,
     InteractionSpec,
-    add_couplings,
     block_propagator,
     commutator_generator,
+    couplings_times,
     hamiltonian_matrix,
 )
 from .hilbert import (
@@ -182,8 +182,9 @@ def bbgky_rhs(F: MarginalSequence, s: int, spec: InteractionSpec) -> ManyBodyOpe
 
     -N_s F_s plus, per satellite count n >= 1, the traced commutator with
     the sum over nonempty subsets Z of the kept labels of Phi^(|Z|+n)
-    coupling Z to all n satellites (``hamiltonian.add_couplings`` of the
-    blocks (1..s), (s+1,), ..., (s+n,)), weighted 1/n!.  Absent
+    coupling Z to all n satellites, weighted 1/n!: the dense Phi that
+    ``hamiltonian.couplings_times`` returns with no isometry for the blocks
+    (1..s), (s+1,), ..., (s+n,), which always meet a support here.  Absent
     couplings terminate the sum; a marginal above n_max raises TruncationError.
     """
     d = spec.d
@@ -197,8 +198,7 @@ def bbgky_rhs(F: MarginalSequence, s: int, spec: InteractionSpec) -> ManyBodyOpe
                 f"bbgky_rhs(s={s}) needs marginal order {s + n} > n_max={F.n_max}"
             )
         blocks = [tuple(range(1, s + 1)), *((l,) for l in range(s + 1, s + n + 1))]
-        coupling = np.zeros((d ** (s + n), d ** (s + n)), dtype=np.complex128)
-        add_couplings(coupling, blocks, spec, s + n)
+        coupling = couplings_times(None, blocks, spec, s + n)
         rate = commutator_generator(F.component(s + n).mat, coupling, spec.hbar)
         out -= partial_trace_matrix(rate, s, s + n, d) / math.factorial(n)
     return ManyBodyOperator(s, d, out, F.stats)

@@ -155,6 +155,8 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         raise ConfigError(f"{path}: d must be >= 2, got {d}")
     if seed < 0:
         raise ConfigError(f"{path}: [system] seed must be >= 0, got {seed}")
+    if matrix_cap < 1:
+        raise ConfigError(f"{path}: [system] matrix_cap must be >= 1, got {matrix_cap}")
     if not 1 <= n_max <= 8:
         raise ConfigError(f"{path}: n_max must lie in 1..8, got {n_max}")
     if not (np.isfinite(hbar) and hbar > 0):

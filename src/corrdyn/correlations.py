@@ -25,11 +25,11 @@ Conventions fixed here once:
 * The statistics group average is applied through the isometry V of
   ``hilbert.symmetric_isometry``.  The transform pair applies it once per
   order outside the exponential formula, one-sided
-  (``hilbert.group_average``), and ``generalized_rhs`` two-sided
-  (``hilbert.group_compress``).  The cluster correlations of the memo
-  carry the two-sided average inside the formula: for BOSE and FERMI the
-  whole recursion runs in the rank space of the average.  With S_m the
-  m-particle average, two exact identities allow it:
+  (``hilbert.group_average``).  The cluster correlations of the memo and
+  their rates in ``generalized_rhs`` carry the two-sided average inside
+  the formula: for BOSE and FERMI the whole recursion runs in the rank
+  space of the average.  With S_m the m-particle average, two exact
+  identities allow it:
 
   (i)  S P X P^T S = S X S for any leg permutation P (for FERMI the two
        parity signs cancel);
@@ -46,14 +46,14 @@ Conventions fixed here once:
       K(C(q)) = K(R_|q|) - sum_class count W^T (K(C(q')) (x) K(R_k)) W:
 
   one small product per class, no member placed, and nothing at rank 0
-  (a FERMI order above d).  A result is lifted as V K V^dagger
-  (``hilbert.rank_lift``) only where it leaves the memo, and the reduced
-  operators read it through ``hilbert.traced_lift`` without any lift at
-  side d^m.  BOLTZMANN (V = I) places every member.  In the interaction
-  sum of the hierarchy the average is applied outside the commutators;
-  applying it between the commutator and the product breaks the Bose
-  identity at three particles, while the outer placement is exact for
-  every statistics (verified numerically down to rounding).
+  (a FERMI order above d), and their rates by the product rule likewise.
+  A result is lifted as V K V^dagger (``hilbert.rank_lift``) only where
+  it leaves the memo or ``generalized_rhs``; the reduced operators read it
+  through ``hilbert.traced_lift``.  BOLTZMANN (V = I) places every member.
+  In the interaction sum of the hierarchy the average is applied outside
+  the commutators; applying it between the commutator and the product
+  breaks the Bose identity at three particles, while the outer placement
+  is exact for every statistics (verified numerically down to rounding).
 * The interaction sum is one commutator per multi-block partition.  Each
   term of the hierarchy picks a multi-block partition p and a nonempty label
   subset in every block; the subsets join into the support Z of one k-body
@@ -93,7 +93,7 @@ Conventions fixed here once:
   W^T ((x)_k K_k) X - Y ((x)_k K_k) W with W = L^dagger V (``_rank_map``),
   X = L^dagger Phi V and Y = V^dagger Phi L, built once per plan from
   Phi V, one leg contraction on V per coupling support, with
-  Y = (conj(Phi V))^T L as Phi is Hermitian and V real.  For BOLTZMANN
+  Y = X^dagger as Phi is Hermitian and L and V real.  For BOLTZMANN
   (L = V = I) the same formula reads X = Y = Phi and no W.
   (x)_k K_k is applied factor by factor (``_times_kron``: X (A (x) B) is
   computed without forming A (x) B, after Van Loan) to the rows of Y and,
@@ -101,13 +101,12 @@ Conventions fixed here once:
   d^n x d^n product or coupling is placed per partition or per class, no
   member is relabeled, no lower order is lifted, and rank 0 costs nothing.
   Which supports enter Phi is one rule, ``hamiltonian.coupling_supports``
-  (H_n is its one-block case): ``hamiltonian.add_couplings`` places them
-  in the dense Phi of BOLTZMANN, and ``hamiltonian.couplings_times``
-  contracts them on V's legs for BOSE and FERMI, so no d^n x d^n Phi is
-  placed there.  This class term (``_OrderPlan.term``, finished by
-  ``_OrderPlan.finish``) is the only implementation of the interaction sum,
-  for ``von_neumann_rhs``, the integrator, its tabulated orders and the
-  product rule of ``generalized_rhs``.
+  (H_n is its one-block case), and ``hamiltonian.couplings_times`` gives
+  Phi V for every statistics, on V's legs (no d^n x d^n Phi) for BOSE and
+  FERMI and the dense Phi where V is None.  This class term
+  (``_OrderPlan.term``, finished by ``_OrderPlan.finish``) is the only
+  implementation of the interaction sum, for the integrator, its tabulated
+  orders and the one rate path of both right-hand sides (``_rate_image``).
 * The drift.  Every order of the hierarchy reads and returns its rank-space
   image K_n = V^dagger g_n V, the output of ``hilbert.range_compress``
   (g_n itself for BOLTZMANN and n = 1).  H_n commutes with S_n, so
@@ -115,7 +114,7 @@ Conventions fixed here once:
   plans' shared ``hamiltonian.EvolutionCache``, which builds it in rank
   space without H_n: one r x r commutator for every statistics.  The
   integrator's state is the images, which the plans read as they are;
-  ``von_neumann_rhs`` and ``generalized_rhs`` lift an order's result once
+  ``von_neumann_rhs`` and ``generalized_rhs`` lift their result once
   (``hilbert.rank_lift``).
 * Small orders of the RK4 right-hand side are tabulated on the same images.
   With row-major vec, vec(A X B) = (A (x) B^T) vec X, the drift is
@@ -144,13 +143,12 @@ import numpy as np
 
 from .combinatorics import ClusterSet, block_labels, set_partitions
 from .errors import DomainError, IntegrationError, TruncationError
-from .hamiltonian import EvolutionCache, InteractionSpec, add_couplings, commutator_generator, couplings_times
+from .hamiltonian import EvolutionCache, InteractionSpec, commutator_generator, couplings_times
 from .hilbert import (
     ManyBodyOperator,
     OperatorSequence,
     Statistics,
     group_average,
-    group_compress,
     group_rank,
     permutation_average,
     place_product,
@@ -192,12 +190,6 @@ def _require_orders(seq: OperatorSequence, m: int) -> None:
     """Raise TruncationError unless orders 1..m lie within the truncation."""
     if m > seq.n_max:
         raise TruncationError(f"component {m} lies above the truncation n_max={seq.n_max}")
-
-
-def _component_mats(seq: OperatorSequence, m: int) -> dict[int, np.ndarray]:
-    """Component matrices, of which orders 1..m must lie within the truncation."""
-    _require_orders(seq, m)
-    return {n: op.mat for n, op in seq.components.items()}
 
 
 def _relabeled(elements: tuple) -> tuple[tuple, tuple[int, ...]]:
@@ -316,14 +308,15 @@ def _reconstructions(
     return whole
 
 
-def _reconstruction_rates(mats: dict, rates: dict, whole: dict, d: int) -> dict[int, np.ndarray]:
+def _reconstruction_rates(mats: dict, rates: dict, whole: dict, d: int, average: Statistics) -> dict[int, np.ndarray]:
     """Time derivatives of the reconstructions ``whole`` along the component
-    rates g'_n, by the product rule: R'_n = g'_n + split(g', R) + split(g, R')."""
+    rates g'_n, by the product rule: R'_n = g'_n + split(g', R) + split(g, R'),
+    under the two-sided ``average`` of ``_split_sum``."""
     whole_rates: dict[int, np.ndarray] = {}
     for n in whole:
         singletons = tuple((l,) for l in range(1, n + 1))
         terms = [(lambda q: rates[len(q)], whole), (lambda q: mats[len(q)], whole_rates)]
-        whole_rates[n] = rates[n] + _split_sum(singletons, terms, d)
+        whole_rates[n] = rates[n] + _split_sum(singletons, terms, d, average)
     return whole_rates
 
 
@@ -344,7 +337,7 @@ def density_to_correlations(D: OperatorSequence) -> CorrelationSequence:
     1e-12 (n_max = 7) and 2e-11 (n_max = 8) relative, so a relative 1e-12
     comparison at n_max >= 7 measures this cancellation, not a route.
     """
-    out = correlation_mats(_component_mats(D, D.n_max), D.d, D.stats)
+    out = correlation_mats({n: op.mat for n, op in D.components.items()}, D.d, D.stats)
     comps = {n: ManyBodyOperator(n, D.d, mat, D.stats) for n, mat in out.items()}
     return CorrelationSequence(d=D.d, stats=D.stats, n_max=D.n_max, f0=0j, components=comps)
 
@@ -356,7 +349,7 @@ def correlations_to_density(g: OperatorSequence) -> OperatorSequence:
     D_n = S_n R_n with R_n the reconstruction by the exponential formula;
     the scalar part is set to one (its empty-set convention).
     """
-    out = density_mats(_component_mats(g, g.n_max), g.d, g.stats)
+    out = density_mats({n: op.mat for n, op in g.components.items()}, g.d, g.stats)
     comps = {n: ManyBodyOperator(n, g.d, mat, g.stats) for n, mat in out.items()}
     return OperatorSequence(d=g.d, stats=g.stats, n_max=g.n_max, f0=1.0 + 0j, components=comps)
 
@@ -467,14 +460,18 @@ def _connected(
     return memo[q]
 
 
-def _connected_rate(q: tuple, rates: dict, memo: dict, whole: dict, whole_rates: dict, d: int) -> np.ndarray:
+def _connected_rate(
+    q: tuple, rates: dict, memo: dict, whole: dict, whole_rates: dict, d: int, average: Statistics
+) -> np.ndarray:
     """Time derivative of ``_connected`` by the product rule,
     C'(q) = R'_|q| - split(C', R) - split(C, R') with R' = ``whole_rates``
-    by size, memoized in ``rates``."""
+    by size, under the two-sided ``average`` of ``_split_sum``, memoized in
+    ``rates``."""
     if q not in rates:
-        value = partial(_connected, memo=memo, whole=whole, d=d)
-        rate = partial(_connected_rate, rates=rates, memo=memo, whole=whole, whole_rates=whole_rates, d=d)
-        rates[q] = whole_rates[sum(map(len, q))] - _split_sum(q, [(rate, whole), (value, whole_rates)], d)
+        shared = dict(memo=memo, whole=whole, d=d, average=average)
+        value = partial(_connected, **shared)
+        rate = partial(_connected_rate, rates=rates, whole_rates=whole_rates, **shared)
+        rates[q] = whole_rates[sum(map(len, q))] - _split_sum(q, [(rate, whole), (value, whole_rates)], d, average)
     return rates[q]
 
 
@@ -530,16 +527,15 @@ class _OrderPlan:
     over the multi-block partitions p that some coupling support reaches.
     A class is a block-size type (sizes descending): ``types`` maps it to
     its member count |class| and to (x, y, w), the (X, Y, W) of the module
-    docstring, or (Phi, Phi, None) where V is None.  A BOSE or FERMI plan
-    keeps no side x side array and builds none: X and Y come from Phi V,
-    one leg contraction on V per coupling support
-    (``hamiltonian.couplings_times``), and H~_n from the cache's rank-space
-    build.  ``term`` is a type's class term for its factor images, and
-    ``finish`` turns the sum of an order's class terms into V^dagger acc V:
-    ``interaction`` passes ``term`` the images, ``_TabulatedOrders`` every
-    factor's unit matrices as one broadcast batch, in the factor order of
-    the type's monomial.  ``types`` is empty when no partition is reached or
-    r is zero, and then no term need be evaluated."""
+    docstring, formed from Phi V (``hamiltonian.couplings_times``) by one
+    path: where V is None, Phi V is the dense Phi, L has no legs and w is
+    None, so (x, y) = (Phi, Phi^dagger); a BOSE or FERMI plan keeps and
+    builds no side x side array.  ``term`` is a type's class term for its
+    factor images, and ``finish`` turns the sum of an order's class terms
+    into V^dagger acc V: ``interaction`` passes ``term`` the images,
+    ``_TabulatedOrders`` every factor's unit matrices as one broadcast
+    batch, in the factor order of the type's monomial.  ``types`` is empty,
+    and no term need be evaluated, when no partition is reached or r = 0."""
 
     def __init__(self, n: int, stats: Statistics, cache: EvolutionCache):
         self.n, self.d, self.hbar = n, cache.spec.d, cache.spec.hbar
@@ -549,20 +545,14 @@ class _OrderPlan:
         partitions = set_partitions(range(1, n + 1)) if self.rank else []
         counts = Counter(tuple(sorted(map(len, p.blocks), reverse=True)) for p in partitions if p.size >= 2)
         self.types: dict[tuple[int, ...], tuple[int, np.ndarray, np.ndarray, np.ndarray | None]] = {}
-        phi = None  # BOLTZMANN: a buffer that no support met is still zero and serves the next type
         for sizes, count in counts.items():
-            blocks = _consecutive(sizes)
-            if self.v is None:
-                if phi is None:
-                    phi = np.zeros((self.d**n, self.d**n), dtype=np.complex128)
-                if add_couplings(phi, blocks, cache.spec, n):
-                    self.types[sizes], phi = (count, phi, phi, None), None
-            elif (phi_v := couplings_times(self.v, blocks, cache.spec, n)) is not None:
-                # X = L^T (Phi V) and, Phi Hermitian and V real, Y = (Phi^T V)^T L = conj(Phi V)^T L;
-                # V_k = I for the trailing blocks of size 1, left to _times_kron
-                legs = [symmetric_isometry(stats, k, self.d) for k in sizes if k > 1]
-                x, y = _times_kron(phi_v.T, legs).T, _times_kron(phi_v.conj().T, legs)
-                self.types[sizes] = (count, x, y, _rank_map(stats, sizes, self.d))
+            if (phi_v := couplings_times(self.v, _consecutive(sizes), cache.spec, n)) is not None:
+                # X = L^T (Phi V), V_k = I (BOLTZMANN, trailing blocks of size 1) left to _times_kron;
+                # Phi Hermitian and L, V real give Y = V^T Phi L = X^dagger, kept row-major for term
+                legs = [v for k in sizes if (v := symmetric_isometry(stats, k, self.d)) is not None]
+                x = _times_kron(phi_v.T, legs).T
+                y = np.ascontiguousarray(x.conj().T)
+                self.types[sizes] = (count, x, y, None if self.v is None else _rank_map(stats, sizes, self.d))
 
     def term(self, sizes: tuple[int, ...], mats: list[np.ndarray]) -> np.ndarray:
         """Type ``sizes``' class term, less the factor i/hbar: |class| [K, Phi]
@@ -613,6 +603,26 @@ def _images(g: OperatorSequence, m: int) -> dict[int, np.ndarray]:
     return {n: range_compress(g.component(n), "correlation") for n in range(1, m + 1)}
 
 
+def _rate_image(g: OperatorSequence, local: tuple, spec: InteractionSpec) -> np.ndarray:
+    """Image V^dagger C' V of the rate of the cluster correlation C of the
+    relabeled elements ``local`` (``_relabeled``), the one rate path of
+    ``von_neumann_rhs`` and ``generalized_rhs``.  The order plans give the
+    rates K'_n of the images (``_images``); over all singletons C' = K'_m,
+    and otherwise the product rule on the exponential formula runs in the
+    memo's representation (module docstring): R'_n = g'_n + split(g', R) +
+    split(g, R') and C'(q) = R'_|q| - split(C', R) - split(C, R')."""
+    m, d, stats = sum(map(len, local)), g.d, g.stats
+    images, cache = _images(g, m), EvolutionCache(spec)
+    if len(local) == m:  # all singletons: no lower rate is read
+        return _OrderPlan(m, stats, cache)(images[m], images)
+    rates = {n: _OrderPlan(n, stats, cache)(images[n], images) for n in range(1, m + 1)}
+    singletons = {tuple((l,) for l in range(1, n + 1)): n for n in range(1, m + 1)}
+    memo, memo_rates = {q: images[n] for q, n in singletons.items()}, {q: rates[n] for q, n in singletons.items()}
+    whole = _reconstructions(images, m, d, {}, stats)
+    whole_rates = _reconstruction_rates(images, rates, whole, d, stats)
+    return _connected_rate(local, memo_rates, memo, whole, whole_rates, d, stats)
+
+
 def von_neumann_rhs(g: OperatorSequence, n: int, spec: InteractionSpec) -> ManyBodyOperator:
     """Time derivative of the n-particle correlation component.
 
@@ -623,48 +633,30 @@ def von_neumann_rhs(g: OperatorSequence, n: int, spec: InteractionSpec) -> ManyB
     matching Phi^(k) contribute zero.  For n = 1 this is just -N_1 g_1.
     The statistics' two-sided group average must fix each component of
     orders 1..n (``hilbert.range_compress``); the first that it does not fix
-    raises DomainError naming its order and the defect.  The plan's image
-    K'_n is lifted once, as V K'_n V^dagger (``hilbert.rank_lift``).
+    raises DomainError naming its order and the defect.  The all-singletons
+    case of ``_rate_image``; its image K'_n is lifted once (``rank_lift``).
     """
-    images = _images(g, n)
-    plan = _OrderPlan(n, g.stats, EvolutionCache(spec))
-    rate = plan(images[n], images)
+    rate = _rate_image(g, tuple((l,) for l in range(1, n + 1)), spec)
     return ManyBodyOperator(n, spec.d, rank_lift(g.stats, rate, n, spec.d), g.stats)
 
 
-def generalized_rhs(
-    g: OperatorSequence, cluster: ClusterSet, spec: InteractionSpec
-) -> ManyBodyOperator:
+def generalized_rhs(g: OperatorSequence, cluster: ClusterSet, spec: InteractionSpec) -> ManyBodyOperator:
     """Time derivative of a cluster correlation, driven by the base sequence.
 
     The product rule on the exponential formula of
-    ``cluster_correlation_matrix``, along the right-hand sides g'_n of the
-    hierarchy orders n <= |X| (``_OrderPlan``): the reconstructions move as
-    R'_n = g'_n + split(g', R) + split(g, R') and the connected parts as
-    C'(q) = R'_|q| - split(C', R) - split(C, R'), memoized per relabeled
-    sub-tuple, with the two-sided group average outermost.  The interaction
-    sum is thus the order plans' alone.  The group averages inside g'_n need
-    no undoing: they act on the ket side of label subsets Q, and the outer
-    average absorbs them, S_m (S_Q (x) I) = S_m.  The components of orders
-    1..|X| must be fixed by the two-sided group average, as for
-    ``von_neumann_rhs``, and each order's rate is lifted from its image.
+    ``cluster_correlation_matrix`` along the hierarchy's rates g'_n of the
+    orders n <= |X| (``_rate_image``): for BOSE and FERMI on rank-space
+    images, one term per relabeling class and no member placed, lifted once
+    as V C' V^dagger, the two-sided group average of the rate.  The
+    components of orders 1..|X| must be fixed by that average, as for
+    ``von_neumann_rhs``.
     """
     labels = cluster.declusterize()
-    m, d = len(labels), g.d
+    m = len(labels)
     if tuple(sorted(labels)) != tuple(range(1, m + 1)):
         raise DomainError("cluster set must flatten to labels 1..s+n")
     local, _ = _relabeled(tuple(el.labels for el in cluster.elements))
-    images = _images(g, m)
-    mats = _component_mats(g, m)
-    cache = EvolutionCache(spec)
-    plans = [_OrderPlan(n, g.stats, cache) for n in range(1, m + 1)]
-    rates = {p.n: rank_lift(g.stats, p(images[p.n], images), p.n, d) for p in plans}
-    singletons = [tuple((l,) for l in range(1, k + 1)) for k in range(1, m + 1)]
-    memo, memo_rates = {q: mats[len(q)] for q in singletons}, {q: rates[len(q)] for q in singletons}
-    whole = {} if local in memo else _reconstructions(mats, m, d, {})  # all singletons: C' = g'_m
-    whole_rates = _reconstruction_rates(mats, rates, whole, d)
-    rate = _connected_rate(local, memo_rates, memo, whole, whole_rates, d)
-    return ManyBodyOperator(m, d, group_compress(g.stats, rate, m, d), g.stats)
+    return ManyBodyOperator(m, g.d, rank_lift(g.stats, _rate_image(g, local, spec), m, g.d), g.stats)
 
 
 # --------------------------------------------------------------------------

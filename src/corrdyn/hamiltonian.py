@@ -73,6 +73,8 @@ class InteractionSpec:
             raise DomainError("single-particle dimension must be >= 2")
         if not (np.isfinite(self.hbar) and self.hbar > 0):
             raise DomainError(f"hbar must be finite and positive, got {self.hbar}")
+        if self.matrix_side_cap < 1:
+            raise DomainError(f"matrix_side_cap must be >= 1, got {self.matrix_side_cap}")
         ob = np.asarray(self.one_body, dtype=np.complex128)
         if ob.shape != (self.d, self.d):
             raise DomainError(f"one_body shape {ob.shape} != ({self.d}, {self.d})")
@@ -119,9 +121,9 @@ def hamiltonian_matrix(n: int, spec: InteractionSpec) -> np.ndarray:
     spec.check_side(n)
     d = spec.d
     out = np.zeros((d**n, d**n), dtype=np.complex128)
-    for i in range(1, n + 1):
-        add_embedded(out, spec.one_body, (i,), n, d)
-    add_couplings(out, [tuple(range(1, n + 1))], spec, n)
+    one_body = [(spec.one_body, (i,)) for i in range(1, n + 1)]
+    for a, z in one_body + coupling_supports([tuple(range(1, n + 1))], spec, n):
+        add_embedded(out, a, z, n, d)
     return out
 
 
@@ -140,26 +142,23 @@ def coupling_supports(
     ]
 
 
-def add_couplings(out: np.ndarray, blocks: list[tuple[int, ...]], spec: InteractionSpec, n: int) -> bool:
-    """Add the couplings of ``coupling_supports`` to the d^n x d^n ``out``
-    in place; whether there were any."""
-    supports = coupling_supports(blocks, spec, n)
-    for phi, z in supports:
-        add_embedded(out, phi, z, n, spec.d)
-    return bool(supports)
-
-
 def couplings_times(
-    v: np.ndarray, blocks: list[tuple[int, ...]], spec: InteractionSpec, n: int
+    v: np.ndarray | None, blocks: list[tuple[int, ...]], spec: InteractionSpec, n: int
 ) -> np.ndarray | None:
     """Phi v for the sum Phi of the couplings of ``coupling_supports`` and a
-    d^n x c matrix ``v``, one leg contraction per support
-    (``hilbert.apply_embedded``), with no d^n x d^n Phi; None when no
-    support meets the blocks."""
+    d^n x c matrix ``v``, one leg contraction per support with no d^n x d^n
+    Phi (``hilbert.apply_embedded``); None when no support meets the blocks.
+    ``v`` None is the identity, as in ``hilbert.rank_lift``: then the dense
+    Phi, each support added in place (``hilbert.add_embedded``)."""
     supports = coupling_supports(blocks, spec, n)
     if not supports:
         return None
-    return sum(apply_embedded(phi, z, v, n, spec.d) for phi, z in supports)
+    if v is None:
+        phi = np.zeros((spec.d**n, spec.d**n), dtype=np.complex128)
+        for a, z in supports:
+            add_embedded(phi, a, z, n, spec.d)
+        return phi
+    return sum(apply_embedded(a, z, v, n, spec.d) for a, z in supports)
 
 
 def rank_hamiltonian(m: int, spec: InteractionSpec, v: np.ndarray) -> np.ndarray:

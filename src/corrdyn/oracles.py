@@ -9,8 +9,11 @@ nested two-level partition sum, both over their own partition enumeration
 cumulant series is the sum over the Bell(1+n) partitions of each cluster
 set with dense block propagators (the fast path sums subsets of the
 satellites and builds no block propagator; the cumulants share
-``hamiltonian.block_propagator`` with it), and the reduced-operator sum is
-the direct grand-canonical definition.  Clarity over speed throughout.
+``hamiltonian.block_propagator`` with it), the reduced-operator sum is
+the direct grand-canonical definition, and its Fock-space reading
+(``fock_marginal``) builds the density and the ladder operators on the
+occupation basis, its vectors by a permutation loop of its own.  Clarity
+over speed throughout.
 """
 
 from __future__ import annotations
@@ -243,6 +246,74 @@ def reference_marginal(D: OperatorSequence, s: int) -> OracleResult:
         value=grand_marginal_sum(D, s),
         method="traced-density sum with loop partial traces",
     )
+
+
+def fock_marginal(D: OperatorSequence, s: int) -> ManyBodyOperator:
+    """Reduced s-particle operator of a BOSE or FERMI sequence read in Fock
+    space, with no normalization:
+
+        gamma_s[i, j] = Tr(rho a^dagger_{j_1} ... a^dagger_{j_s} a_{i_s} ... a_{i_1}),
+
+    i and j running over s single-particle indices, particle 1 the most
+    significant.  rho acts on the occupation states of d modes with at most
+    n_max particles (at most one per mode for FERMI): its vacuum weight is
+    f0, and its sector n is the block v_alpha^dagger D_n v_beta / n!, with
+    v_alpha the first-quantized vector of occupation state alpha, built by
+    its own loop over the n! permutations (``_first_quantized``).  a_k
+    lowers n_k with weight sqrt(n_k); for FERMI it carries the sign
+    (-1)^(n_0 + ... + n_{k-1}).  Nothing here is shared with
+    ``grand_marginal_sum``, which this reproduces."""
+    if D.stats is Statistics.BOLTZMANN:
+        raise DomainError("a Fock-space marginal needs BOSE or FERMI statistics")
+    if not 1 <= s <= D.n_max:
+        raise DomainError(f"marginal order {s} outside 1..{D.n_max}")
+    d, fermi = D.d, D.stats is Statistics.FERMI
+    top = 1 if fermi else D.n_max
+    basis = [occ for occ in itertools.product(range(top + 1), repeat=d) if sum(occ) <= D.n_max]
+    index = {occ: i for i, occ in enumerate(basis)}
+    dim = len(basis)
+    rho = np.zeros((dim, dim), dtype=np.complex128)
+    rho[0, 0] = D.f0  # the vacuum comes first
+    for n in range(1, D.n_max + 1):
+        sector = [occ for occ in basis if sum(occ) == n]
+        if not sector:  # a FERMI sector above d
+            continue
+        vecs = np.stack([_first_quantized(occ, fermi) for occ in sector], axis=1)
+        rows = [index[occ] for occ in sector]
+        rho[np.ix_(rows, rows)] = vecs.T @ D.components[n].mat @ vecs / math.factorial(n)
+    lowering = []
+    for k in range(d):
+        a = np.zeros((dim, dim))
+        for occ in basis:
+            if occ[k]:
+                below = occ[:k] + (occ[k] - 1,) + occ[k + 1:]
+                sign = (-1) ** sum(occ[:k]) if fermi else 1
+                a[index[below], index[occ]] = sign * math.sqrt(occ[k])
+        lowering.append(a)
+    strings = []  # a_{i_s} ... a_{i_1} per row index i
+    for i in itertools.product(range(d), repeat=s):
+        op = np.eye(dim)
+        for k in i:
+            op = lowering[k] @ op
+        strings.append(op)
+    out = np.zeros((d**s, d**s), dtype=np.complex128)
+    for r, a_i in enumerate(strings):
+        for c, a_j in enumerate(strings):
+            out[r, c] = np.trace(rho @ a_j.T @ a_i)
+    return ManyBodyOperator(s, d, out, D.stats)
+
+
+def _first_quantized(occ: tuple[int, ...], fermi: bool) -> np.ndarray:
+    """Normalized first-quantized vector of an occupation state: the sum,
+    over the permutations of its modes in ascending order, of the permuted
+    product basis states, each signed by its inversion count for FERMI."""
+    modes = [k for k, count in enumerate(occ) for _ in range(count)]
+    n, d = len(modes), len(occ)
+    vec = np.zeros(d**n)
+    for images in itertools.permutations(range(n)):
+        inversions = sum(a > b for a, b in itertools.combinations(images, 2))
+        vec[_pack([modes[p] for p in images], d)] += -1.0 if fermi and inversions % 2 else 1.0
+    return vec / np.linalg.norm(vec)
 
 
 def grand_marginals(D: OperatorSequence) -> MarginalSequence:

@@ -388,6 +388,7 @@ SEQUENCE_COMPONENT = "op 1 2 boltzmann\n" + OPERATOR_ROWS
         (MINIMAL.replace("n_max = 2", "n_max = 2\nhbar = nan"), {}, "info"),
         (MINIMAL + "\n[tolerances]\nnorm_bound = nan\n", {}, "check"),
         (MINIMAL + "\n[tolerances]\nnorm_bound = -1\n", {}, "check"),
+        (MINIMAL.replace("n_max = 2", "n_max = 2\nmatrix_cap = 0"), {}, "check"),
     ],
     ids=[
         "unparsable",
@@ -401,6 +402,7 @@ SEQUENCE_COMPONENT = "op 1 2 boltzmann\n" + OPERATOR_ROWS
         "hbar-nan",
         "tolerance-nan",
         "tolerance-negative",
+        "matrix-cap-nonpositive",
     ],
 )
 def test_cli_reports_config_errors(tmp_path, capsys, text, files, command):
@@ -409,6 +411,15 @@ def test_cli_reports_config_errors(tmp_path, capsys, text, files, command):
     argv = [command, str(write_cfg(tmp_path, text))] + (["--s", "1"] if command == "evolve" else [])
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cap", [0, -4])
+def test_nonpositive_matrix_cap_is_a_config_error(tmp_path, cap):
+    # a cap below 1 admits no matrix at all; it is refused at load, naming
+    # the key, rather than reported by every check as "above cap"
+    path = write_cfg(tmp_path, MINIMAL.replace("n_max = 2", f"n_max = 2\nmatrix_cap = {cap}"))
+    with pytest.raises(ConfigError, match=re.escape(f"[system] matrix_cap must be >= 1, got {cap}")):
+        load_scenario(path)
 
 
 @pytest.mark.parametrize("command", ["check", "evolve"])

@@ -809,6 +809,29 @@ def test_generalized_rhs_matches_partition_loop(stats, d, n_max, couplings, raw)
         assert np.linalg.norm(got - expected) <= 1e-13 * max(1.0, np.linalg.norm(expected))
 
 
+@pytest.mark.parametrize("stats", QUANTUM, ids=str)
+@pytest.mark.parametrize("d, n_max", [(2, 4), (3, 3)])
+def test_quantum_generalized_rhs_places_no_member(stats, d, n_max, monkeypatch):
+    # Bose and Fermi run the product rule on rank-space images, one term per
+    # relabeling class, so no member is placed at side d^m; the value is the
+    # partition loop's
+    rng = np.random.default_rng(79)
+    pots = {k: permutation_average(random_hermitian(rng, d**k), k, d) for k in (2, 3)}
+    spec = InteractionSpec(d=d, one_body=random_hermitian(rng, d), potentials=pots)
+    g = density_to_correlations(random_sequence(rng, d, stats, n_max))
+    clusters = [ClusterSet.canonical(s, n) for s, n in [(2, 1), (1, 2), (2, 2)] if s + n <= n_max]
+    clusters.append(ClusterSet((ClusterElement((1, 3)), ClusterElement((2,)))))
+    expected = [_partition_loop_generalized_rhs(g, cluster, spec) for cluster in clusters]
+
+    def placing(*args, **kwargs):
+        raise AssertionError("generalized_rhs placed a member")
+
+    monkeypatch.setattr(correlations, "place_product", placing)
+    for cluster, want in zip(clusters, expected):
+        got = generalized_rhs(g, cluster, spec).mat
+        assert np.linalg.norm(got - want) <= 1e-13 * max(1.0, np.linalg.norm(want))
+
+
 def test_generalized_rhs_free_coupling():
     free = InteractionSpec(d=2, one_body=pair_spec().one_body)
     rng = np.random.default_rng(67)

@@ -8,6 +8,7 @@ from corrdyn.hamiltonian import (
     EvolutionCache,
     InteractionSpec,
     build_hamiltonian,
+    couplings_times,
     evolve_blocks,
     evolve_group,
     hamiltonian_matrix,
@@ -127,6 +128,54 @@ def test_matrix_side_cap():
     build_hamiltonian(3, spec)
     with pytest.raises(ResourceCapError):
         build_hamiltonian(4, spec)
+
+
+@pytest.mark.parametrize("cap", [0, -4])
+def test_spec_validation_rejects_nonpositive_matrix_side_cap(cap):
+    with pytest.raises(DomainError, match="matrix_side_cap"):
+        InteractionSpec(d=2, one_body=SZ, matrix_side_cap=cap)
+
+
+@pytest.mark.parametrize(
+    "d, n, couplings, sizes",
+    [
+        (2, 3, (2,), (3,)),
+        (2, 4, (2, 3), (4,)),
+        (2, 4, (2, 3), (2, 1, 1)),
+        (2, 4, (2, 3), (2, 2)),
+        (3, 3, (2, 3), (1, 1, 1)),
+        (3, 3, (2, 3), (2, 1)),
+    ],
+)
+def test_couplings_times_without_isometry_places_the_dense_coupling(d, n, couplings, sizes):
+    # V None is the identity: the dense Phi, the same bits as adding the
+    # loop-embedded couplings that meet every block into a zero, for one
+    # block and for partition layouts
+    rng = np.random.default_rng(24)
+    pots = {k: permutation_average(random_hermitian(rng, d**k), k, d) for k in couplings}
+    spec = InteractionSpec(d=d, one_body=random_hermitian(rng, d), potentials=pots)
+    ends = list(itertools.accumulate(sizes))
+    blocks = [tuple(range(end - size + 1, end + 1)) for end, size in zip(ends, sizes)]
+    ground = tuple(range(1, n + 1))
+    expected = np.zeros((d**n, d**n), dtype=np.complex128)
+    for k, phi in spec.potentials.items():
+        for z in itertools.combinations(ground, k):
+            if all(set(b) & set(z) for b in blocks):
+                expected += loop_embed(phi, z, ground, d)
+    got = couplings_times(None, blocks, spec, n)
+    assert got.shape == expected.shape and np.array_equal(got, expected)
+    assert np.abs(got).max() > 0
+
+
+def test_couplings_times_is_none_when_no_support_meets_the_blocks():
+    # a pair coupling cannot meet three blocks, with or without an isometry
+    rng = np.random.default_rng(25)
+    pots = {2: permutation_average(random_hermitian(rng, 4), 2, 2)}
+    spec = InteractionSpec(d=2, one_body=SZ, potentials=pots)
+    blocks = [(1,), (2,), (3,)]
+    assert couplings_times(None, blocks, spec, 3) is None
+    assert couplings_times(np.eye(8), blocks, spec, 3) is None
+    assert couplings_times(None, [(1, 2, 3)], InteractionSpec(d=2, one_body=SZ), 3) is None
 
 
 def test_periodic_laplacian():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from corrdyn.errors import DomainError
 from corrdyn.hamiltonian import InteractionSpec
 from corrdyn.hilbert import (
     ManyBodyOperator,
@@ -102,3 +103,35 @@ def test_grand_marginals_roundtrip(stats):
     back = oracles.density_from_marginals(marg)
     for n in (1, 2, 3):
         assert np.abs(back.component(n).mat - d_seq.component(n).mat).max() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "stats, d, n_max",
+    [
+        (Statistics.BOSE, 2, 3),
+        (Statistics.BOSE, 2, 4),
+        (Statistics.BOSE, 3, 3),
+        (Statistics.FERMI, 3, 3),
+        (Statistics.FERMI, 4, 4),
+    ],
+    ids=["bose-d2n3", "bose-d2n4", "bose-d3n3", "fermi-d3n3", "fermi-d4n4"],
+)
+@pytest.mark.parametrize("traceless", [False, True], ids=["trace", "traceless"])
+@pytest.mark.parametrize("s", [1, 2])
+def test_fock_marginal_matches_grand_marginal_sum(stats, d, n_max, traceless, s):
+    # the reduced operator read in Fock space, Tr(rho a^dagger ... a), with
+    # no normalization, is the classical-reference sum of traced densities
+    rng = np.random.default_rng(45)
+    D = random_sequence(rng, d, stats, n_max, traceless=traceless, f0=1.0)
+    expected = oracles.grand_marginal_sum(D, s).mat
+    got = oracles.fock_marginal(D, s).mat
+    assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_fock_marginal_rejects_boltzmann_and_orders_outside_the_truncation():
+    D = random_sequence(np.random.default_rng(46), 2, Statistics.BOSE, 2)
+    with pytest.raises(DomainError):
+        oracles.fock_marginal(random_sequence(np.random.default_rng(46), 2, Statistics.BOLTZMANN, 2), 1)
+    for s in (0, 3):
+        with pytest.raises(DomainError):
+            oracles.fock_marginal(D, s)
