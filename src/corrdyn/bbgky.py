@@ -44,8 +44,9 @@ subset traces, for every statistics.
 For BOSE and FERMI the series also runs in the rank space of S_m.  Two
 identities keep every matrix at side r:
 
-- H_m S_m = S_m H_m, so H_m V = V H~_m with H~_m = V^dagger H_m V, and the
-  evolution group maps the range to itself: U_m(t) V = V U~_m(t),
+- H_m S_m = S_m H_m, so H_m V = V H~_m with H~_m = V^dagger H_m V (the
+  one-block ``hamiltonian.coupling_image``), and the evolution group maps
+  the range to itself: U_m(t) V = V U~_m(t),
   U~_m(t) = exp(-i t H~_m / hbar) (``hamiltonian.EvolutionCache``).  An
   evolved subset sum is V (U~ K U~^dagger) V^dagger with
   K = V^dagger G V, and its derivative V (-[U~ K U~^dagger, H~]) V^dagger,
@@ -83,12 +84,13 @@ from .hamiltonian import (
     InteractionSpec,
     block_propagator,
     commutator_generator,
-    couplings_times,
+    coupling_image,
     hamiltonian_matrix,
 )
 from .hilbert import (
     ManyBodyOperator,
     OperatorSequence,
+    Statistics,
     group_average,
     group_rank,
     partial_trace_matrix,
@@ -182,8 +184,8 @@ def bbgky_rhs(F: MarginalSequence, s: int, spec: InteractionSpec) -> ManyBodyOpe
 
     -N_s F_s plus, per satellite count n >= 1, the traced commutator with
     the sum over nonempty subsets Z of the kept labels of Phi^(|Z|+n)
-    coupling Z to all n satellites, weighted 1/n!: the dense Phi that
-    ``hamiltonian.couplings_times`` returns with no isometry for the blocks
+    coupling Z to all n satellites, weighted 1/n!: the dense
+    ``hamiltonian.coupling_image`` of sizes (s, 1, ..., 1), the blocks
     (1..s), (s+1,), ..., (s+n,), which always meet a support here.  Absent
     couplings terminate the sum; a marginal above n_max raises TruncationError.
     """
@@ -197,8 +199,7 @@ def bbgky_rhs(F: MarginalSequence, s: int, spec: InteractionSpec) -> ManyBodyOpe
             raise TruncationError(
                 f"bbgky_rhs(s={s}) needs marginal order {s + n} > n_max={F.n_max}"
             )
-        blocks = [tuple(range(1, s + 1)), *((l,) for l in range(s + 1, s + n + 1))]
-        coupling = couplings_times(None, blocks, spec, s + n)
+        coupling = coupling_image(Statistics.BOLTZMANN, (s, *(1,) * n), spec)
         rate = commutator_generator(F.component(s + n).mat, coupling, spec.hbar)
         out -= partial_trace_matrix(rate, s, s + n, d) / math.factorial(n)
     return ManyBodyOperator(s, d, out, F.stats)

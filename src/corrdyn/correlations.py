@@ -91,19 +91,19 @@ Conventions fixed here once:
   g_k = V_k K_k V_k^dagger, so K = L ((x)_k K_k) L^dagger with
   L = (x)_k V_k over the type's sizes, and the r x r term is
   W^T ((x)_k K_k) X - Y ((x)_k K_k) W with W = L^dagger V (``_rank_map``),
-  X = L^dagger Phi V and Y = V^dagger Phi L, built once per plan from
-  Phi V, one leg contraction on V per coupling support, with
+  X = L^dagger Phi V and Y = V^dagger Phi L, built once per plan, with
   Y = X^dagger as Phi is Hermitian and L and V real.  For BOLTZMANN
   (L = V = I) the same formula reads X = Y = Phi and no W.
-  (x)_k K_k is applied factor by factor (``_times_kron``: X (A (x) B) is
-  computed without forming A (x) B, after Van Loan) to the rows of Y and,
-  as K X = (X^T K^T)^T, to the columns of X.  No Kronecker product,
-  d^n x d^n product or coupling is placed per partition or per class, no
-  member is relabeled, no lower order is lifted, and rank 0 costs nothing.
-  Which supports enter Phi is one rule, ``hamiltonian.coupling_supports``
-  (H_n is its one-block case), and ``hamiltonian.couplings_times`` gives
-  Phi V for every statistics, on V's legs (no d^n x d^n Phi) for BOSE and
-  FERMI and the dense Phi where V is None.  This class term
+  (x)_k K_k is applied factor by factor (``hilbert.times_kron``:
+  X (A (x) B) is computed without forming A (x) B, after Van Loan) to the
+  rows of Y and, as K X = (X^T K^T)^T, to the columns of X.  No Kronecker
+  product, d^n x d^n product or coupling is placed per partition or per
+  class, no member is relabeled, no lower order is lifted, and rank 0
+  costs nothing.  X is the type's ``hamiltonian.coupling_image``, the one
+  construction of which couplings meet a set of blocks and of their
+  compression (H~_n is its one-block case): for BOSE and FERMI one leg
+  contraction on V per class of supports, no d^n x d^n Phi, and the
+  dense Phi where V is None.  This class term
   (``_OrderPlan.term``, finished by ``_OrderPlan.finish``) is the only
   implementation of the interaction sum, for the integrator, its tabulated
   orders and the one rate path of both right-hand sides (``_rate_image``).
@@ -111,11 +111,11 @@ Conventions fixed here once:
   image K_n = V^dagger g_n V, the output of ``hilbert.range_compress``
   (g_n itself for BOLTZMANN and n = 1).  H_n commutes with S_n, so
   V^dagger [g_n, H_n] V = [K_n, H~_n] with H~_n = V^dagger H_n V from the
-  plans' shared ``hamiltonian.EvolutionCache``, which builds it in rank
-  space without H_n: one r x r commutator for every statistics.  The
-  integrator's state is the images, which the plans read as they are;
-  ``von_neumann_rhs`` and ``generalized_rhs`` lift their result once
-  (``hilbert.rank_lift``).
+  plans' shared ``hamiltonian.EvolutionCache``, the one-block coupling
+  image, built in rank space without H_n: one r x r commutator for every
+  statistics.  The integrator's state is the images, which the plans read
+  as they are; ``von_neumann_rhs`` and ``generalized_rhs`` lift their
+  result once (``hilbert.rank_lift``).
 * Small orders of the RK4 right-hand side are tabulated on the same images.
   With row-major vec, vec(A X B) = (A (x) B^T) vec X, the drift is
   (i/hbar)(I_r (x) H~^T - H~ (x) I_r) vec K_n; a block-size type's finished
@@ -143,7 +143,7 @@ import numpy as np
 
 from .combinatorics import ClusterSet, block_labels, set_partitions
 from .errors import DomainError, IntegrationError, TruncationError
-from .hamiltonian import EvolutionCache, InteractionSpec, commutator_generator, couplings_times
+from .hamiltonian import EvolutionCache, InteractionSpec, commutator_generator, coupling_image
 from .hilbert import (
     ManyBodyOperator,
     OperatorSequence,
@@ -157,6 +157,7 @@ from .hilbert import (
     rank_lift,
     require_finite,
     symmetric_isometry,
+    times_kron,
 )
 
 
@@ -273,9 +274,9 @@ def _rank_map(stats: Statistics, sizes: tuple[int, ...], d: int) -> np.ndarray:
     """W = L^dagger V_n, prod_k r_k x r_n, with L = (x)_k V_k over the orders
     k in ``sizes``, n their sum and V the ``symmetric_isometry`` of each
     order (the identity where it is None), as (V_n^dagger L)^T with L
-    applied leg by leg (``_times_kron``), never formed."""
+    applied leg by leg (``times_kron``), never formed."""
     legs = [np.eye(d**k) if (v := symmetric_isometry(stats, k, d)) is None else v for k in sizes]
-    out = _times_kron(symmetric_isometry(stats, sum(sizes), d).T, legs).T
+    out = times_kron(symmetric_isometry(stats, sum(sizes), d).T, legs).T
     out.flags.writeable = False
     return out
 
@@ -490,32 +491,6 @@ def clusterize(g: OperatorSequence, s: int, n: int) -> ClusterCorrelation:
 # --------------------------------------------------------------------------
 
 
-def _times_kron(x: np.ndarray, mats: list[np.ndarray]) -> np.ndarray:
-    """x (mats[0] (x) mats[1] (x) ... (x) I) on the rows of ``x`` (...,
-    rows, s_1 s_2 ... s), factor j being s_j x t_j, without forming the
-    Kronecker product: factor by factor, the columns are viewed as
-    (left, s_j, right) and the s_j legs mapped to t_j by the factor, one
-    reshape and one matmul by its transpose each (Van Loan, 2000); the
-    trailing s legs that no factor covers are left as they are.  Leading
-    axes of the factors broadcast as batch axes; a zero side gives an empty
-    result."""
-    rows, right = x.shape[-2:]
-    left = 1
-    for m in mats:
-        s, t = m.shape[-2:]
-        right //= s
-        x = np.matmul(m.swapaxes(-1, -2)[..., None, :, :], x.reshape(*x.shape[:-2], rows * left, s, right))
-        left *= t
-        x = x.reshape(*x.shape[:-3], rows, left * right)
-    return x
-
-
-def _consecutive(sizes: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Consecutive labels 1..n in runs of the given ``sizes``."""
-    ends = itertools.accumulate(sizes)
-    return [tuple(range(end - size + 1, end + 1)) for end, size in zip(ends, sizes)]
-
-
 class _OrderPlan:
     """Right-hand side of hierarchy order n in the rank space of the group
     average: K'_n = V^dagger g'_n V from the images K_k = V_k^dagger g_k V_k
@@ -527,15 +502,15 @@ class _OrderPlan:
     over the multi-block partitions p that some coupling support reaches.
     A class is a block-size type (sizes descending): ``types`` maps it to
     its member count |class| and to (x, y, w), the (X, Y, W) of the module
-    docstring, formed from Phi V (``hamiltonian.couplings_times``) by one
-    path: where V is None, Phi V is the dense Phi, L has no legs and w is
-    None, so (x, y) = (Phi, Phi^dagger); a BOSE or FERMI plan keeps and
-    builds no side x side array.  ``term`` is a type's class term for its
-    factor images, and ``finish`` turns the sum of an order's class terms
-    into V^dagger acc V: ``interaction`` passes ``term`` the images,
-    ``_TabulatedOrders`` every factor's unit matrices as one broadcast
-    batch, in the factor order of the type's monomial.  ``types`` is empty,
-    and no term need be evaluated, when no partition is reached or r = 0."""
+    docstring: x is the type's ``hamiltonian.coupling_image`` and
+    y = x^dagger, so where V is None (x, y) = (Phi, Phi^dagger) and w is
+    None, and a BOSE or FERMI plan keeps and builds no side x side array.
+    ``term`` is a type's class term for its factor images, and ``finish``
+    turns the sum of an order's class terms into V^dagger acc V:
+    ``interaction`` passes ``term`` the images, ``_TabulatedOrders`` every
+    factor's unit matrices as one broadcast batch, in the factor order of
+    the type's monomial.  ``types`` is empty, and no term need be
+    evaluated, when no partition is reached or r = 0."""
 
     def __init__(self, n: int, stats: Statistics, cache: EvolutionCache):
         self.n, self.d, self.hbar = n, cache.spec.d, cache.spec.hbar
@@ -546,11 +521,8 @@ class _OrderPlan:
         counts = Counter(tuple(sorted(map(len, p.blocks), reverse=True)) for p in partitions if p.size >= 2)
         self.types: dict[tuple[int, ...], tuple[int, np.ndarray, np.ndarray, np.ndarray | None]] = {}
         for sizes, count in counts.items():
-            if (phi_v := couplings_times(self.v, _consecutive(sizes), cache.spec, n)) is not None:
-                # X = L^T (Phi V), V_k = I (BOLTZMANN, trailing blocks of size 1) left to _times_kron;
+            if (x := coupling_image(stats, sizes, cache.spec)) is not None:
                 # Phi Hermitian and L, V real give Y = V^T Phi L = X^dagger, kept row-major for term
-                legs = [v for k in sizes if (v := symmetric_isometry(stats, k, self.d)) is not None]
-                x = _times_kron(phi_v.T, legs).T
                 y = np.ascontiguousarray(x.conj().T)
                 self.types[sizes] = (count, x, y, None if self.v is None else _rank_map(stats, sizes, self.d))
 
@@ -559,12 +531,12 @@ class _OrderPlan:
         for BOLTZMANN and |class| V^dagger [K, Phi] V for BOSE and FERMI,
         read from the factors' images ``mats`` as
         |class| (W^T ((x)_k K_k) X - Y ((x)_k K_k) W) (module docstring).
-        ``_times_kron`` applies (x)_k K_k to the rows of y and, as
+        ``times_kron`` applies (x)_k K_k to the rows of y and, as
         K X = (X^T K^T)^T, to the columns of x.  Leading axes of the factors
         are batch axes, broadcast against each other."""
         count, x, y, w = self.types[sizes]
-        k_x = _times_kron(x.T, [m.swapaxes(-1, -2) for m in mats]).swapaxes(-1, -2)
-        y_k = _times_kron(y, mats)
+        k_x = times_kron(x.T, [m.swapaxes(-1, -2) for m in mats]).swapaxes(-1, -2)
+        y_k = times_kron(y, mats)
         return count * (k_x - y_k if w is None else w.T @ k_x - y_k @ w)
 
     def finish(self, terms: np.ndarray) -> np.ndarray:

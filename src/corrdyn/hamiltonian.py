@@ -9,13 +9,16 @@ with H_0 = 0.  Evolution is unitary conjugation computed in the eigenbasis,
 cached per particle count and statistics (``EvolutionCache``: for BOSE and
 FERMI the eigensystem of H_m restricted to the range of the group
 average, built there from the couplings without forming H_m); the spectral
-route keeps the group law and trace norms exact to rounding.
+route keeps the group law and trace norms exact to rounding.  One object,
+``coupling_image``, compresses the couplings that meet a set of blocks (the
+one-body term the coupling of order 1): H_n, H~_n, the hierarchy's class
+couplings and the reduced chain's coupling are its cases.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +36,7 @@ from .hilbert import (
     place_product,
     require_hermitian,
     symmetric_isometry,
+    times_kron,
 )
 
 
@@ -103,6 +107,11 @@ class InteractionSpec:
         object.__setattr__(self, "potentials", pots)
 
     @property
+    def couplings(self) -> dict[int, np.ndarray]:
+        """The one-body matrix as the coupling of order 1, then ``potentials``."""
+        return {1: self.one_body, **self.potentials}
+
+    @property
     def k_max(self) -> int:
         return max(self.potentials, default=1)
 
@@ -114,70 +123,66 @@ class InteractionSpec:
 
 
 def hamiltonian_matrix(n: int, spec: InteractionSpec) -> np.ndarray:
+    """H_n, the BOLTZMANN one-block ``coupling_image``; H_0 = 0 is 1 x 1, a
+    negative n raises DomainError and a side above the cap ResourceCapError."""
     if n < 0:
         raise DomainError("particle count must be >= 0")
     if n == 0:
         return np.zeros((1, 1), dtype=np.complex128)
     spec.check_side(n)
-    d = spec.d
-    out = np.zeros((d**n, d**n), dtype=np.complex128)
-    one_body = [(spec.one_body, (i,)) for i in range(1, n + 1)]
-    for a, z in one_body + coupling_supports([tuple(range(1, n + 1))], spec, n):
-        add_embedded(out, a, z, n, d)
-    return out
+    return coupling_image(Statistics.BOLTZMANN, (n,), spec)
 
 
 def coupling_supports(
     blocks: list[tuple[int, ...]], spec: InteractionSpec, n: int
 ) -> list[tuple[np.ndarray, tuple[int, ...]]]:
-    """The k-body couplings whose support meets every one of ``blocks``
-    (label tuples covering 1..n), as (Phi^(k), support) by k ascending, then
-    lexicographically.  One block gives H_n's couplings, a partition's
-    blocks those of the hierarchy and chain."""
+    """The couplings whose support meets every one of ``blocks`` (label
+    tuples covering 1..n), the one-body term as the coupling of order 1,
+    as (Phi^(k), support) by k ascending, then lexicographically.  One block
+    gives H_n's terms, a partition's blocks those of the hierarchy and
+    chain, where a k-body coupling meets at most k blocks."""
     return [
         (phi, z)
-        for k, phi in spec.potentials.items()
+        for k, phi in spec.couplings.items()
+        if k >= len(blocks)
         for z in itertools.combinations(range(1, n + 1), k)
         if all(set(b).intersection(z) for b in blocks)
     ]
 
 
-def couplings_times(
-    v: np.ndarray | None, blocks: list[tuple[int, ...]], spec: InteractionSpec, n: int
-) -> np.ndarray | None:
-    """Phi v for the sum Phi of the couplings of ``coupling_supports`` and a
-    d^n x c matrix ``v``, one leg contraction per support with no d^n x d^n
-    Phi (``hilbert.apply_embedded``); None when no support meets the blocks.
-    ``v`` None is the identity, as in ``hilbert.rank_lift``: then the dense
-    Phi, each support added in place (``hilbert.add_embedded``)."""
-    supports = coupling_supports(blocks, spec, n)
-    if not supports:
-        return None
+def coupling_image(stats: Statistics, sizes: tuple[int, ...], spec: InteractionSpec) -> np.ndarray | None:
+    """L^T Phi V for the sum Phi of the ``coupling_supports`` of blocks on
+    consecutive labels in runs of ``sizes`` (descending, so that size-1
+    identity legs trail), V the ``hilbert.symmetric_isometry`` of the whole
+    and L the Kronecker product of the blocks' (I where None); None when no
+    coupling meets every block.  Where V is None, the dense Phi, each support
+    added in place.  Otherwise the supports that meet the blocks in equal
+    counts c_1..c_p map onto each other by permutations within the blocks,
+    which L^T and V absorb with one sign: one contraction on V's legs
+    (``hilbert.apply_embedded``) per composition c of k, 1 <= c_i <= a_i, at
+    the first c_i labels of each block, weighted prod_i C(a_i, c_i), and L^T
+    applied leg by leg (``hilbert.times_kron``), with no d^n x d^n Phi."""
+    n, d = sum(sizes), spec.d
+    blocks = [tuple(range(end - a + 1, end + 1)) for end, a in zip(itertools.accumulate(sizes), sizes)]
+    v = symmetric_isometry(stats, n, d)
     if v is None:
-        phi = np.zeros((spec.d**n, spec.d**n), dtype=np.complex128)
+        if not (supports := coupling_supports(blocks, spec, n)):
+            return None
+        phi = np.zeros((d**n, d**n), dtype=np.complex128)
         for a, z in supports:
-            add_embedded(phi, a, z, n, spec.d)
+            add_embedded(phi, a, z, n, d)
         return phi
-    return sum(apply_embedded(a, z, v, n, spec.d) for a, z in supports)
-
-
-def rank_hamiltonian(m: int, spec: InteractionSpec, v: np.ndarray) -> np.ndarray:
-    """H~_m = V^dagger H_m V for an isometry ``v`` (d^m x r, real) whose
-    columns are symmetric or antisymmetric, without forming H_m.  A leg
-    permutation P gives P V = +-V, and the couplings are exchange
-    symmetric, so every placement of a k-body term compresses alike:
-
-        H~_m = V^dagger [m (h (x) I) V + sum_k C(m, k) (Phi^(k) (x) I) V],
-
-    each (a (x) I) V one contraction on V's leading legs
-    (``hilbert.apply_embedded``), with C(m, k) the count of H_m's supports
-    of size k (``coupling_supports`` of the one block 1..m)."""
-    d = spec.d
-    hv = m * apply_embedded(spec.one_body, (1,), v, m, d)
-    sizes = Counter(len(z) for _, z in coupling_supports([tuple(range(1, m + 1))], spec, m))
-    for k, count in sizes.items():
-        hv += count * apply_embedded(spec.potentials[k], tuple(range(1, k + 1)), v, m, d)
-    return v.T @ hv
+    phis = spec.couplings
+    classes = [
+        (math.prod(map(math.comb, sizes, counts)), phis[k], tuple(l for b, c in zip(blocks, counts) for l in b[:c]))
+        for counts in itertools.product(*(range(1, a + 1) for a in sizes))
+        if (k := sum(counts)) in phis
+    ]
+    if not classes:
+        return None
+    phi_v = sum(weight * apply_embedded(phi, z, v, n, d) for weight, phi, z in classes)
+    legs = [leg for a in sizes if (leg := symmetric_isometry(stats, a, d)) is not None]
+    return times_kron(phi_v.T, legs).T
 
 
 def build_hamiltonian(n: int, spec: InteractionSpec) -> ManyBodyOperator:
@@ -230,11 +235,10 @@ class EvolutionCache:
     its eigendecomposition, cached per (m, stats), and ``propagator``
     U~_m(t), read-only, kept per (m, stats) for its last t only: a
     cumulant's blocks of one size, or a series' value and rate at one time,
-    share one build.  H~_m is built in rank space (``rank_hamiltonian``):
-    V's columns are (anti)symmetric, so every placement of a coupling
-    compresses alike and one contraction on V's leading legs per coupling
-    order gives it, with no d^m x d^m H_m.  Where V is None (BOLTZMANN, the
-    default, and m <= 1) H~_m is the dense H_m of ``hamiltonian_matrix``.
+    share one build.  H~_m is the one-block ``coupling_image``: one
+    contraction on V's leading legs per coupling order, with no d^m x d^m
+    H_m, V's columns being (anti)symmetric.  Where V is None (BOLTZMANN,
+    the default, and m <= 1) H~_m is the dense H_m (``hamiltonian_matrix``).
     A rank-0 order (FERMI m > d) has a 0 x 0 H~_m; callers skip it.  The
     side d^m is held to ``matrix_side_cap`` for every statistics.
 
@@ -248,18 +252,14 @@ class EvolutionCache:
         self._last: dict[tuple[int, Statistics], tuple[float, np.ndarray]] = {}
 
     def hamiltonian(self, m: int, stats: Statistics = Statistics.BOLTZMANN) -> np.ndarray:
-        """H~_m = V^dagger H_m V for the group average of ``stats``, built
-        from the couplings on V's legs (``rank_hamiltonian``) with no
-        d^m x d^m H_m; the cached H_m itself where V is None.  Either way
+        """H~_m = V^dagger H_m V for the group average of ``stats``, the
+        one-block ``coupling_image`` on V's legs with no d^m x d^m H_m;
+        H_m itself (``hamiltonian_matrix``) where V is None.  Either way
         the side d^m must fit ``matrix_side_cap``."""
         if (m, stats) not in self._ham:
             self.spec.check_side(m)  # before V, d^m x r, is built
-            v = symmetric_isometry(stats, m, self.spec.d)
-            if v is not None:
-                h = rank_hamiltonian(m, self.spec, v)
-            else:
-                h = hamiltonian_matrix(m, self.spec) if stats is Statistics.BOLTZMANN else self.hamiltonian(m)
-            self._ham[m, stats] = h
+            dense = symmetric_isometry(stats, m, self.spec.d) is None
+            self._ham[m, stats] = hamiltonian_matrix(m, self.spec) if dense else coupling_image(stats, (m,), self.spec)
         return self._ham[m, stats]
 
     def eigensystem(

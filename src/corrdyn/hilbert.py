@@ -9,7 +9,8 @@ axis permutation, with no d^n x d^n matrix products.  An embedding, one
 factor tensored with identity legs, is added in place on the d^(n+k)
 entries it reaches (``add_embedded``), so no identity is ever placed, and
 its product with a d^n x c matrix is one contraction on the matrix's row
-legs (``apply_embedded``), so no embedding need be formed.
+legs (``apply_embedded``), so no embedding need be formed, and a Kronecker
+product is applied leg by leg (``times_kron``), never formed.
 
 The statistics group average S_n is represented here only, as the
 occupation-number isometry V_n with S_n = V_n V_n^dagger
@@ -334,6 +335,26 @@ def embed_matrix(a: np.ndarray, positions: tuple[int, ...], n: int, d: int) -> n
     out = np.zeros((d**n, d**n), dtype=np.complex128)
     add_embedded(out, a, positions, n, d)
     return out
+
+
+def times_kron(x: np.ndarray, mats: list[np.ndarray]) -> np.ndarray:
+    """x (mats[0] (x) mats[1] (x) ... (x) I) on the rows of ``x`` (...,
+    rows, s_1 s_2 ... s), factor j being s_j x t_j, without forming the
+    Kronecker product: factor by factor, the columns are viewed as
+    (left, s_j, right) and the s_j legs mapped to t_j by the factor, one
+    reshape and one matmul by its transpose each (Van Loan, 2000); the
+    trailing s legs that no factor covers are left as they are.  Leading
+    axes of the factors broadcast as batch axes; a zero side gives an empty
+    result."""
+    rows, right = x.shape[-2:]
+    left = 1
+    for m in mats:
+        s, t = m.shape[-2:]
+        right //= s
+        x = np.matmul(m.swapaxes(-1, -2)[..., None, :, :], x.reshape(*x.shape[:-2], rows * left, s, right))
+        left *= t
+        x = x.reshape(*x.shape[:-3], rows, left * right)
+    return x
 
 
 def partial_trace_matrix(mat: np.ndarray, s: int, n: int, d: int) -> np.ndarray:

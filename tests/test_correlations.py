@@ -570,56 +570,6 @@ def test_generic_order_places_no_product(monkeypatch):
     assert calls == {"rank_lift": n_max}
 
 
-@pytest.mark.parametrize("sides", [(2, 3), (2, 3, 4)])
-def test_times_kron_matches_dense_kronecker(sides):
-    # x (A (x) B (x) ...) factor by factor, plain and with each factor's
-    # batch on an axis of its own, broadcast against the others
-    rng = np.random.default_rng(79)
-
-    def normal(*shape):
-        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
-
-    side = int(np.prod(sides))
-    x = normal(5, side)
-    mats = [normal(s, s) for s in sides]
-    expected = x @ functools.reduce(np.kron, mats)
-    got = correlations._times_kron(x, mats)
-    assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
-    counts = (3, 2, 2)[: len(sides)]
-    batches = [normal(*(1,) * j, c, *(1,) * (len(sides) - j - 1), s, s) for j, (c, s) in enumerate(zip(counts, sides))]
-    got = correlations._times_kron(x, batches)
-    assert got.shape == (*counts, 5, side)
-    for index in itertools.product(*map(range, counts)):
-        factors = [b[(0,) * j + (i,) + (0,) * (len(sides) - j - 1)] for j, (b, i) in enumerate(zip(batches, index))]
-        expected = x @ functools.reduce(np.kron, factors)
-        assert np.abs(got[index] - expected).max() <= 1e-13 * np.abs(expected).max()
-
-
-@pytest.mark.parametrize(
-    "rows, shapes, rest",
-    [
-        (5, [(2, 3), (3, 2)], 1),
-        (4, [(4, 2), (1, 3), (2, 2)], 1),
-        (0, [(2, 3), (3, 1)], 1),
-        (3, [(2, 0), (3, 2)], 1),
-        (3, [(3, 2), (2, 0)], 1),
-        (3, [(4, 2)], 6),
-        (0, [(2, 0)], 3),
-    ],
-    ids=["square-rows", "three-factors", "zero-rows", "zero-width-first", "zero-width-last", "identity-rest", "empty-rest"],
-)
-def test_times_kron_takes_rectangular_factors(rows, shapes, rest):
-    # x (A (x) B (x) ... (x) I_rest) for s_j x t_j factors: the result is
-    # rows x prod t_j rest, empty where a side is zero
-    rng = np.random.default_rng(80)
-    x = rng.normal(size=(rows, int(np.prod([s for s, _ in shapes])) * rest)) + 0j
-    mats = [rng.normal(size=shape) + 1j * rng.normal(size=shape) for shape in shapes]
-    expected = x @ functools.reduce(np.kron, [*mats, np.eye(rest)])
-    got = correlations._times_kron(x, mats)
-    assert got.shape == expected.shape
-    assert np.abs(got - expected).max(initial=0.0) <= 1e-13 * np.abs(expected).max(initial=1.0)
-
-
 @pytest.mark.parametrize("stats", QUANTUM, ids=str)
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("sizes", [(1, 1), (2, 1), (1, 2), (2, 2), (2, 1, 1), (3, 1)], ids=str)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -8,7 +9,7 @@ from corrdyn.hamiltonian import (
     EvolutionCache,
     InteractionSpec,
     build_hamiltonian,
-    couplings_times,
+    coupling_image,
     evolve_blocks,
     evolve_group,
     hamiltonian_matrix,
@@ -24,6 +25,7 @@ from corrdyn.hilbert import (
     place_product,
     random_hermitian,
     rank_compress,
+    symmetric_isometry,
     trace_norm,
 )
 from corrdyn.oracles import loop_embed
@@ -137,45 +139,91 @@ def test_spec_validation_rejects_nonpositive_matrix_side_cap(cap):
 
 
 @pytest.mark.parametrize(
-    "d, n, couplings, sizes",
+    "d, couplings, sizes",
     [
-        (2, 3, (2,), (3,)),
-        (2, 4, (2, 3), (4,)),
-        (2, 4, (2, 3), (2, 1, 1)),
-        (2, 4, (2, 3), (2, 2)),
-        (3, 3, (2, 3), (1, 1, 1)),
-        (3, 3, (2, 3), (2, 1)),
+        (2, (2,), (3,)),
+        (2, (2, 3), (4,)),
+        (2, (2, 3), (2, 1, 1)),
+        (2, (2, 3), (2, 2)),
+        (3, (2, 3), (1, 1, 1)),
+        (3, (2, 3), (2, 1)),
     ],
 )
-def test_couplings_times_without_isometry_places_the_dense_coupling(d, n, couplings, sizes):
-    # V None is the identity: the dense Phi, the same bits as adding the
-    # loop-embedded couplings that meet every block into a zero, for one
-    # block and for partition layouts
+def test_coupling_image_without_isometry_places_the_dense_coupling(d, couplings, sizes):
+    # BOLTZMANN has no isometry: the image is the dense Phi, the same bits
+    # as adding the loop-embedded couplings that meet every block into a
+    # zero, the one-body terms first; a one-block layout is H_n itself
     rng = np.random.default_rng(24)
     pots = {k: permutation_average(random_hermitian(rng, d**k), k, d) for k in couplings}
     spec = InteractionSpec(d=d, one_body=random_hermitian(rng, d), potentials=pots)
+    n = sum(sizes)
     ends = list(itertools.accumulate(sizes))
     blocks = [tuple(range(end - size + 1, end + 1)) for end, size in zip(ends, sizes)]
     ground = tuple(range(1, n + 1))
     expected = np.zeros((d**n, d**n), dtype=np.complex128)
-    for k, phi in spec.potentials.items():
+    for k, phi in [(1, spec.one_body), *spec.potentials.items()]:
         for z in itertools.combinations(ground, k):
             if all(set(b) & set(z) for b in blocks):
                 expected += loop_embed(phi, z, ground, d)
-    got = couplings_times(None, blocks, spec, n)
+    got = coupling_image(Statistics.BOLTZMANN, sizes, spec)
     assert got.shape == expected.shape and np.array_equal(got, expected)
     assert np.abs(got).max() > 0
+    if len(sizes) == 1:
+        assert np.array_equal(got, hamiltonian_matrix(n, spec))
 
 
-def test_couplings_times_is_none_when_no_support_meets_the_blocks():
-    # a pair coupling cannot meet three blocks, with or without an isometry
+def test_coupling_image_is_none_when_no_coupling_meets_the_blocks():
+    # a pair coupling cannot meet three blocks, with or without an
+    # isometry, and the one-body term never meets two; one block always
+    # meets the one-body term
     rng = np.random.default_rng(25)
     pots = {2: permutation_average(random_hermitian(rng, 4), 2, 2)}
     spec = InteractionSpec(d=2, one_body=SZ, potentials=pots)
-    blocks = [(1,), (2,), (3,)]
-    assert couplings_times(None, blocks, spec, 3) is None
-    assert couplings_times(np.eye(8), blocks, spec, 3) is None
-    assert couplings_times(None, [(1, 2, 3)], InteractionSpec(d=2, one_body=SZ), 3) is None
+    free = InteractionSpec(d=2, one_body=SZ)
+    for stats in Statistics:
+        assert coupling_image(stats, (1, 1, 1), spec) is None
+        assert coupling_image(stats, (2, 1), free) is None
+    assert np.array_equal(coupling_image(Statistics.BOLTZMANN, (3,), free), hamiltonian_matrix(3, free))
+
+
+@pytest.mark.parametrize(
+    "stats, d",
+    [(Statistics.BOSE, 2), (Statistics.BOSE, 3), (Statistics.FERMI, 2), (Statistics.FERMI, 3), (Statistics.FERMI, 4)],
+    ids=str,
+)
+@pytest.mark.parametrize("couplings", [(), (2,), (2, 3)], ids=["free", "pair", "pair+triple"])
+def test_coupling_image_matches_dense_compression(stats, d, couplings):
+    # L^T Phi V with one contraction per class of supports equals the
+    # compression (x)_k V_k^T Phi V of the loop-embedded coupling sum,
+    # V_k = I where an order has no isometry; (2, 2) pair and (3, 1) hold
+    # classes of several supports.  None exactly where no coupling meets
+    # every block, and one block is H~_n, the compressed H_n
+    rng = np.random.default_rng(26)
+    pots = {k: permutation_average(random_hermitian(rng, d**k), k, d) for k in couplings}
+    spec = InteractionSpec(d=d, one_body=random_hermitian(rng, d), potentials=pots)
+    for sizes in [(2,), (3,), (1, 1), (2, 1), (2, 2), (3, 1), (2, 1, 1), (1, 1, 1)]:
+        n = sum(sizes)
+        ends = list(itertools.accumulate(sizes))
+        blocks = [tuple(range(end - size + 1, end + 1)) for end, size in zip(ends, sizes)]
+        ground = tuple(range(1, n + 1))
+        supports = [
+            (phi, z)
+            for k, phi in [(1, spec.one_body), *spec.potentials.items()]
+            for z in itertools.combinations(ground, k)
+            if all(set(b) & set(z) for b in blocks)
+        ]
+        got = coupling_image(stats, sizes, spec)
+        if not supports:
+            assert got is None, sizes
+            continue
+        phi = sum(loop_embed(a, z, ground, d) for a, z in supports)
+        legs = [np.eye(d**k) if (v := symmetric_isometry(stats, k, d)) is None else v for k in sizes]
+        expected = functools.reduce(np.kron, legs).T @ phi @ symmetric_isometry(stats, n, d)
+        assert got.shape == expected.shape, sizes
+        assert np.abs(got - expected).max(initial=0.0) <= 1e-14 * np.abs(expected).max(initial=0.0), sizes
+        if len(sizes) == 1:
+            compressed = rank_compress(stats, hamiltonian_matrix(n, spec), n, d)
+            assert np.abs(got - compressed).max(initial=0.0) <= 1e-14 * np.abs(compressed).max(initial=0.0)
 
 
 def test_periodic_laplacian():
